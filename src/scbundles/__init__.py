@@ -4,7 +4,7 @@ Bundles are carried by local systems of necklaces; minimal bundles
 correspond to binary 2-cocycles, spindle contraction reduces any bundle
 to a minimal one, and prescribed Chern numbers are realized over closed
 oriented surfaces.  Everything is exact integer arithmetic, verified by
-Smith-normal-form homology of assembled total spaces.
+the integral homology of assembled total spaces.
 """
 
 from .errors import (
@@ -45,6 +45,7 @@ from .homology import (
     IntMatrix,
     SmithForm,
     boundary_matrix,
+    chain_homology,
     coboundary,
     cochain_from_json_dict,
     cochain_to_json_dict,

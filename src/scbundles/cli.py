@@ -397,19 +397,22 @@ def cmd_verify(args) -> Report:
             checks.append(
                 ("H3 free of rank one", h.betti(3) == 1 and not h.torsion(3), h.describe(3))
             )
-            bh = homology_groups(base)
-            if bh.betti(1) == 0 and not bh.torsion(1):
-                want = (0, (abs(c),) if abs(c) > 1 else ())
-                got = (h.betti(1), h.torsion(1))
-                if c == 0:
-                    want = (1, ())
-                checks.append(
-                    (
-                        "sphere-base H1 law",
-                        got == want,
-                        f"H1 = {h.describe(1)}, chern {c}",
-                    )
+            # Gysin sequence for a circle bundle over a closed oriented
+            # surface of genus g with Chern number c
+            genus = homology_groups(base).betti(1) // 2
+            if c:
+                want = ((2 * genus, (abs(c),) if abs(c) > 1 else ()), (2 * genus, ()))
+            else:
+                want = ((2 * genus + 1, ()),) * 2
+            got = ((h.betti(1), h.torsion(1)), (h.betti(2), h.torsion(2)))
+            checks.append(
+                (
+                    "surface Gysin law",
+                    got == want,
+                    f"H1 = {h.describe(1)}, H2 = {h.describe(2)}, "
+                    f"chern {c}, genus {genus}",
                 )
+            )
     for name, good, detail in checks:
         mark = "ok" if good else "FAIL"
         lines.append(f"[{mark}] {name}" + (f": {detail}" if detail and not good else ""))

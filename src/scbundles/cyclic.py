@@ -544,7 +544,7 @@ def sc_normalized_homology(max_dim: int = 3):
     Returns (counts, HomologyGroups); counts lists the nondegenerate
     elements per dimension 0..max_dim.
     """
-    from .homology import HomologyGroups, IntMatrix, smith_normal_form
+    from .homology import HomologyGroups, chain_homology
 
     nondeg: list[list[CircularPermutation]] = []
     for k in range(max_dim + 1):
@@ -552,22 +552,18 @@ def sc_normalized_homology(max_dim: int = 3):
             [th for th in enumerate_sc(k, max_k=max(7, max_dim)) if not th.is_degenerate()]
         )
     counts = tuple(len(level) for level in nondeg)
-    ranks = [0] * (max_dim + 2)
-    torsions: list[tuple[int, ...]] = [()] * (max_dim + 2)
+    boundaries = []
     for q in range(1, max_dim + 1):
         index = {th: r for r, th in enumerate(nondeg[q - 1])}
-        m = IntMatrix(len(nondeg[q - 1]), len(nondeg[q]))
-        for col, th in enumerate(nondeg[q]):
+        columns = []
+        for th in nondeg[q]:
+            col: dict[int, int] = {}
             for i in range(q + 1):
-                f = th.face(i)
-                r = index.get(f)
+                r = index.get(th.face(i))
                 if r is not None:
-                    m.data[r][col] += -1 if i % 2 else 1
-        snf = smith_normal_form(m)
-        ranks[q] = snf.rank
-        torsions[q] = tuple(d for d in snf.diagonal if d > 1)
-    groups = []
-    for q in range(max_dim):
-        betti = counts[q] - ranks[q] - ranks[q + 1]
-        groups.append((betti, torsions[q + 1]))
-    return counts, HomologyGroups(tuple(groups))
+                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+            columns.append(col)
+        boundaries.append(columns)
+    # the top boundary is unknown here, so the top group is dropped
+    h = chain_homology(counts, boundaries)
+    return counts, HomologyGroups(h.groups[:max_dim])

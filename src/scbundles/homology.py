@@ -5,11 +5,17 @@ homology groups with torsion, integer cochains with coboundary, a solver
 for cohomologous pairs, and fundamental classes of closed oriented
 surfaces.  Everything runs on Python integers, so entries may grow freely
 during elimination without overflow.
+
+Homology reduces each boundary operator as a list of sparse columns: it
+eliminates +-1 pivots with unimodular column operations, each of which
+contributes a unit to the Smith diagonal, and runs dense Smith normal
+form only on the small block left when no unit entry remains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -29,6 +35,7 @@ __all__ = [
     "determinant",
     "boundary_matrix",
     "HomologyGroups",
+    "chain_homology",
     "homology_groups",
     "IntCochain",
     "zero_cochain",
@@ -342,21 +349,110 @@ class HomologyGroups:
         )
 
 
+def _rank_and_torsion(
+    columns: Sequence[Mapping[int, int]],
+) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of a matrix of sparse columns.
+
+    A +-1 pivot is taken from the row with the fewest nonzeros, in the
+    shortest column holding a unit there; the rest of its row is cleared
+    by column operations, and its row and column are dropped.  Every step is
+    unimodular and adds a 1 to the Smith diagonal, so dense Smith normal
+    form of what is left when no unit entry remains gives the other
+    invariant factors.
+    """
+    cols = {}
+    for c, col in enumerate(columns):
+        nonzero = {r: v for r, v in col.items() if v}
+        if nonzero:
+            cols[c] = nonzero
+    rows: dict[int, set[int]] = {}
+    for c, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(c)
+    heap = [(len(cs), r) for r, cs in rows.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        size, r = heappop(heap)
+        cs = rows.get(r)
+        if cs is None or len(cs) != size:
+            continue  # superseded by a later entry for this row
+        unit_cols = [c for c in cs if cols[c][r] in (1, -1)]
+        if not unit_cols:
+            continue  # revisited if an elimination changes the row
+        c = min(unit_cols, key=lambda j: len(cols[j]))
+        pivot = cols.pop(c)
+        p = pivot.pop(r)
+        del rows[r]
+        cs.discard(c)
+        for r2 in pivot:
+            rows[r2].discard(c)
+        for c2 in cs:
+            col = cols[c2]
+            f = col.pop(r) * p
+            for r2, v in pivot.items():
+                x = col.get(r2, 0) - f * v
+                if x:
+                    if r2 not in col:
+                        rows[r2].add(c2)
+                    col[r2] = x
+                else:
+                    del col[r2]
+                    rows[r2].discard(c2)
+            if not col:
+                del cols[c2]
+        for r2 in pivot:
+            if rows[r2]:
+                heappush(heap, (len(rows[r2]), r2))
+            else:
+                del rows[r2]
+        units += 1
+    index = {r: i for i, r in enumerate(rows)}
+    block = IntMatrix(len(index), len(cols))
+    for j, col in enumerate(cols.values()):
+        for r, v in col.items():
+            block.data[index[r]][j] = v
+    snf = smith_normal_form(block)
+    return units + snf.rank, tuple(d for d in snf.diagonal if d > 1)
+
+
+def chain_homology(
+    counts: Sequence[int], boundaries: Sequence[Sequence[Mapping[int, int]]]
+) -> HomologyGroups:
+    """Integral homology of a chain complex of free abelian groups.
+
+    ``counts[q]`` is the rank of the chain group in dimension q, and
+    ``boundaries[q - 1]`` lists the columns of the q-th boundary
+    operator, one ``{row: value}`` dict per generator of dimension q;
+    zero values are ignored.  The top boundary is taken to be zero.
+    """
+    if len(boundaries) != len(counts) - 1:
+        raise ValueError("need one boundary operator per positive dimension")
+    ranks = [0] * (len(counts) + 1)
+    torsions: list[tuple[int, ...]] = [()] * (len(counts) + 1)
+    for q, columns in enumerate(boundaries, start=1):
+        ranks[q], torsions[q] = _rank_and_torsion(columns)
+    return HomologyGroups(
+        tuple(
+            (counts[q] - ranks[q] - ranks[q + 1], torsions[q + 1])
+            for q in range(len(counts))
+        )
+    )
+
+
 def homology_groups(x: SemiSimplicialSet) -> HomologyGroups:
-    """Integral homology in every dimension of the carrier, via Smith
-    normal form of the boundary matrices."""
-    top = x.top_dim
-    ranks = [0] * (top + 2)
-    torsions: list[tuple[int, ...]] = [()] * (top + 2)
-    for q in range(1, top + 1):
-        snf = smith_normal_form(boundary_matrix(x, q))
-        ranks[q] = snf.rank
-        torsions[q] = tuple(d for d in snf.diagonal if d > 1)
-    groups = []
-    for q in range(top + 1):
-        betti = x.simplex_count(q) - ranks[q] - ranks[q + 1]
-        groups.append((betti, torsions[q + 1]))
-    return HomologyGroups(tuple(groups))
+    """Integral homology in every dimension of the carrier."""
+    boundaries = []
+    for q in range(1, x.top_dim + 1):
+        columns = []
+        for c in x.simplices(q):
+            col: dict[int, int] = {}
+            for i, r in enumerate(x.face_row(q, c)):
+                col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+            columns.append(col)
+        boundaries.append(columns)
+    return chain_homology(x.counts, boundaries)
 
 
 def connected_component_count(x: SemiSimplicialSet) -> int:
@@ -472,6 +568,9 @@ def cohomologous(
     """Decide whether two 2-cocycles differ by a coboundary.
 
     Returns the witness 1-cochain a with u1 - u2 = da when one exists.
+    The witness comes from the unimodular transforms of Smith normal
+    form, which unit-pivot elimination does not keep, so this solver
+    stays on the dense coboundary matrix.
     """
     _check_carrier(x, u1)
     _check_carrier(x, u2)
@@ -555,7 +654,10 @@ def fundamental_class(
                 )
     if any(c is None for c in coeff):
         raise NotClosedSurface("triangle dual graph is not connected")
-    boundary = boundary_matrix(x, 2).apply(coeff)
+    boundary = [0] * x.simplex_count(1)
+    for t, a in enumerate(coeff):
+        for i, e in enumerate(x.face_row(2, t)):
+            boundary[e] += -a if i % 2 else a
     if any(boundary):
         raise NonOrientable("orienting cycle has nonzero boundary")
     return FundamentalClass(x, tuple(coeff), seed, sign)

@@ -258,8 +258,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--bundle", str(bundle))
         assert code == 0
         assert "[ok] local system coherent" in out
-        assert "[ok] sphere-base H1 law" in out
+        assert "[ok] surface Gysin law" in out
         assert "FAILED" not in out
+
+    @pytest.mark.parametrize(
+        "base, chern, h1, h2",
+        [
+            ("octahedron", 0, "Z", "Z"),
+            ("octahedron", -3, "Z/3", "0"),
+            ("delta-torus", 0, "Z^3", "Z^3"),
+            ("delta-torus", 1, "Z^2", "Z^2"),
+            ("delta-torus", -1, "Z^2", "Z^2"),
+        ],
+    )
+    def test_surface_gysin_law(self, capsys, tmp_path, base, chern, h1, h2):
+        bundle = tmp_path / "b.json"
+        run(capsys, "gen-surface", "--base", base, "--chern", str(chern),
+            "--out", str(bundle))
+        code, doc, _ = run_json(capsys, "verify", "--bundle", str(bundle))
+        assert code == 0
+        (check,) = [c for c in doc["checks"] if c["name"] == "surface Gysin law"]
+        genus = 1 if base == "delta-torus" else 0
+        assert check == {
+            "name": "surface Gysin law",
+            "ok": True,
+            "detail": f"H1 = {h1}, H2 = {h2}, chern {chern}, genus {genus}",
+        }
 
     def test_missing_bundle_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(
