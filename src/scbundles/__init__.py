@@ -30,13 +30,11 @@ from .simplicial import (
     NAMED_BASES,
     SemiSimplicialSet,
     SimplexRef,
-    StarSubcomplexMap,
     boundary_sphere,
     delta_torus,
     named_base,
     octahedron_sphere,
     standard_simplex,
-    star,
 )
 from .homology import (
     FundamentalClass,
@@ -51,7 +49,6 @@ from .homology import (
     cochain_to_json_dict,
     cohomologous,
     connected_component_count,
-    determinant,
     fundamental_class,
     homology_groups,
     is_cocycle,
@@ -62,14 +59,12 @@ from .homology import (
 from .cyclic import (
     CircularPermutation,
     Necklace,
-    Permutation,
     TripleOrderFamily,
     c01,
     default_enumeration_bound,
     enumerate_sc,
     insertion_extend,
     is_classical_necklace,
-    is_degenerate_sc,
     kan_lifts,
     kan_survey,
     sc_normalized_homology,

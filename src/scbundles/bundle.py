@@ -98,9 +98,6 @@ class NecklaceLocalSystem:
         except KeyError:
             raise DanglingReference(f"no stalk over simplex {q}/{index}") from None
 
-    def stalk_over(self, ref: SimplexRef) -> Necklace:
-        return self.stalk(ref.dim, ref.index)
-
     def bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
         return self.bead_maps[(q, index, i)]
 
@@ -134,17 +131,8 @@ class NecklaceLocalSystem:
         cached = self._embeddings.get(key)
         if cached is not None:
             return cached
-        chain: list[tuple[int, int, int]] = []
-        cq, ci = q, index
-        for t in range(q, p, -1):
-            chain.append((cq, ci, t))
-            ci = self.base.face_index(cq, ci, t)
-            cq -= 1
-        for _ in range(p):
-            chain.append((cq, ci, 0))
-            ci = self.base.face_index(cq, ci, 0)
-            cq -= 1
-        emb = {b: b for b in self.stalk(0, ci).ids}
+        vertex, chain = self.base.face_walk(q, index, (p,))
+        emb = {b: b for b in self.stalk(0, vertex).ids}
         for dq, di, fi in reversed(chain):
             bm = self.bead_map(dq, di, fi)
             emb = {vb: bm[sb] for vb, sb in emb.items()}
@@ -310,14 +298,6 @@ class TotalSpaceIndex:
     """
 
     keys: tuple[tuple[tuple, ...], ...]
-
-    def ref_of(self, key) -> SimplexRef:
-        kind, q, idx, bead = key
-        dim = q if kind == "H" else q + 1
-        try:
-            return SimplexRef(dim, self.keys[dim].index(key))
-        except (ValueError, IndexError):
-            raise DanglingReference(f"no catalog entry {key}") from None
 
     def key_of(self, dim: int, index: int):
         return self.keys[dim][index]
@@ -509,19 +489,6 @@ def _require_binary_cocycle(base: SemiSimplicialSet, u: IntCochain) -> None:
         raise NotACocycle("binary 2-cochain has nonzero coboundary")
 
 
-def _two_face_index(base: SemiSimplicialSet, q: int, idx: int, triple) -> int:
-    """Index of the 2-face at vertex positions i < j < l, by deleting the
-    other positions from the top down; descending order keeps every
-    remaining position at its original index."""
-    cq, ci = q, idx
-    keep = set(triple)
-    for t in range(q, -1, -1):
-        if t not in keep:
-            ci = base.face_index(cq, ci, t)
-            cq -= 1
-    return ci
-
-
 def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundle:
     """The minimal bundle whose triangle stalks realize the parity u.
 
@@ -543,8 +510,7 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
         for idx in base.simplices(q):
             bits = {}
             for triple in combinations(range(q + 1), 3):
-                face2 = _two_face_index(base, q, idx, triple)
-                bits[triple] = u.values[face2]
+                bits[triple] = u.values[base.face_walk(q, idx, triple)[0]]
             family = TripleOrderFamily.from_mapping(q, bits)
             try:
                 stalks[(q, idx)] = insertion_extend(family)
@@ -579,7 +545,8 @@ def systems_equivalent(
     A renaming is determined by one rotation of each vertex circle, since
     every stalk's color class is the embedded image of a vertex circle.
     The rotations are searched with backtracking, checking each stalk as
-    soon as all of its vertices are assigned.
+    soon as all of its vertices are assigned; the search is a loop, so
+    bases with thousands of vertices do not hit the recursion limit.
     """
     if first.base != second.base:
         return False
@@ -616,21 +583,19 @@ def systems_equivalent(
         j = ids2t.index(seq[0])
         return ids2t[j:] + ids2t[:j] == seq
 
-    rotations = [0] * nv
-
-    def search(v):
-        if v == nv:
-            return True
-        for r in range(first.stalk(0, v).size):
-            rotations[v] = r
-            if all(
-                stalk_matches(q, idx, vs, rotations)
-                for q, idx, vs in by_last[v]
-            ) and search(v + 1):
-                return True
-        return False
-
-    return search(0)
+    # depth-first over the vertices; rotations[v] is the one being tried
+    rotations = [-1] * nv
+    v = 0
+    while 0 <= v < nv:
+        rotations[v] += 1
+        if rotations[v] == first.stalk(0, v).size:
+            rotations[v] = -1
+            v -= 1
+        elif all(
+            stalk_matches(q, idx, vs, rotations) for q, idx, vs in by_last[v]
+        ):
+            v += 1
+    return v == nv
 
 
 def is_classical_bundle(system: NecklaceLocalSystem) -> tuple[bool, str | None]:
@@ -707,7 +672,9 @@ def bundle_to_json_dict(bundle: MinimalBundle | NecklaceLocalSystem) -> dict:
     return doc
 
 
-def _parse_stalk_keys(raw: Mapping, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[int, ...]]:
+def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[int, ...]]:
+    if not isinstance(raw, Mapping):
+        raise MalformedFile("'stalks' must map 'dim/index' keys to necklace text")
     out = {}
     for key, text in raw.items():
         try:
@@ -717,6 +684,8 @@ def _parse_stalk_keys(raw: Mapping, base: SemiSimplicialSet) -> dict[SimplexKey,
             raise MalformedFile(f"bad stalk key {key!r}, expected 'dim/index'") from exc
         if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
             raise DanglingReference(f"stalk key {key} names no base simplex")
+        if not isinstance(text, str):
+            raise MalformedFile(f"stalk {key} must be necklace text like \"(0 1 2)\"")
         out[(q, idx)] = parse_necklace_text(text)
     return out
 
@@ -750,6 +719,8 @@ def bundle_from_json_dict(doc) -> MinimalBundle | NecklaceLocalSystem:
             stalks[key] = Necklace.from_colors(word)
         except ValueError as exc:
             raise MalformedFile(f"bad stalk over {key[0]}/{key[1]}: {exc}") from exc
+    if not isinstance(raw_maps, Mapping):
+        raise MalformedFile("'bead_maps' must map 'dim/index/face' keys to rows")
     bead_maps = {}
     for key, row in raw_maps.items():
         try:
@@ -762,14 +733,17 @@ def bundle_from_json_dict(doc) -> MinimalBundle | NecklaceLocalSystem:
         fidx = base.face_index(q, idx, i)
         small = stalks[(q - 1, fidx)]
         big = stalks[(q, idx)]
-        if len(row) != small.size:
-            raise MalformedFile(f"bead map {key} has {len(row)} entries, expected {small.size}")
+        if not isinstance(row, list) or len(row) != small.size:
+            raise MalformedFile(f"bead map {key} must list {small.size} bead positions")
         try:
-            bead_maps[(q, idx, i)] = {
-                small.ids[p]: big.ids[int(target)] for p, target in enumerate(row)
-            }
-        except IndexError as exc:
-            raise MalformedFile(f"bead map {key} points outside the stalk") from exc
+            targets = [int(t) for t in row]
+        except (TypeError, ValueError) as exc:
+            raise MalformedFile(f"bead map {key} must list integer positions") from exc
+        if any(not 0 <= t < big.size for t in targets):
+            raise MalformedFile(f"bead map {key} points outside the stalk")
+        bead_maps[(q, idx, i)] = {
+            small.ids[p]: big.ids[t] for p, t in enumerate(targets)
+        }
     return NecklaceLocalSystem(base, stalks, bead_maps)
 
 

@@ -28,7 +28,7 @@ from .bundle import (
     minimal_from_cocycle,
     total_to_json_dict,
 )
-from .cyclic import enumerate_sc, is_degenerate_sc, kan_survey, sc_normalized_homology
+from .cyclic import enumerate_sc, kan_survey, sc_normalized_homology
 from .errors import MalformedFile, ScbError
 from .homology import (
     IntCochain,
@@ -132,7 +132,7 @@ def cmd_hexagram(args) -> Report:
     lines = ["circular permutations through dimension 3:"]
     for k in range(4):
         for th in enumerate_sc(k):
-            deg = is_degenerate_sc(th)
+            deg = th.is_degenerate()
             sc_rows.append({"dim": k, "word": str(th), "degenerate": deg})
             lines.append(f"  dim {k}: {th}{'  (degenerate)' if deg else ''}")
     counts, nh = sc_normalized_homology(3)

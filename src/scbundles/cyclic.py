@@ -32,11 +32,9 @@ from .errors import (
 
 __all__ = [
     "CircularPermutation",
-    "Permutation",
     "Necklace",
     "c01",
     "enumerate_sc",
-    "is_degenerate_sc",
     "default_enumeration_bound",
     "TripleOrderFamily",
     "insertion_extend",
@@ -92,19 +90,6 @@ def _cp_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return _canon_cp(tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _cp_is_degenerate(word: tuple[int, ...]) -> bool:
-    k = len(word) - 1
-    if k == 0:
-        return False
-    for below in permutations(range(1, k)):
-        small = (0,) + below
-        for i in range(k):
-            if _cp_degeneracy(small, i) == word:
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class CircularPermutation:
     """A cyclic order on the colors 0..top, stored starting at color 0."""
@@ -134,8 +119,16 @@ class CircularPermutation:
 
     def is_degenerate(self) -> bool:
         """True when some degeneracy of a smaller circular permutation
-        produces this one; decided by enumerating one dimension down."""
-        return _cp_is_degenerate(self.word)
+        produces this one.
+
+        That happens exactly when some color i is followed immediately by
+        i + 1 around the circle: s_i inserts i + 1 right after i, and
+        conversely such a word w satisfies s_i(d_{i+1} w) = w.  The stored
+        turning starts at color 0, which follows no color, so only adjacent
+        pairs of the stored word need checking.
+        """
+        w = self.word
+        return any(a + 1 == b for a, b in zip(w, w[1:]))
 
     def triple_bit(self, a: int, b: int, c: int) -> int:
         """Induced cyclic order of a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
@@ -151,43 +144,6 @@ class CircularPermutation:
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.word) + ">"
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A linear word using each color 0..top exactly once."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        _validate_perm_word(values)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def top(self) -> int:
-        return len(self.values) - 1
-
-    def face(self, i: int) -> "Permutation":
-        if not 0 <= i <= self.top:
-            raise ValueError(f"color {i} outside 0..{self.top}")
-        if self.top == 0:
-            raise LastColor("cannot delete the only color of (0)")
-        return Permutation(tuple(v if v < i else v - 1 for v in self.values if v != i))
-
-    def degeneracy(self, i: int) -> "Permutation":
-        if not 0 <= i <= self.top:
-            raise ValueError(f"color {i} outside 0..{self.top}")
-        out: list[int] = []
-        for v in self.values:
-            out.append(v if v <= i else v + 1)
-            if v == i:
-                out.append(i + 1)
-        return Permutation(tuple(out))
-
-    def coset(self) -> CircularPermutation:
-        """Forget the starting point: the circular word of this permutation."""
-        return CircularPermutation(self.values)
 
 
 def c01(theta: CircularPermutation) -> int:
@@ -214,10 +170,6 @@ def enumerate_sc(k: int, max_k: int | None = None) -> tuple[CircularPermutation,
             f"enumeration of circular permutations capped at top {bound}, got {k}"
         )
     return tuple(CircularPermutation(w) for w in _sc_words(k))
-
-
-def is_degenerate_sc(theta: CircularPermutation) -> bool:
-    return theta.is_degenerate()
 
 
 # -- triple orders and insertion --------------------------------------
@@ -463,56 +415,14 @@ class Necklace:
     def has_bead(self, bead: int) -> bool:
         return bead in self.ids
 
-    def successor(self, bead: int) -> int:
-        """The bead after the given one in the circular orientation."""
-        p = self.ids.index(bead)
-        return self.ids[(p + 1) % len(self.ids)]
-
     def predecessor(self, bead: int) -> int:
         p = self.ids.index(bead)
         return self.ids[(p - 1) % len(self.ids)]
-
-    def color_class(self) -> tuple[int, ...]:
-        """The circular color word alone, canonically rotated."""
-        n = len(self.colors)
-        return min(
-            (self.colors[r:] + self.colors[:r] for r in range(n)),
-        )
 
     def to_circular(self) -> CircularPermutation:
         if len(self.colors) != self.top + 1:
             raise ValueError("not one bead per color")
         return CircularPermutation(self.colors)
-
-    def delete_color(self, i: int):
-        """Remove the beads colored i; higher colors slide down.
-
-        Returns the smaller necklace, the bead map (new bead id to old:
-        the identity on survivors), and the arc merge map sending the arc
-        after each old bead to the surviving arc it lands in.
-        """
-        if not 0 <= i <= self.top:
-            raise ValueError(f"color {i} outside 0..{self.top}")
-        if self.top == 0:
-            raise LastColor("deleting the only color leaves nothing")
-        survivors = [
-            (b, c if c < i else c - 1) for b, c in self.beads() if c != i
-        ]
-        small = Necklace(
-            tuple(c for _, c in survivors), tuple(b for b, _ in survivors)
-        )
-        bead_map = {b: b for b, _ in survivors}
-        alive = {b for b, _ in survivors}
-        arc_map = {}
-        order = self.ids
-        n = len(order)
-        for p, b in enumerate(order):
-            q = p
-            while order[q % n] not in alive:
-                q -= 1
-            arc_map[b] = order[q % n]
-        return small, bead_map, arc_map
-
 
 def is_classical_necklace(neck: Necklace) -> tuple[bool, str | None]:
     """Whether the elementary bundle on this necklace is a classical

@@ -32,7 +32,6 @@ __all__ = [
     "IntMatrix",
     "SmithForm",
     "smith_normal_form",
-    "determinant",
     "boundary_matrix",
     "HomologyGroups",
     "chain_homology",
@@ -72,14 +71,6 @@ class IntMatrix:
         for i in range(n):
             m.data[i][i] = 1
         return m
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0, rows)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -276,31 +267,6 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
         IntMatrix(nr, nr, u) if transforms else None,
         IntMatrix(nc, nc, v) if transforms else None,
     )
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # -- chain complexes ---------------------------------------------------

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .errors import DanglingReference, InvalidComplex, MalformedFile
+from .errors import EnumerationBound, InvalidComplex, MalformedFile
 
 __all__ = [
     "SemiSimplicialSet",
     "SimplexRef",
-    "StarSubcomplexMap",
     "standard_simplex",
     "boundary_sphere",
     "delta_torus",
     "octahedron_sphere",
     "named_base",
     "NAMED_BASES",
-    "star",
+    "MAX_NAMED_K",
 ]
 
 
@@ -94,11 +93,6 @@ class SemiSimplicialSet:
     def simplices(self, q: int) -> range:
         return range(self.simplex_count(q))
 
-    def all_refs(self) -> Iterator[SimplexRef]:
-        for q in range(self.top_dim + 1):
-            for idx in self.simplices(q):
-                yield SimplexRef(q, idx)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * n for q, n in enumerate(self.counts))
 
@@ -113,23 +107,28 @@ class SemiSimplicialSet:
     def face_row(self, q: int, index: int) -> tuple[int, ...]:
         return self._faces[q - 1][index]
 
-    def vertex_at(self, q: int, index: int, p: int) -> int:
-        """Vertex index at position ``p`` of a q-simplex.
+    def face_walk(
+        self, q: int, index: int, keep
+    ) -> tuple[int, list[tuple[int, int, int]]]:
+        """Face of a q-simplex spanned by the vertex positions in ``keep``.
 
-        Deleting positions from the top downward keeps the face index of
-        every lower position equal to its original value.
+        Every other position is deleted from the top down, which keeps each
+        lower position at its original index.  Returns the index of the
+        face and the steps ``(dim, index, position)`` taken, in order.
         """
+        steps = []
+        for t in range(q, -1, -1):
+            if t not in keep:
+                steps.append((q, index, t))
+                index = self._faces[q - 1][index][t]
+                q -= 1
+        return index, steps
+
+    def vertex_at(self, q: int, index: int, p: int) -> int:
+        """Vertex index at position ``p`` of a q-simplex."""
         if not 0 <= p <= q:
             raise IndexError(f"position {p} outside 0..{q}")
-        idx = index
-        cur_dim = q
-        for t in range(q, p, -1):
-            idx = self.face_index(cur_dim, idx, t)
-            cur_dim -= 1
-        for _ in range(p):
-            idx = self.face_index(cur_dim, idx, 0)
-            cur_dim -= 1
-        return idx
+        return self.face_walk(q, index, (p,))[0]
 
     def vertices_of(self, q: int, index: int) -> tuple[int, ...]:
         return tuple(self.vertex_at(q, index, p) for p in range(q + 1))
@@ -212,6 +211,8 @@ class SemiSimplicialSet:
         faces = []
         for q in range(1, len(dims)):
             table = raw_faces.get(str(q), [])
+            if not isinstance(table, list):
+                raise MalformedFile(f"faces table for dimension {q} must be a list")
             if len(table) != dims[q]:
                 raise MalformedFile(
                     f"dimension {q}: 'dims' promises {dims[q]} simplices "
@@ -226,12 +227,14 @@ class SemiSimplicialSet:
             if not 1 <= q < len(dims):
                 raise MalformedFile(f"faces table for dimension {q} not matching 'dims'")
         labels = {}
-        raw_labels = doc.get("labels") or {}
-        for q_str, names in raw_labels.items():
-            q = int(q_str)
-            for i, name in enumerate(names):
-                if name is not None:
-                    labels[(q, i)] = str(name)
+        try:
+            for q_str, names in (doc.get("labels") or {}).items():
+                q = int(q_str)
+                for i, name in enumerate(names):
+                    if name is not None:
+                        labels[(q, i)] = str(name)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedFile("'labels' must map dimension strings to name lists") from exc
         try:
             return cls(dims[0], faces, labels=labels)
         except (TypeError, ValueError) as exc:
@@ -348,12 +351,16 @@ def _parse_sized(name: str, prefix: str) -> int | None:
 
 NAMED_BASES = ("tetra", "octahedron", "delta-torus", "simplex:k", "sphere:k")
 
+# simplex:k and sphere:k have 2^(k+1) - 1 and 2^(k+1) - 2 simplices
+MAX_NAMED_K = 16
+
 
 def named_base(name: str) -> SemiSimplicialSet:
     """Resolve a built-in base by name.
 
     Accepted: ``tetra`` (the tetrahedral sphere, same as ``sphere:3``),
-    ``octahedron``, ``delta-torus``, ``simplex:k``, ``sphere:k``.
+    ``octahedron``, ``delta-torus``, ``simplex:k`` for k >= 0 and
+    ``sphere:k`` for k >= 1, both with k at most ``MAX_NAMED_K``.
     """
     key = name.strip().lower().replace("_", "-")
     if key == "tetra":
@@ -362,87 +369,22 @@ def named_base(name: str) -> SemiSimplicialSet:
         return octahedron_sphere()
     if key == "delta-torus":
         return delta_torus()
-    k = _parse_sized(key, "simplex")
-    if k is not None:
-        return standard_simplex(k)
-    k = _parse_sized(key, "sphere")
-    if k is not None:
-        return boundary_sphere(k)
+    for prefix, least, build in (
+        ("simplex", 0, standard_simplex),
+        ("sphere", 1, boundary_sphere),
+    ):
+        k = _parse_sized(key, prefix)
+        if k is None:
+            continue
+        if k < least:
+            raise MalformedFile(f"base {name!r} needs k >= {least}")
+        if k > MAX_NAMED_K:
+            raise EnumerationBound(
+                f"base {name!r} is capped at k = {MAX_NAMED_K}, "
+                f"since it has about 2^{k + 1} simplices"
+            )
+        return build(k)
     raise MalformedFile(
         f"unknown base {name!r}; expected one of {', '.join(NAMED_BASES)} or a file"
     )
 
-
-# -- stars -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StarSubcomplexMap:
-    """A star subcomplex together with its inclusion into the ambient set.
-
-    ``inclusion[q][i]`` is the ambient index of the subcomplex q-simplex
-    ``i``; the inclusion commutes with face operators by construction.
-    """
-
-    complex: SemiSimplicialSet
-    ambient: SemiSimplicialSet
-    center: SimplexRef
-    inclusion: tuple[tuple[int, ...], ...]
-
-    def ambient_ref(self, ref: SimplexRef) -> SimplexRef:
-        return SimplexRef(ref.dim, self.inclusion[ref.dim][ref.index])
-
-    def sub_index(self, ref: SimplexRef) -> int | None:
-        if ref.dim >= len(self.inclusion):
-            return None
-        try:
-            return self.inclusion[ref.dim].index(ref.index)
-        except ValueError:
-            return None
-
-    def contains(self, ref: SimplexRef) -> bool:
-        return self.sub_index(ref) is not None
-
-
-def star(amb: SemiSimplicialSet, center: SimplexRef) -> StarSubcomplexMap:
-    """Closed star of ``center``: every simplex having it as an iterated
-    face, together with all faces of those simplices."""
-    if not 0 <= center.index < amb.simplex_count(center.dim):
-        raise DanglingReference(f"no simplex {center} in complex {amb.counts}")
-    top = amb.top_dim
-    chosen: list[set[int]] = [set() for _ in range(top + 1)]
-    chosen[center.dim].add(center.index)
-    for q in range(center.dim + 1, top + 1):
-        for idx in amb.simplices(q):
-            if any(
-                amb.face_index(q, idx, i) in chosen[q - 1] for i in range(q + 1)
-            ):
-                chosen[q].add(idx)
-    for q in range(top, 0, -1):
-        for idx in list(chosen[q]):
-            for i in range(q + 1):
-                chosen[q - 1].add(amb.face_index(q, idx, i))
-    inclusion = tuple(tuple(sorted(chosen[q])) for q in range(top + 1))
-    position = [
-        {ambient_idx: i for i, ambient_idx in enumerate(level)}
-        for level in inclusion
-    ]
-    faces = []
-    for q in range(1, top + 1):
-        if not inclusion[q]:
-            break
-        faces.append(
-            [
-                [position[q - 1][amb.face_index(q, idx, i)] for i in range(q + 1)]
-                for idx in inclusion[q]
-            ]
-        )
-    labels = {}
-    for q, level in enumerate(inclusion):
-        for i, ambient_idx in enumerate(level):
-            name = amb.labels.get((q, ambient_idx))
-            if name is not None:
-                labels[(q, i)] = name
-    sub = SemiSimplicialSet(len(inclusion[0]), faces, labels=labels, check=False)
-    trimmed = inclusion[: sub.top_dim + 1]
-    return StarSubcomplexMap(sub, amb, center, trimmed)

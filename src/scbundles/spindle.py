@@ -4,7 +4,9 @@ Contracting a bead of a vertex circle removes its trace from every stalk
 over the vertex's star; splitting a bead is the inverse move.  Iterating
 contractions until each vertex circle has a single bead reduces any
 bundle to a minimal one, and the result depends only on which bead is
-kept over each vertex, not on the order of removals.
+kept over each vertex, not on the order of removals.  So ``minimize``
+computes it in one pass: over a simplex, the bead kept at color p is the
+image of the kept bead of the vertex at position p.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .bundle import MinimalBundle, NecklaceLocalSystem, chern_cocycle
-from .cyclic import Necklace
-from .errors import BeadNotFound, DanglingReference, LastArc
+from .cyclic import CircularPermutation, Necklace
+from .errors import BeadNotFound, DanglingReference, IncoherentLocalSystem, LastArc
 from .homology import IntCochain
 
 __all__ = [
@@ -76,9 +78,11 @@ def contract(
         gone_small = removed[(q - 1, fidx)]
         gone_big = removed[(q, idx)]
         kept = {s: t for s, t in m.items() if s not in gone_small}
-        assert all(t not in gone_big for t in kept.values()), (
-            "contraction removed the descent image of a surviving bead"
-        )
+        if any(t in gone_big for t in kept.values()):
+            raise IncoherentLocalSystem(
+                f"contracting bead {bead} over vertex {v} removes the image of "
+                f"a surviving bead along face {i} of {q}/{idx}"
+            )
         bead_maps[(q, idx, i)] = kept
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
@@ -153,21 +157,31 @@ def validate_selection(system: NecklaceLocalSystem, selection: ArcSelection) -> 
 def minimize(
     system: NecklaceLocalSystem, selection: ArcSelection | None = None
 ) -> MinimalBundle:
-    """Contract every non-selected bead; the minimal result is determined
-    by the selection alone."""
+    """The minimal bundle left by contracting every non-selected bead.
+
+    It is computed in one pass rather than by a chain of contractions: a
+    stalk with one bead per color keeps it, and any other stalk keeps, at
+    each vertex position p, the embedded image of the bead selected over
+    the vertex at p; the kept beads, read in circular order, give the
+    circular permutation.
+    """
     if selection is None:
         selection = default_selection(system)
     validate_selection(system, selection)
-    current = system
-    for v in system.base.simplices(0):
-        keep = selection[v]
-        while current.stalk(0, v).size > 1:
-            doomed = next(
-                b for b in current.stalk(0, v).ids if b != keep
-            )
-            current = contract(current, v, doomed, check=False)
-    words = {key: n.to_circular() for key, n in current.stalks.items()}
-    return MinimalBundle(system.base, words)
+    base = system.base
+    words = {}
+    for (q, idx), neck in system.stalks.items():
+        if neck.size == q + 1:
+            words[(q, idx)] = neck.to_circular()
+            continue
+        kept = {
+            system.vertex_embedding(q, idx, p)[selection[base.vertex_at(q, idx, p)]]
+            for p in range(q + 1)
+        }
+        words[(q, idx)] = CircularPermutation(
+            tuple(c for b, c in neck.beads() if b in kept)
+        )
+    return MinimalBundle(base, words)
 
 
 def chern_cocycle_general(

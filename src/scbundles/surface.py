@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .bundle import MinimalBundle, minimal_from_cocycle
-from .errors import BoundExceeded, MismatchedCarriers
+from .errors import BoundExceeded, MismatchedCarriers, NonOrientable
 from .homology import FundamentalClass, IntCochain
 from .simplicial import SemiSimplicialSet
 
@@ -41,7 +41,11 @@ def parity_check(
     surface: SemiSimplicialSet, fm: FundamentalClass
 ) -> SurfaceOrientationData:
     """Split the triangles by orientation sign; the two halves are equal
-    on any closed oriented surface."""
+    on any closed oriented surface.
+
+    Raises NonOrientable when they are not, since then the class does not
+    orient the surface.
+    """
     if fm.carrier != surface:
         raise MismatchedCarriers(
             "fundamental class belongs to a different complex"
@@ -49,7 +53,10 @@ def parity_check(
     signs = fm.coefficients
     pos = sum(1 for s in signs if s == 1)
     neg = len(signs) - pos
-    assert pos == neg, f"orientation signs split {pos}/{neg}, expected equal halves"
+    if pos != neg:
+        raise NonOrientable(
+            f"orientation signs split {pos}/{neg}, expected equal halves"
+        )
     return SurfaceOrientationData(surface, fm, signs, pos, neg)
 
 

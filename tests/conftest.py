@@ -71,3 +71,26 @@ def random_system(
         bead = rng.choice(system.stalk(0, v).ids)
         system = subdivide(system, v, bead, check=False)
     return system
+
+
+def grid_torus(n):
+    """The n x n grid torus: each square of the grid split along a
+    diagonal, each triangle's vertices sorted, and every face found by
+    deleting one vertex."""
+
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    edges = {}
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            for tri in ((a, b, c), (a, c, d)):
+                x, y, z = sorted(tri)
+                triangles.append(
+                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
+                )
+    edge_faces = [[v, u] for u, v in edges]
+    return SemiSimplicialSet(n * n, [edge_faces, triangles])

@@ -16,9 +16,11 @@ from scbundles import (
     bundle_to_json_dict,
     delta_torus,
     minimal_from_cocycle,
+    named_base,
     subdivide,
 )
 from scbundles.cli import main
+from scbundles.simplicial import MAX_NAMED_K
 
 
 def run(capsys, *argv):
@@ -290,6 +292,62 @@ class TestVerify:
             capsys, "verify", "--bundle", str(tmp_path / "absent.json")
         )
         assert code == 3
+
+
+def run_module(cwd, *argv):
+    """Run ``python -m scbundles`` in a child, on the source tree this
+    suite imports."""
+    src = Path(scbundles.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "scbundles", *argv],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )
+
+
+def _wrap_bead_map_target(doc):
+    # position t - size names the same bead as t under Python's indexing
+    key, row = next(iter(doc["bead_maps"].items()))
+    q, idx, _ = key.split("/")
+    size = len(doc["stalks"][f"{q}/{idx}"].split())
+    row[0] -= size
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["stalks"].update({"0/0": 5}),
+        lambda doc: doc.update(stalks=list(doc["stalks"].values())),
+        lambda doc: doc["base"]["faces"].update({"1": 7}),
+        lambda doc: doc["base"].update(labels={"x": ["a"]}),
+        lambda doc: doc["bead_maps"].update({next(iter(doc["bead_maps"])): 3}),
+        _wrap_bead_map_target,
+    ],
+    ids=[
+        "stalk-not-text", "stalks-as-list", "faces-table-int",
+        "label-key-not-int", "bead-map-row-int", "bead-map-target-negative",
+    ],
+)
+def test_malformed_bundle_exit_3_without_traceback(tmp_path, corrupt):
+    hopf = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
+    doc = bundle_to_json_dict(subdivide(hopf.as_local_system(), 0, 0))
+    corrupt(doc)
+    write_json(tmp_path / "bad.json", doc)
+    proc = run_module(tmp_path, "verify", "--bundle", "bad.json")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("simplex:-1", 3), ("sphere:0", 3), ("sphere:-2", 3),
+        (f"simplex:{MAX_NAMED_K + 1}", 11), ("sphere:25", 11),
+    ],
+)
+def test_named_base_size_bounds(capsys, name, code):
+    assert run(capsys, "homology", name)[0] == code
 
 
 def project_scripts():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,13 +12,12 @@ from scbundles import (
     LastColor,
     MismatchedCarriers,
     Necklace,
-    Permutation,
     TripleOrderFamily,
     c01,
+    elementary_system,
     enumerate_sc,
     insertion_extend,
     is_classical_necklace,
-    is_degenerate_sc,
     kan_lifts,
     kan_survey,
     sc_normalized_homology,
@@ -100,14 +100,23 @@ class TestSimplicialIdentities:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_coset_commutes_with_structure(self, k):
-        from itertools import permutations as lin_perms
+        # the operators on linear words, without wrapping around
+        def face(word, i):
+            return tuple(v if v < i else v - 1 for v in word if v != i)
 
-        for word in lin_perms(range(k + 1)):
-            w = Permutation(word)
+        def degeneracy(word, i):
+            out = []
+            for v in word:
+                out.append(v if v <= i else v + 1)
+                if v == i:
+                    out.append(i + 1)
+            return tuple(out)
+
+        for word in itertools.permutations(range(k + 1)):
+            coset = CircularPermutation(word)
             for i in range(k + 1):
-                if k >= 1:
-                    assert w.face(i).coset() == w.coset().face(i)
-                assert w.degeneracy(i).coset() == w.coset().degeneracy(i)
+                assert CircularPermutation(face(word, i)) == coset.face(i)
+                assert CircularPermutation(degeneracy(word, i)) == coset.degeneracy(i)
 
 
 class TestEnumeration:
@@ -129,13 +138,14 @@ class TestEnumeration:
         assert len(enumerate_sc(4, max_k=5)) == 24
 
     def test_degeneracy_detection_matches_images(self):
-        for k in range(1, 6):
+        assert not CircularPermutation((0,)).is_degenerate()
+        for k in range(1, 7):
             images = set()
             for th in enumerate_sc(k - 1):
                 for i in range(k):
                     images.add(th.degeneracy(i))
             for th in enumerate_sc(k):
-                assert is_degenerate_sc(th) == (th in images)
+                assert th.is_degenerate() == (th in images)
 
     def test_nondegenerate_counts(self):
         counts, groups = sc_normalized_homology(3)
@@ -244,26 +254,22 @@ class TestNecklace:
 
     def test_navigation(self):
         n = Necklace.from_colors((0, 1, 0, 2))
-        assert n.successor(n.ids[-1]) == n.ids[0]
         assert n.predecessor(n.ids[0]) == n.ids[-1]
         assert n.color_of(n.ids[1]) == n.colors[1]
         assert n.has_bead(n.ids[0]) and not n.has_bead(99)
 
     def test_delete_color_maps(self):
-        n = Necklace.from_colors((0, 1, 0, 2))
-        sub, bead_map, arc_map = n.delete_color(1)
-        assert sub.colors == (0, 0, 1)
+        # face i of the top simplex of an elementary system deletes color i
+        system = elementary_system(Necklace.from_colors((0, 1, 0, 2)))
+        face = system.base.face_index
+        assert system.stalk(1, face(2, 0, 1)).colors == (0, 0, 1)
+        bead_map = system.bead_map(2, 0, 1)
         assert set(bead_map) == {0, 2, 3}
         assert all(bead_map[b] == b for b in bead_map)
-        assert arc_map == {0: 0, 1: 0, 2: 2, 3: 3}
-        sub0, bm0, am0 = n.delete_color(0)
-        assert sub0.colors == (0, 1)
-        assert set(bm0) == {1, 3}
-        assert am0 == {0: 3, 1: 1, 2: 1, 3: 3}
-
-    def test_delete_last_color(self):
-        with pytest.raises(LastColor):
-            Necklace.from_colors((0, 0)).delete_color(0)
+        assert system.arc_map(2, 0, 1) == {0: 0, 1: 0, 2: 2, 3: 3}
+        assert system.stalk(1, face(2, 0, 0)).colors == (0, 1)
+        assert set(system.bead_map(2, 0, 0)) == {1, 3}
+        assert system.arc_map(2, 0, 0) == {0: 3, 1: 1, 2: 1, 3: 3}
 
     def test_to_circular(self):
         n = Necklace.from_circular(CircularPermutation((0, 2, 1)))

@@ -26,7 +26,6 @@ from scbundles import (
     cohomologous,
     connected_component_count,
     delta_torus,
-    determinant,
     fundamental_class,
     homology_groups,
     is_cocycle,
@@ -40,9 +39,35 @@ from scbundles import (
 
 from scbundles.simplicial import named_base
 
-from conftest import klein_bottle, random_system
+from conftest import grid_torus, klein_bottle, random_system
 
 small_entries = st.integers(min_value=-9, max_value=9)
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination; an oracle
+    for Smith normal form independent of it."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
+            a[r][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def matrices(max_dim=4):
@@ -186,29 +211,6 @@ def dense_homology(x):
         (x.simplex_count(q) - ranks[q] - ranks[q + 1], torsions[q + 1])
         for q in range(top + 1)
     )
-
-
-def grid_torus(n):
-    """The n x n grid torus: each square of the grid split along a
-    diagonal, each triangle's vertices sorted, and every face found by
-    deleting one vertex."""
-
-    def vertex(i, j):
-        return (i % n) * n + j % n
-
-    edges = {}
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            for tri in ((a, b, c), (a, c, d)):
-                x, y, z = sorted(tri)
-                triangles.append(
-                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
-                )
-    edge_faces = [[v, u] for u, v in edges]
-    return SemiSimplicialSet(n * n, [edge_faces, triangles])
 
 
 class TestSparseHomology:

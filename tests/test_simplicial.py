@@ -3,7 +3,6 @@ import math
 import pytest
 
 from scbundles import (
-    DanglingReference,
     InvalidComplex,
     MalformedFile,
     SemiSimplicialSet,
@@ -13,7 +12,6 @@ from scbundles import (
     named_base,
     octahedron_sphere,
     standard_simplex,
-    star,
 )
 
 from conftest import klein_bottle
@@ -68,6 +66,22 @@ class TestBuiltins:
             subsets = list(combinations(range(5), q + 1))
             for idx in x.simplices(q):
                 assert x.vertices_of(q, idx) == subsets[idx]
+
+    def test_face_walk_spans_kept_positions(self):
+        from itertools import combinations
+
+        x = standard_simplex(4)
+        for q in range(5):
+            for idx in x.simplices(q):
+                vs = x.vertices_of(q, idx)
+                for r in range(1, q + 2):
+                    for keep in combinations(range(q + 1), r):
+                        face, steps = x.face_walk(q, idx, keep)
+                        want = tuple(vs[p] for p in keep)
+                        assert face == list(combinations(range(5), r)).index(want)
+                        deleted = [t for _, _, t in steps]
+                        assert deleted == sorted(set(range(q + 1)) - set(keep), reverse=True)
+                        assert [d for d, _, _ in steps] == list(range(q, r - 1, -1))
 
     def test_vertex_at_matches_vertices_of(self):
         for x in (standard_simplex(3), boundary_sphere(3), delta_torus(), octahedron_sphere()):
@@ -185,32 +199,3 @@ class TestNamedBases:
             named_base("dodecahedron")
         with pytest.raises(MalformedFile):
             named_base("simplex:two")
-
-
-class TestStar:
-    def test_vertex_star_in_sphere(self):
-        amb = boundary_sphere(3)
-        s = star(amb, SimplexRef(0, 0))
-        # vertex 0 lies in 3 edges and 3 triangles; closure adds the rest
-        assert s.complex.counts == (4, 6, 3)
-        assert s.complex.validate() == []
-        assert s.contains(SimplexRef(0, 0))
-        # inclusion commutes with faces
-        for q in range(1, s.complex.top_dim + 1):
-            for idx in s.complex.simplices(q):
-                for i in range(q + 1):
-                    sub_face = s.complex.face_index(q, idx, i)
-                    amb_ref = s.ambient_ref(SimplexRef(q, idx))
-                    assert (
-                        s.inclusion[q - 1][sub_face]
-                        == amb.face_index(q, amb_ref.index, i)
-                    )
-
-    def test_torus_star_is_everything(self):
-        t = delta_torus()
-        s = star(t, SimplexRef(0, 0))
-        assert s.complex.counts == t.counts
-
-    def test_missing_center(self):
-        with pytest.raises(DanglingReference):
-            star(delta_torus(), SimplexRef(0, 5))

@@ -6,10 +6,12 @@ from scbundles import (
     BeadNotFound,
     CircularPermutation,
     DanglingReference,
+    IncoherentLocalSystem,
     IntCochain,
     LastArc,
     MinimalBundle,
     Necklace,
+    NecklaceLocalSystem,
     assemble,
     boundary_sphere,
     chern_cocycle,
@@ -66,6 +68,18 @@ class TestContract:
         system = doubled_interval()
         with pytest.raises(BeadNotFound):
             contract(system, 0, 99)
+
+    def test_incoherent_descent_raises(self):
+        # point the other vertex's bead at the image of the doomed bead
+        system = doubled_interval()
+        doomed = system.stalk(0, 0).ids[0]
+        target = system.vertex_embedding(1, 0, 0)[doomed]
+        maps = dict(system.bead_maps)
+        (other,) = maps[(1, 0, 0)]
+        maps[(1, 0, 0)] = {other: target}
+        broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
+        with pytest.raises(IncoherentLocalSystem):
+            contract(broken, 0, doomed, check=False)
 
     def test_unknown_vertex(self):
         system = doubled_interval()

@@ -1,9 +1,11 @@
 import pytest
 
 from scbundles import (
+    FundamentalClass,
     BoundExceeded,
     IntCochain,
     MismatchedCarriers,
+    NonOrientable,
     boundary_sphere,
     build_surface_bundle,
     chern_cocycle,
@@ -41,6 +43,13 @@ class TestParityCheck:
         fm = fundamental_class(delta_torus())
         with pytest.raises(MismatchedCarriers):
             parity_check(octahedron_sphere(), fm)
+
+    def test_unbalanced_signs_raise(self):
+        # all-positive coefficients do not orient the octahedron
+        base = octahedron_sphere()
+        fm = FundamentalClass(base, (1,) * 8, 0, 1)
+        with pytest.raises(NonOrientable):
+            parity_check(base, fm)
 
 
 class TestCocyclePlacement:
