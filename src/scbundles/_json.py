@@ -8,6 +8,14 @@ from pathlib import Path
 from .errors import MalformedFile
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer read from a document; a bool, a fractional number
+    or any other value raises MalformedFile rather than being truncated."""
+    if type(value) is not int:
+        raise MalformedFile(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def canonical_dumps(obj) -> str:
     """Serialize with sorted keys and a trailing newline, for stable files."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -18,6 +18,14 @@ Horizontal faces descend through the arc merge maps.  The projection
 sends horizontal simplices down by the identity operator and vertical
 ones by the degeneracy at their bead color, which makes it a simplicial
 map onto the base.
+
+A minimal bundle is the local system with one bead per color over every
+simplex: each stalk is a circular permutation and every descent map is
+forced by the colors.  ``NecklaceLocalSystem`` is the one bundle type
+that the reader returns, the writer takes and ``validate`` checks;
+``MinimalBundle`` is only the circular-permutation record of a minimal
+bundle, which the cocycle construction and ``minimize`` produce and
+``chern_cocycle`` reads.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from ._json import json_int
 from .cyclic import CircularPermutation, Necklace, c01, insertion_extend, TripleOrderFamily
 from .errors import (
     DanglingReference,
@@ -220,8 +229,13 @@ class NecklaceLocalSystem:
 
 
 class MinimalBundle:
-    """A bundle with one bead per color everywhere; stalks are circular
-    permutations and descent needs no extra data."""
+    """The circular-permutation record of a minimal bundle.
+
+    ``stalks`` maps (dim, index) to the circular permutation over that
+    simplex.  Construction checks coherence on the expanded local system
+    unless ``check`` is false; ``minimal_from_cocycle`` and ``minimize``
+    pass false, since their output is coherent by construction.
+    """
 
     __slots__ = ("base", "stalks")
 
@@ -229,34 +243,7 @@ class MinimalBundle:
         self.base = base
         self.stalks: dict[SimplexKey, CircularPermutation] = dict(stalks)
         if check:
-            problems = self._validate()
-            if problems:
-                raise IncoherentLocalSystem("; ".join(problems))
-
-    def _validate(self) -> list[str]:
-        base = self.base
-        problems = []
-        for q in range(base.top_dim + 1):
-            for idx in base.simplices(q):
-                th = self.stalks.get((q, idx))
-                if th is None:
-                    problems.append(f"missing stalk over {q}/{idx}")
-                elif th.top != q:
-                    problems.append(
-                        f"stalk over {q}/{idx} has top {th.top}, expected {q}"
-                    )
-        if problems:
-            return problems
-        for q in range(1, base.top_dim + 1):
-            for idx in base.simplices(q):
-                th = self.stalks[(q, idx)]
-                for i in range(q + 1):
-                    fidx = base.face_index(q, idx, i)
-                    if th.face(i) != self.stalks[(q - 1, fidx)]:
-                        problems.append(
-                            f"stalk over face {i} of {q}/{idx} is not the face of the stalk"
-                        )
-        return problems
+            _minimal_system(base, self.stalks, check=True)
 
     def stalk(self, q: int, index: int) -> CircularPermutation:
         return self.stalks[(q, index)]
@@ -264,25 +251,35 @@ class MinimalBundle:
     def as_local_system(self) -> NecklaceLocalSystem:
         """Expand to the general representation: bead ids equal colors and
         descent maps are the canonical color embeddings."""
-        stalks = {
-            key: Necklace.from_circular(th) for key, th in self.stalks.items()
-        }
-        bead_maps = {}
-        for q in range(1, self.base.top_dim + 1):
-            for idx in self.base.simplices(q):
-                for i in range(q + 1):
-                    bead_maps[(q, idx, i)] = {
-                        c: (c if c < i else c + 1) for c in range(q)
-                    }
-        return NecklaceLocalSystem(self.base, stalks, bead_maps, check=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, MinimalBundle):
-            return NotImplemented
-        return self.base == other.base and self.stalks == other.stalks
+        return _minimal_system(self.base, self.stalks, check=False)
 
     def __repr__(self):
         return f"MinimalBundle(base={self.base.counts})"
+
+
+def _minimal_system(
+    base: SemiSimplicialSet,
+    stalks: Mapping[SimplexKey, CircularPermutation],
+    check: bool,
+) -> NecklaceLocalSystem:
+    """The local system of circular-permutation stalks: each bead id is
+    its color, and face i sends color c to c below i and to c + 1 above.
+    Equal stalks share one necklace, since few words recur over a base."""
+    shared: dict[CircularPermutation, Necklace] = {}
+    necklaces = {}
+    for key, th in stalks.items():
+        if th not in shared:
+            shared[th] = Necklace.from_circular(th)
+        necklaces[key] = shared[th]
+    bead_maps = {}
+    for q in range(1, base.top_dim + 1):
+        embeddings = [
+            {c: (c if c < i else c + 1) for c in range(q)} for i in range(q + 1)
+        ]
+        for idx in base.simplices(q):
+            for i in range(q + 1):
+                bead_maps[(q, idx, i)] = embeddings[i]
+    return NecklaceLocalSystem(base, necklaces, bead_maps, check=check)
 
 
 # -- total space assembly ----------------------------------------------
@@ -298,9 +295,6 @@ class TotalSpaceIndex:
     """
 
     keys: tuple[tuple[tuple, ...], ...]
-
-    def key_of(self, dim: int, index: int):
-        return self.keys[dim][index]
 
 
 @dataclass(frozen=True)
@@ -519,7 +513,7 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
                     "cocycle condition held but insertion failed; "
                     f"simplex {q}/{idx}: {exc}"
                 ) from exc
-    return MinimalBundle(base, stalks)
+    return MinimalBundle(base, stalks, check=False)
 
 
 def chern_cocycle(bundle: MinimalBundle) -> IntCochain:
@@ -637,35 +631,29 @@ def parse_necklace_text(text: str) -> tuple[int, ...]:
         raise MalformedFile(f"bad necklace text {text!r}") from exc
 
 
-def bundle_to_json_dict(bundle: MinimalBundle | NecklaceLocalSystem) -> dict:
-    """Serialize a bundle; minimal bundles omit descent data entirely.
+def bundle_to_json_dict(system: NecklaceLocalSystem) -> dict:
+    """Serialize a local system.
 
-    General stalk words are written in the canonical turning, and bead
-    maps refer to beads by their position in the written word.
+    Stalk words are written in the canonical turning, which for a
+    circular permutation starts at color 0.  Bead maps refer to beads by
+    their position in the written word; a minimal bundle omits them,
+    since its descent is forced by the colors.
     """
-    if isinstance(bundle, NecklaceLocalSystem) and bundle.is_minimal():
-        minimal = MinimalBundle(
-            bundle.base,
-            {k: n.to_circular() for k, n in bundle.stalks.items()},
-            check=False,
-        )
-        bundle = minimal
-    doc: dict = {"base": bundle.base.to_json_dict()}
-    if isinstance(bundle, MinimalBundle):
-        doc["stalks"] = {
-            f"{q}/{idx}": format_necklace_text(th.word)
-            for (q, idx), th in bundle.stalks.items()
-        }
-        return doc
-    doc["stalks"] = {
-        f"{q}/{idx}": format_necklace_text(n.colors)
-        for (q, idx), n in bundle.stalks.items()
+    base = system.base
+    doc: dict = {
+        "base": base.to_json_dict(),
+        "stalks": {
+            f"{q}/{idx}": format_necklace_text(n.colors)
+            for (q, idx), n in system.stalks.items()
+        },
     }
+    if system.is_minimal():
+        return doc
     maps = {}
-    for (q, idx, i), bm in bundle.bead_maps.items():
-        fidx = bundle.base.face_index(q, idx, i)
-        small = bundle.stalk(q - 1, fidx)
-        big = bundle.stalk(q, idx)
+    for (q, idx, i), bm in system.bead_maps.items():
+        fidx = base.face_index(q, idx, i)
+        small = system.stalk(q - 1, fidx)
+        big = system.stalk(q, idx)
         pos = {b: p for p, b in enumerate(big.ids)}
         maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in small.ids]
     doc["bead_maps"] = maps
@@ -690,9 +678,10 @@ def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[in
     return out
 
 
-def bundle_from_json_dict(doc) -> MinimalBundle | NecklaceLocalSystem:
-    """Read a bundle document; returns a minimal bundle when no descent
-    data is present, else a full local system."""
+def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
+    """Read a bundle document into a validated local system; without
+    descent data the stalks must be circular permutations, whose descent
+    maps are the canonical color embeddings."""
     if not isinstance(doc, Mapping) or "base" not in doc or "stalks" not in doc:
         raise MalformedFile("bundle document needs 'base' and 'stalks'")
     base = SemiSimplicialSet.from_json_dict(doc["base"])
@@ -712,7 +701,7 @@ def bundle_from_json_dict(doc) -> MinimalBundle | NecklaceLocalSystem:
                     f"stalk {key[0]}/{key[1]} is not a circular permutation "
                     "and no bead_maps are given"
                 ) from exc
-        return MinimalBundle(base, stalks)
+        return _minimal_system(base, stalks, check=True)
     stalks = {}
     for key, word in words.items():
         try:
@@ -735,10 +724,8 @@ def bundle_from_json_dict(doc) -> MinimalBundle | NecklaceLocalSystem:
         big = stalks[(q, idx)]
         if not isinstance(row, list) or len(row) != small.size:
             raise MalformedFile(f"bead map {key} must list {small.size} bead positions")
-        try:
-            targets = [int(t) for t in row]
-        except (TypeError, ValueError) as exc:
-            raise MalformedFile(f"bead map {key} must list integer positions") from exc
+        what = f"a position in bead map {key}"
+        targets = [json_int(t, what) for t in row]
         if any(not 0 <= t < big.size for t in targets):
             raise MalformedFile(f"bead map {key} points outside the stalk")
         bead_maps[(q, idx, i)] = {

@@ -15,10 +15,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ._json import canonical_dumps, read_json, write_json
+from ._json import canonical_dumps, json_int, read_json, write_json
 from .bundle import (
-    MinimalBundle,
-    NecklaceLocalSystem,
     assemble,
     bundle_from_json_dict,
     bundle_to_json_dict,
@@ -68,19 +66,13 @@ def _load_bundle(path: str):
     return bundle_from_json_dict(read_json(path))
 
 
-def _as_system(bundle) -> NecklaceLocalSystem:
-    if isinstance(bundle, MinimalBundle):
-        return bundle.as_local_system()
-    return bundle
-
-
 def _load_selection(path: str) -> dict[int, int]:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise MalformedFile("selection file must map vertex ids to bead ids")
     try:
-        return {int(v): int(b) for v, b in doc.items()}
-    except (TypeError, ValueError) as exc:
+        return {int(v): json_int(b, f"the bead kept over {v}") for v, b in doc.items()}
+    except ValueError as exc:
         raise MalformedFile("selection file must map vertex ids to bead ids") from exc
 
 
@@ -184,7 +176,7 @@ def cmd_extend(args) -> Report:
     base = _load_complex(args.base)
     u = cochain_from_json_dict(read_json(args.cocycle))
     bundle = minimal_from_cocycle(base, u)
-    write_json(args.out, bundle_to_json_dict(bundle))
+    write_json(args.out, bundle_to_json_dict(bundle.as_local_system()))
     data = {
         "base_counts": list(base.counts),
         "cocycle": list(u.values),
@@ -205,17 +197,13 @@ def cmd_extend(args) -> Report:
 
 
 def cmd_chern(args) -> Report:
-    bundle = _load_bundle(args.bundle)
-    if isinstance(bundle, MinimalBundle):
-        u = chern_cocycle(bundle)
-        base = bundle.base
+    system = _load_bundle(args.bundle)
+    selection = _load_selection(args.selection) if args.selection else None
+    u = chern_cocycle_general(system, selection)
+    base = system.base
+    if system.is_minimal():
         how = "triangle parities"
     else:
-        selection = (
-            _load_selection(args.selection) if args.selection else None
-        )
-        u = chern_cocycle_general(bundle, selection)
-        base = bundle.base
         how = "triangle parities after reduction"
     data = {"cocycle": cochain_to_json_dict(u), "method": how}
     lines = [f"chern cocycle ({how}): {list(u.values)}"]
@@ -245,11 +233,10 @@ def cmd_chern(args) -> Report:
 
 
 def cmd_minimize(args) -> Report:
-    bundle = _load_bundle(args.bundle)
-    system = _as_system(bundle)
+    system = _load_bundle(args.bundle)
     selection = _load_selection(args.selection) if args.selection else default_selection(system)
     minimal = minimize(system, selection)
-    write_json(args.out, bundle_to_json_dict(minimal))
+    write_json(args.out, bundle_to_json_dict(minimal.as_local_system()))
     data = {
         "selection": {str(v): b for v, b in sorted(selection.items())},
         "stalks": {
@@ -267,6 +254,7 @@ def cmd_gen_surface(args) -> Report:
     orientation = parity_check(base, fm)
     u = cocycle_for_chern(base, fm, args.chern, seed=args.place_seed)
     bundle = minimal_from_cocycle(base, u)
+    system = bundle.as_local_system()
     data = {
         "base_counts": list(base.counts),
         "triangle_split": [orientation.positives, orientation.negatives],
@@ -285,11 +273,11 @@ def cmd_gen_surface(args) -> Report:
         f"cocycle for chern {args.chern}: {list(u.values)}",
     ]
     if args.out:
-        write_json(args.out, bundle_to_json_dict(bundle))
+        write_json(args.out, bundle_to_json_dict(system))
         data["out"] = args.out
         lines.append(f"bundle written to {args.out}")
     if args.verify:
-        asm = assemble(bundle.as_local_system())
+        asm = assemble(system)
         h = homology_groups(asm.total)
         achieved = chern_number(chern_cocycle(bundle), fm)
         checks = {
@@ -311,8 +299,7 @@ def cmd_gen_surface(args) -> Report:
 
 
 def cmd_assemble(args) -> Report:
-    bundle = _load_bundle(args.bundle)
-    asm = assemble(_as_system(bundle))
+    asm = assemble(_load_bundle(args.bundle))
     write_json(args.out, total_to_json_dict(asm))
     data = {
         "total_counts": list(asm.total.counts),
@@ -354,8 +341,7 @@ def cmd_kan_check(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    bundle = _load_bundle(args.bundle)
-    system = _as_system(bundle)
+    system = _load_bundle(args.bundle)
     checks: list[tuple[str, bool, str]] = []
 
     problems = system.validate()
@@ -476,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", parents=[common, orientation], help="chern cocycle of a bundle")
     p.add_argument("--bundle", required=True, help="bundle file")
-    p.add_argument("--selection", help="kept-arc file for non-minimal bundles")
+    p.add_argument("--selection", help="kept-arc file (default: first bead per vertex)")
     p.set_defaults(handler=cmd_chern)
 
     p = sub.add_parser("minimize", parents=[common], help="reduce a bundle to a minimal one")

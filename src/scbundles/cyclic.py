@@ -201,16 +201,6 @@ class TripleOrderFamily:
         ordered = [bits[t] for t in combinations(range(top + 1), 3)]
         return cls(top, tuple(ordered))
 
-    @classmethod
-    def from_circular(cls, theta: CircularPermutation) -> "TripleOrderFamily":
-        return cls(
-            theta.top,
-            tuple(
-                theta.triple_bit(*t)
-                for t in combinations(range(theta.top + 1), 3)
-            ),
-        )
-
     def bit(self, a: int, b: int, c: int) -> int:
         triples = combinations(range(self.top + 1), 3)
         for rank, t in enumerate(triples):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
+from ._json import json_int
 from .errors import (
     DanglingReference,
     MalformedFile,
@@ -79,22 +80,6 @@ class IntMatrix:
             [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
         )
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = IntMatrix(self.rows, other.cols)
-        for r in range(self.rows):
-            row = self.data[r]
-            orow = out.data[r]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for c in range(other.cols):
-                        orow[c] += a * brow[c]
-        return out
-
-    __matmul__ = mul
-
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length disagrees with column count")
@@ -134,12 +119,6 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
-
-    def diagonal_matrix(self) -> IntMatrix:
-        m = IntMatrix(*self.shape)
-        for i, d in enumerate(self.diagonal):
-            m.data[i][i] = d
-        return m
 
 
 def _swap_rows(a, u, r1, r2):
@@ -473,13 +452,12 @@ def cochain_to_json_dict(u: IntCochain) -> dict:
 def cochain_from_json_dict(doc) -> IntCochain:
     if not isinstance(doc, Mapping):
         raise MalformedFile("cochain document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        values = tuple(int(v) for v in doc["values"])
-    except (KeyError, TypeError, ValueError) as exc:
+    if "dim" not in doc or not isinstance(doc.get("values"), list):
         raise MalformedFile(
             "cochain document needs an integer 'dim' and a value list 'values'"
-        ) from exc
+        )
+    dim = json_int(doc["dim"], "cochain 'dim'")
+    values = tuple(json_int(v, "a cochain value") for v in doc["values"])
     if dim < 0:
         raise MalformedFile("cochain dimension must be nonnegative")
     return IntCochain(dim, values)

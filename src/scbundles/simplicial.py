@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+from ._json import json_int
 from .errors import EnumerationBound, InvalidComplex, MalformedFile
 
 __all__ = [
@@ -199,10 +200,9 @@ class SemiSimplicialSet:
     def from_json_dict(cls, doc) -> "SemiSimplicialSet":
         if not isinstance(doc, Mapping):
             raise MalformedFile("complex document must be a JSON object")
-        try:
-            dims = [int(n) for n in doc["dims"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFile("complex document needs an integer list 'dims'") from exc
+        if not isinstance(doc.get("dims"), list):
+            raise MalformedFile("complex document needs an integer list 'dims'")
+        dims = [json_int(n, "an entry of 'dims'") for n in doc["dims"]]
         if not dims or any(n < 0 for n in dims):
             raise MalformedFile("'dims' must list nonnegative counts, vertices first")
         raw_faces = doc.get("faces", {})
@@ -218,6 +218,12 @@ class SemiSimplicialSet:
                     f"dimension {q}: 'dims' promises {dims[q]} simplices "
                     f"but 'faces' lists {len(table)}"
                 )
+            what = f"a face id in dimension {q}"
+            for row in table:
+                if not isinstance(row, list):
+                    raise MalformedFile(f"faces table for dimension {q} must list id lists")
+                for v in row:
+                    json_int(v, what)
             faces.append(table)
         for q_str in raw_faces:
             try:
@@ -235,10 +241,7 @@ class SemiSimplicialSet:
                         labels[(q, i)] = str(name)
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedFile("'labels' must map dimension strings to name lists") from exc
-        try:
-            return cls(dims[0], faces, labels=labels)
-        except (TypeError, ValueError) as exc:
-            raise MalformedFile(f"bad face table: {exc}") from exc
+        return cls(dims[0], faces, labels=labels)
 
     # -- comparisons ---------------------------------------------------
 

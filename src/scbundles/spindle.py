@@ -181,7 +181,7 @@ def minimize(
         words[(q, idx)] = CircularPermutation(
             tuple(c for b, c in neck.beads() if b in kept)
         )
-    return MinimalBundle(base, words)
+    return MinimalBundle(base, words, check=False)
 
 
 def chern_cocycle_general(

@@ -13,7 +13,6 @@ import pytest
 from scbundles import (
     BoundExceeded,
     IntCochain,
-    MinimalBundle,
     NotACocycle,
     assemble,
     boundary_sphere,
@@ -46,7 +45,7 @@ from scbundles import (
     systems_equivalent,
 )
 from scbundles._json import canonical_dumps
-from conftest import random_binary_cocycle, random_necklace, random_system
+from generators import random_binary_cocycle, random_necklace, random_system
 
 
 class Budget:
@@ -336,14 +335,14 @@ def test_criterion_8_file_round_trips():
             for u in cocycles:
                 bundle = minimal_from_cocycle(base, u)
                 assert chern_cocycle(bundle).values == u.values
-                doc = bundle_to_json_dict(bundle)
+                doc = bundle_to_json_dict(bundle.as_local_system())
                 again = bundle_from_json_dict(doc)
-                assert isinstance(again, MinimalBundle)
+                assert again.is_minimal()
                 assert again.base == bundle.base
-                assert again.stalks == bundle.stalks
+                assert again.stalks == bundle.as_local_system().stalks
                 assert canonical_dumps(bundle_to_json_dict(again)) == (
                     canonical_dumps(doc)
                 )
-                assert chern_cocycle(again).values == u.values
+                assert chern_cocycle_general(again).values == u.values
                 checked += 1
         assert checked == 16 + 4 + 256 + 6

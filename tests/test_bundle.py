@@ -11,6 +11,7 @@ from scbundles import (
     MinimalBundle,
     MismatchedCarriers,
     Necklace,
+    NecklaceLocalSystem,
     NotACocycle,
     NotBinary,
     SemiSimplicialSet,
@@ -37,9 +38,10 @@ from scbundles import (
 )
 from scbundles._json import canonical_dumps
 from scbundles.bundle import format_necklace_text, parse_necklace_text
+from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
-from conftest import grid_torus, random_necklace, random_system
+from generators import grid_torus, random_binary_cocycle, random_necklace, random_system
 
 
 def assert_assembly_clean(system):
@@ -165,7 +167,8 @@ class TestAssembly:
     def test_index_round_trip(self):
         asm = elementary_bundle(Necklace.from_colors((0, 1, 0, 2)))
         for p in range(len(asm.index.keys)):
-            keys = [asm.index.key_of(p, i) for i in asm.total.simplices(p)]
+            keys = list(asm.index.keys[p])
+            assert len(keys) == asm.total.simplex_count(p)
             assert len(set(keys)) == len(keys)
             for kind, q, _, _ in keys:
                 assert p == (q if kind == "H" else q + 1)
@@ -239,6 +242,17 @@ class TestCocycleBridge:
         broken[(2, 0)] = CircularPermutation((0, 2, 1))
         with pytest.raises(IncoherentLocalSystem):
             MinimalBundle(base, broken)
+
+    @pytest.mark.parametrize(
+        "name", ["tetra", "octahedron", "delta-torus", "simplex:3", "sphere:4"]
+    )
+    def test_cocycle_construction_is_coherent(self, name):
+        # minimal_from_cocycle skips the check because this always holds
+        base = named_base(name)
+        rng = random.Random(name)
+        for _ in range(20):
+            u = random_binary_cocycle(base, rng)
+            assert minimal_from_cocycle(base, u).as_local_system().validate() == []
 
     def test_face_law_vacuous_without_top_cells(self):
         # with no 3-simplices any parity assignment is coherent; a single
@@ -317,12 +331,14 @@ class TestSerialization:
 
     def test_minimal_round_trip(self):
         m = minimal_from_cocycle(octahedron_sphere(), IntCochain(2, (1, 0) * 4))
-        doc = bundle_to_json_dict(m)
+        system = m.as_local_system()
+        doc = bundle_to_json_dict(system)
         assert "bead_maps" not in doc
-        m2 = bundle_from_json_dict(doc)
-        assert isinstance(m2, MinimalBundle)
-        assert m2 == m
-        assert canonical_dumps(bundle_to_json_dict(m2)) == canonical_dumps(doc)
+        back = bundle_from_json_dict(doc)
+        assert isinstance(back, NecklaceLocalSystem)
+        assert back.stalks == system.stalks
+        assert back.bead_maps == system.bead_maps
+        assert canonical_dumps(bundle_to_json_dict(back)) == canonical_dumps(doc)
 
     def test_general_round_trip(self):
         rng = random.Random(8)
@@ -330,14 +346,18 @@ class TestSerialization:
             system = random_system(rng, max_subdivisions=2)
             doc = bundle_to_json_dict(system)
             back = bundle_from_json_dict(doc)
-            if isinstance(back, MinimalBundle):
-                back = back.as_local_system()
+            assert isinstance(back, NecklaceLocalSystem)
             assert systems_equivalent(back, system)
             assert canonical_dumps(bundle_to_json_dict(back)) == canonical_dumps(doc)
 
     def test_minimal_system_serialized_without_maps(self):
         m = minimal_from_cocycle(delta_torus(), IntCochain(2, (1, 0)))
-        assert bundle_to_json_dict(m.as_local_system()) == bundle_to_json_dict(m)
+        doc = bundle_to_json_dict(m.as_local_system())
+        assert "bead_maps" not in doc
+        assert doc["stalks"] == {
+            f"{q}/{idx}": format_necklace_text(th.word)
+            for (q, idx), th in m.stalks.items()
+        }
 
     @pytest.mark.parametrize(
         "mutate",
@@ -351,9 +371,17 @@ class TestSerialization:
     )
     def test_bad_documents(self, mutate):
         m = minimal_from_cocycle(delta_torus(), IntCochain(2, (0, 0)))
-        doc = bundle_to_json_dict(m)
+        doc = bundle_to_json_dict(m.as_local_system())
         mutate(doc)
         with pytest.raises((MalformedFile, DanglingReference, IncoherentLocalSystem)):
+            bundle_from_json_dict(doc)
+
+    def test_incoherent_minimal_document(self):
+        # an odd triangle under an even tetrahedron, read from a file
+        m = minimal_from_cocycle(standard_simplex(3), IntCochain(2, (0, 0, 0, 0)))
+        doc = bundle_to_json_dict(m.as_local_system())
+        doc["stalks"]["2/0"] = "(0 2 1)"
+        with pytest.raises(IncoherentLocalSystem):
             bundle_from_json_dict(doc)
 
     def test_bad_bead_maps(self):

@@ -191,6 +191,28 @@ class TestPipeline:
         assert abs(doc["chern_number"]) == 1
 
 
+    @pytest.mark.parametrize(
+        "selection, exit_code", [({"0": 7}, 10), (None, 3)], ids=["no-bead-7", "no-file"]
+    )
+    def test_chern_checks_selection_of_minimal_bundle(
+        self, capsys, tmp_path, selection, exit_code
+    ):
+        bundle = tmp_path / "b.json"
+        code, _, _ = run(
+            capsys, "gen-surface", "--base", "octahedron", "--chern", "1",
+            "--out", str(bundle),
+        )
+        assert code == 0
+        keep = tmp_path / "keep.json"
+        if selection is not None:
+            write_json(keep, {**{str(v): 0 for v in range(6)}, **selection})
+        code, _, err = run(
+            capsys, "chern", "--bundle", str(bundle), "--selection", str(keep)
+        )
+        assert code == exit_code
+        assert err.startswith("error: ")
+
+
 class TestGenSurface:
     def test_lens_pipeline(self, capsys, tmp_path):
         out = tmp_path / "lens.json"

@@ -164,7 +164,10 @@ class TestParity:
     def test_triple_bits_reconstruct(self):
         for k in range(2, 6):
             for th in enumerate_sc(k):
-                fam = TripleOrderFamily.from_circular(th)
+                triples = itertools.combinations(range(k + 1), 3)
+                fam = TripleOrderFamily.from_mapping(
+                    k, {t: th.triple_bit(*t) for t in triples}
+                )
                 assert insertion_extend(fam) == th
 
     def test_triple_bit_matches_restriction(self):

@@ -39,9 +39,26 @@ from scbundles import (
 
 from scbundles.simplicial import named_base
 
-from conftest import grid_torus, klein_bottle, random_system
+from generators import grid_torus, klein_bottle, random_system
 
 small_entries = st.integers(min_value=-9, max_value=9)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Plain matrix product, for checking transforms against SNF."""
+    assert a.cols == b.rows
+    return IntMatrix(a.rows, b.cols, [
+        [sum(a.data[r][k] * b.data[k][c] for k in range(a.cols)) for c in range(b.cols)]
+        for r in range(a.rows)
+    ])
+
+
+def diagonal_matrix(f) -> IntMatrix:
+    """The Smith form's diagonal padded with zeros to the input's shape."""
+    m = IntMatrix(*f.shape)
+    for i, d in enumerate(f.diagonal):
+        m.data[i][i] = d
+    return m
 
 
 def determinant(m: IntMatrix) -> int:
@@ -120,7 +137,7 @@ class TestSmith:
         left, right = f.left, f.right
         assert abs(determinant(left)) == 1
         assert abs(determinant(right)) == 1
-        assert left @ m @ right == f.diagonal_matrix()
+        assert matmul(matmul(left, m), right) == diagonal_matrix(f)
         # first two invariant factors against the minor-gcd oracle
         assert (d[0] if d else 0) == gcd_of_minors(m, 1)
         if len(d) >= 2:
@@ -173,7 +190,7 @@ class TestHomology:
     def test_boundary_squares_to_zero(self):
         for x in (boundary_sphere(4), octahedron_sphere()):
             for q in range(2, x.top_dim + 1):
-                prod = boundary_matrix(x, q - 1) @ boundary_matrix(x, q)
+                prod = matmul(boundary_matrix(x, q - 1), boundary_matrix(x, q))
                 assert prod.is_zero()
 
 

@@ -14,7 +14,7 @@ from scbundles import (
     standard_simplex,
 )
 
-from conftest import klein_bottle
+from generators import klein_bottle
 
 
 def binomial(n, k):

@@ -32,7 +32,7 @@ from scbundles import (
     systems_equivalent,
     validate_selection,
 )
-from conftest import random_system
+from generators import random_system
 
 
 def doubled_interval():
@@ -213,7 +213,7 @@ class TestMinimize:
         for _ in range(15):
             bases = [standard_simplex(3), boundary_sphere(3), delta_torus()]
             base = rng.choice(bases)
-            from conftest import random_binary_cocycle
+            from generators import random_binary_cocycle
 
             u = random_binary_cocycle(base, rng)
             bundle = minimal_from_cocycle(base, u)
@@ -223,6 +223,19 @@ class TestMinimize:
                 v = rng.randrange(base.simplex_count(0))
                 system = subdivide(system, v, rng.choice(system.stalk(0, v).ids))
             assert minimize(system, original).stalks == bundle.stalks
+
+    def test_result_is_coherent(self):
+        # minimize skips the check because this always holds
+        rng = random.Random(18)
+        for _ in range(60):
+            system = random_system(rng)
+            random_pick = {
+                v: rng.choice(system.stalk(0, v).ids)
+                for v in system.base.simplices(0)
+            }
+            for selection in (None, random_pick):
+                minimal = minimize(system, selection)
+                assert minimal.as_local_system().validate() == []
 
     def test_order_independent_for_fixed_selection(self):
         rng = random.Random(16)
