@@ -32,6 +32,7 @@ from .simplicial import (
     SimplexRef,
     boundary_sphere,
     delta_torus,
+    grid_torus,
     named_base,
     octahedron_sphere,
     standard_simplex,

@@ -173,8 +173,13 @@ class NecklaceLocalSystem:
             return problems
         for q in range(1, base.top_dim + 1):
             for idx in base.simplices(q):
-                for i in range(q + 1):
-                    problems.extend(self._check_one_map(q, idx, i))
+                big = self.stalks[(q, idx)]
+                for i, f in enumerate(base.face_row(q, idx)):
+                    bm = self.bead_maps.get((q, idx, i))
+                    if bm is None:
+                        problems.append(f"missing bead map along face {i} of {q}/{idx}")
+                    elif what := _bead_map_problem(bm, big, self.stalks[(q - 1, f)], i):
+                        problems.append(f"bead map along face {i} of {q}/{idx} {what}")
         if problems:
             return problems
         for q in range(2, base.top_dim + 1):
@@ -196,36 +201,37 @@ class NecklaceLocalSystem:
                         )
         return problems
 
-    def _check_one_map(self, q: int, idx: int, i: int) -> list[str]:
-        where = f"face {i} of {q}/{idx}"
-        bm = self.bead_maps.get((q, idx, i))
-        if bm is None:
-            return [f"missing bead map along {where}"]
-        big = self.stalk(q, idx)
-        fidx = self.base.face_index(q, idx, i)
-        small = self.stalk(q - 1, fidx)
-        if set(bm) != set(small.ids):
-            return [f"bead map along {where} is not defined on the face stalk"]
-        targets = list(bm.values())
-        if len(set(targets)) != len(targets):
-            return [f"bead map along {where} is not injective"]
-        survivors = {b for b, c in big.beads() if c != i}
-        if set(targets) != survivors:
-            return [
-                f"bead map along {where} must hit exactly the beads not colored {i}"
-            ]
-        for sb, bb in bm.items():
-            c = big.color_of(bb)
-            expected = c if c < i else c - 1
-            if small.color_of(sb) != expected:
-                return [f"bead map along {where} breaks colors at bead {sb}"]
-        inv = {bb: sb for sb, bb in bm.items()}
-        seq = tuple(inv[b] for b in big.ids if b in inv)
-        ids = small.ids
-        j = seq.index(ids[0])
-        if seq[j:] + seq[:j] != ids:
-            return [f"bead map along {where} does not preserve the circular order"]
-        return []
+
+def _bead_map_problem(
+    bm: dict[int, int], big: Necklace, small: Necklace, i: int
+) -> str | None:
+    """Why bm fails to embed the stalk of face i into the stalk above it
+    (domain, injectivity, survivors, colors, circular order, checked in
+    that order), or None when it is a descent map."""
+    small_pos = small.position
+    if bm.keys() != small_pos.keys():
+        return "is not defined on the face stalk"
+    hit = set(bm.values())
+    if len(hit) != len(bm):
+        return "is not injective"
+    colors, big_pos = big.colors, big.position
+    if (
+        len(hit) != len(colors) - colors.count(i)
+        or not hit <= big_pos.keys()
+        or i in (colors[big_pos[bb]] for bb in hit)
+    ):
+        return f"must hit exactly the beads not colored {i}"
+    order = [-1] * len(colors)  # small positions, in the big stalk's order
+    for sb, bb in bm.items():
+        c = colors[big_pos[bb]]
+        if small.colors[small_pos[sb]] != (c if c < i else c - 1):
+            return f"breaks colors at bead {sb}"
+        order[big_pos[bb]] = small_pos[sb]
+    seq = [p for p in order if p >= 0]
+    j = seq.index(0)
+    if seq[j:] + seq[:j] != list(range(len(seq))):
+        return "does not preserve the circular order"
+    return None
 
 
 class MinimalBundle:
@@ -310,9 +316,6 @@ class SingularProjection:
     base: SemiSimplicialSet
     table: tuple[tuple[tuple[SimplexRef, tuple[int, ...]], ...], ...]
 
-    def target(self, dim: int, index: int) -> tuple[SimplexRef, tuple[int, ...]]:
-        return self.table[dim][index]
-
 
 @dataclass(frozen=True)
 class AssembledBundle:
@@ -323,64 +326,76 @@ class AssembledBundle:
 
 
 def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
-    """Build the total space, its projection, and the catalog index."""
+    """Build the total space, its projection, and the catalog index.
+
+    Dimension p lists the horizontal simplices over the base p-simplices,
+    then the vertical ones over the (p-1)-simplices, stalk by stalk in
+    stored bead order; so a simplex's id is the first id of its stalk
+    plus its bead's position, and face rows are read off bead positions.
+    """
     base = system.base
     top = base.top_dim
+    first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
+    first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
     keys_by_dim: list[list[tuple]] = []
+    faces: list[list[list[int]]] = []
+    proj_table = []
     for p in range(top + 2):
         level: list[tuple] = []
-        if p <= top:
-            for idx in base.simplices(p):
-                for b, _ in system.stalk(p, idx).beads():
-                    level.append(("H", p, idx, b))
-        if p >= 1:
-            for idx in base.simplices(p - 1):
-                for b, _ in system.stalk(p - 1, idx).beads():
-                    level.append(("V", p - 1, idx, b))
-        keys_by_dim.append(level)
-    ids: dict[tuple, int] = {}
-    for level in keys_by_dim:
-        for i, key in enumerate(level):
-            ids[key] = i
-    faces: list[list[list[int]]] = []
-    for p in range(1, top + 2):
-        table: list[list[int]] = []
-        for key in keys_by_dim[p]:
-            kind, q, idx, b = key
-            neck = system.stalk(q, idx)
-            row: list[int] = []
-            if kind == "H":
-                for m in range(q + 1):
-                    fidx = base.face_index(q, idx, m)
-                    am = system.arc_map(q, idx, m)
-                    row.append(ids[("H", q - 1, fidx, am[b])])
-            else:
-                j = neck.color_of(b)
-                for m in range(q + 2):
-                    if m == j:
-                        row.append(ids[("H", q, idx, b)])
-                    elif m == j + 1:
-                        row.append(ids[("H", q, idx, neck.predecessor(b))])
-                    else:
-                        fm = m if m < j else m - 1
-                        fidx = base.face_index(q, idx, fm)
-                        inv = system.inverse_bead_map(q, idx, fm)
-                        row.append(ids[("V", q - 1, fidx, inv[b])])
-            table.append(row)
-        faces.append(table)
-    total = SemiSimplicialSet(len(keys_by_dim[0]), faces, check=False)
-    proj_table = []
-    for p, level in enumerate(keys_by_dim):
+        rows: list[list[int]] = []
         entries = []
-        for key in level:
-            kind, q, idx, b = key
-            if kind == "H":
-                op = tuple(range(q + 1))
-            else:
-                j = system.stalk(q, idx).color_of(b)
-                op = tuple(t if t <= j else t - 1 for t in range(q + 2))
-            entries.append((SimplexRef(q, idx), op))
+        starts = []
+        identity = tuple(range(p + 1))
+        for idx in base.simplices(p):
+            neck = system.stalk(p, idx)
+            starts.append(len(level))
+            level.extend(("H", p, idx, b) for b in neck.ids)
+            entries.extend([(SimplexRef(p, idx), identity)] * neck.size)
+            if p:
+                arcs = [
+                    (first_h[p - 1][f], system.stalk(p - 1, f).position,
+                     system.arc_map(p, idx, m))
+                    for m, f in enumerate(base.face_row(p, idx))
+                ]
+                rows.extend(
+                    [start + pos[am[b]] for start, pos, am in arcs] for b in neck.ids
+                )
+        first_h.append(starts)
+        if p:
+            q = p - 1
+            degeneracies = [
+                tuple(t if t <= j else t - 1 for t in identity) for j in range(p)
+            ]
+            starts = []
+            for idx in base.simplices(q):
+                neck = system.stalk(q, idx)
+                starts.append(len(level))
+                h0 = first_h[q][idx]
+                ref = SimplexRef(q, idx)
+                # the bead's face below position m descends along face m or m - 1
+                lower = [
+                    (first_v[q - 1][f], system.stalk(q - 1, f).position,
+                     system.inverse_bead_map(q, idx, fm))
+                    for fm, f in enumerate(base.face_row(q, idx) if q else ())
+                ]
+                for pos, (b, j) in enumerate(neck.beads()):
+                    level.append(("V", q, idx, b))
+                    entries.append((ref, degeneracies[j]))
+                    row = []
+                    for m in range(p + 1):
+                        if m == j:
+                            row.append(h0 + pos)
+                        elif m == j + 1:
+                            row.append(h0 + (pos - 1) % neck.size)
+                        else:
+                            start, small_pos, inv = lower[m if m < j else m - 1]
+                            row.append(start + small_pos[inv[b]])
+                    rows.append(row)
+            first_v.append(starts)
+            faces.append(rows)
+        keys_by_dim.append(level)
         proj_table.append(tuple(entries))
+    total = SemiSimplicialSet(len(keys_by_dim[0]), faces, check=False)
     projection = SingularProjection(base, tuple(proj_table))
     index = TotalSpaceIndex(tuple(tuple(level) for level in keys_by_dim))
     return AssembledBundle(system, total, projection, index)
@@ -394,39 +409,57 @@ def check_projection_naturality(
     For each total simplex with target (x, s), the composite of s with the
     coface at m either stays surjective, in which case the face must map
     to x by that composite, or misses one value v, in which case the face
-    must map to face(x, v) by the co-restriction.
+    must map to face(x, v) by the co-restriction.  What each face must
+    project to depends only on s and dim x, so it is worked out once per
+    such pair.
     """
     base = projection.base
+    rules: dict[tuple[tuple[int, ...], int], list] = {}
     problems = []
     for p in range(1, total.top_dim + 1):
-        for idx in total.simplices(p):
-            x, s = projection.target(p, idx)
-            for m in range(p + 1):
-                composite = tuple(s[t] if t < m else s[t + 1] for t in range(p))
-                fref = SimplexRef(p - 1, total.face_index(p, idx, m))
-                fx, fs = projection.target(p - 1, fref.index)
-                present = set(composite)
-                missing = [v for v in range(x.dim + 1) if v not in present]
-                if not missing:
-                    if fx != x or fs != composite:
-                        problems.append(
-                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
-                            f"expected ({x}, {composite})"
-                        )
-                elif len(missing) == 1:
-                    v = missing[0]
-                    want_ref = base.face(x, v)
-                    want_op = tuple(w if w < v else w - 1 for w in composite)
-                    if fx != want_ref or fs != want_op:
-                        problems.append(
-                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
-                            f"expected ({want_ref}, {want_op})"
-                        )
-                else:
+        level, below = projection.table[p], projection.table[p - 1]
+        for idx, (x, s) in enumerate(level):
+            rule = rules.get((s, x.dim))
+            if rule is None:
+                rule = rules[(s, x.dim)] = _face_rules(s, x.dim)
+            for m, (f, (v, want_op)) in enumerate(zip(total.face_row(p, idx), rule)):
+                fx, fs = below[f]
+                if want_op is None:
                     problems.append(
                         f"projection of {p}/{idx} is not a degeneracy operator"
                     )
+                    continue
+                if v < 0:
+                    want_dim, want_index = x.dim, x.index
+                else:
+                    want_dim, want_index = x.dim - 1, base.face_index(x.dim, x.index, v)
+                if fx.index != want_index or fx.dim != want_dim or fs != want_op:
+                    problems.append(
+                        f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
+                        f"expected ({want_dim}/{want_index}, {want_op})"
+                    )
     return problems
+
+
+def _face_rules(
+    s: tuple[int, ...], dim: int
+) -> list[tuple[int, tuple[int, ...] | None]]:
+    """For each face m of a simplex projecting by s onto a dim-simplex:
+    the base position its image deletes (-1 for none) and its expected
+    operator, which is None when s without position m misses two or more
+    values."""
+    rules = []
+    for m in range(len(s)):
+        composite = s[:m] + s[m + 1 :]
+        missing = [v for v in range(dim + 1) if v not in composite]
+        if not missing:
+            rules.append((-1, composite))
+        elif len(missing) == 1:
+            v = missing[0]
+            rules.append((v, tuple(w if w < v else w - 1 for w in composite)))
+        else:
+            rules.append((-1, None))
+    return rules
 
 
 # -- elementary bundles ------------------------------------------------

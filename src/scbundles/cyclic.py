@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping
 
@@ -396,18 +396,13 @@ class Necklace:
         """Pairs (bead id, color) in circular order, canonical turning."""
         return tuple(zip(self.ids, self.colors))
 
-    def color_of(self, bead: int) -> int:
-        try:
-            return self.colors[self.ids.index(bead)]
-        except ValueError:
-            raise KeyError(f"no bead {bead} on this necklace") from None
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Position of each bead id in the stored turning, built on first use."""
+        return {b: p for p, b in enumerate(self.ids)}
 
     def has_bead(self, bead: int) -> bool:
         return bead in self.ids
-
-    def predecessor(self, bead: int) -> int:
-        p = self.ids.index(bead)
-        return self.ids[(p - 1) % len(self.ids)]
 
     def to_circular(self) -> CircularPermutation:
         if len(self.colors) != self.top + 1:

@@ -23,9 +23,11 @@ __all__ = [
     "boundary_sphere",
     "delta_torus",
     "octahedron_sphere",
+    "grid_torus",
     "named_base",
     "NAMED_BASES",
     "MAX_NAMED_K",
+    "MAX_TORUS_N",
 ]
 
 
@@ -343,6 +345,36 @@ def octahedron_sphere() -> SemiSimplicialSet:
     return SemiSimplicialSet(6, [edge_faces, tri_faces], check=False)
 
 
+def grid_torus(n: int) -> SemiSimplicialSet:
+    """The n x n grid torus, an ordered simplicial complex for n >= 3.
+
+    Vertex (i, j), taken mod n, has id i * n + j.  Each grid square splits
+    along its diagonal into two triangles; a triangle's vertices are
+    sorted, and its face i deletes the i-th of them.  Edges are numbered
+    in order of first appearance.
+    """
+    if n < 3:
+        raise ValueError("the grid torus needs n >= 3")
+
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    edges: dict[tuple[int, int], int] = {}
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            for tri in ((a, b, c), (a, c, d)):
+                x, y, z = sorted(tri)
+                triangles.append(
+                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
+                )
+    # face 0 of an edge drops its first vertex, leaving the second
+    edge_faces = [[v, u] for u, v in edges]
+    return SemiSimplicialSet(n * n, [edge_faces, triangles], check=False)
+
+
 def _parse_sized(name: str, prefix: str) -> int | None:
     if name.startswith(prefix + ":"):
         try:
@@ -352,10 +384,12 @@ def _parse_sized(name: str, prefix: str) -> int | None:
     return None
 
 
-NAMED_BASES = ("tetra", "octahedron", "delta-torus", "simplex:k", "sphere:k")
+NAMED_BASES = ("tetra", "octahedron", "delta-torus", "simplex:k", "sphere:k", "torus:n")
 
 # simplex:k and sphere:k have 2^(k+1) - 1 and 2^(k+1) - 2 simplices
 MAX_NAMED_K = 16
+# torus:n has 6n^2 simplices; a Chern bundle over it has 26n^2
+MAX_TORUS_N = 128
 
 
 def named_base(name: str) -> SemiSimplicialSet:
@@ -363,7 +397,8 @@ def named_base(name: str) -> SemiSimplicialSet:
 
     Accepted: ``tetra`` (the tetrahedral sphere, same as ``sphere:3``),
     ``octahedron``, ``delta-torus``, ``simplex:k`` for k >= 0 and
-    ``sphere:k`` for k >= 1, both with k at most ``MAX_NAMED_K``.
+    ``sphere:k`` for k >= 1, both with k at most ``MAX_NAMED_K``, and
+    ``torus:n``, the n x n grid torus, for 3 <= n <= ``MAX_TORUS_N``.
     """
     key = name.strip().lower().replace("_", "-")
     if key == "tetra":
@@ -387,6 +422,16 @@ def named_base(name: str) -> SemiSimplicialSet:
                 f"since it has about 2^{k + 1} simplices"
             )
         return build(k)
+    n = _parse_sized(key, "torus")
+    if n is not None:
+        if n < 3:
+            raise MalformedFile(f"base {name!r} needs n >= 3")
+        if n > MAX_TORUS_N:
+            raise EnumerationBound(
+                f"base {name!r} is capped at n = {MAX_TORUS_N}, "
+                f"since it has 6n^2 simplices"
+            )
+        return grid_torus(n)
     raise MalformedFile(
         f"unknown base {name!r}; expected one of {', '.join(NAMED_BASES)} or a file"
     )

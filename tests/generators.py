@@ -17,6 +17,7 @@ from scbundles import (
     coboundary,
     delta_torus,
     minimal_from_cocycle,
+    named_base,
     octahedron_sphere,
     standard_simplex,
 )
@@ -74,23 +75,5 @@ def random_system(
 
 
 def grid_torus(n):
-    """The n x n grid torus: each square of the grid split along a
-    diagonal, each triangle's vertices sorted, and every face found by
-    deleting one vertex."""
-
-    def vertex(i, j):
-        return (i % n) * n + j % n
-
-    edges = {}
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            for tri in ((a, b, c), (a, c, d)):
-                x, y, z = sorted(tri)
-                triangles.append(
-                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
-                )
-    edge_faces = [[v, u] for u, v in edges]
-    return SemiSimplicialSet(n * n, [edge_faces, triangles])
+    """The n x n grid torus, the library's named base ``torus:n``."""
+    return named_base(f"torus:{n}")

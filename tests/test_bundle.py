@@ -15,6 +15,8 @@ from scbundles import (
     NotACocycle,
     NotBinary,
     SemiSimplicialSet,
+    SimplexRef,
+    SingularProjection,
     assemble,
     boundary_sphere,
     build_surface_bundle,
@@ -179,12 +181,12 @@ class TestAssembly:
         for p, level in enumerate(asm.index.keys):
             for i, key in enumerate(level):
                 kind, q, idx, bead = key
-                ref, op = asm.projection.target(p, i)
+                ref, op = asm.projection.table[p][i]
                 assert (ref.dim, ref.index) == (q, idx)
                 if kind == "H":
                     assert op == tuple(range(q + 1))
                 else:
-                    j = system.stalk(q, idx).color_of(bead)
+                    j = dict(system.stalk(q, idx).beads())[bead]
                     assert op == tuple(
                         t if t <= j else t - 1 for t in range(q + 2)
                     )
@@ -193,6 +195,105 @@ class TestAssembly:
         rng = random.Random(21)
         for _ in range(30):
             assert_assembly_clean(random_system(rng))
+
+
+def naturality_oracle(total, projection):
+    """The per-face naturality check, recomputing every composite: the
+    reference for the library's table-driven version."""
+    base = projection.base
+    problems = []
+    for p in range(1, total.top_dim + 1):
+        for idx in total.simplices(p):
+            x, s = projection.table[p][idx]
+            for m in range(p + 1):
+                composite = tuple(s[t] if t < m else s[t + 1] for t in range(p))
+                fref = SimplexRef(p - 1, total.face_index(p, idx, m))
+                fx, fs = projection.table[p - 1][fref.index]
+                present = set(composite)
+                missing = [v for v in range(x.dim + 1) if v not in present]
+                if not missing:
+                    if fx != x or fs != composite:
+                        problems.append(
+                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
+                            f"expected ({x}, {composite})"
+                        )
+                elif len(missing) == 1:
+                    v = missing[0]
+                    want_ref = base.face(x, v)
+                    want_op = tuple(w if w < v else w - 1 for w in composite)
+                    if fx != want_ref or fs != want_op:
+                        problems.append(
+                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
+                            f"expected ({want_ref}, {want_op})"
+                        )
+                else:
+                    problems.append(
+                        f"projection of {p}/{idx} is not a degeneracy operator"
+                    )
+    return problems
+
+
+def _surface_system(base, c):
+    return build_surface_bundle(base, fundamental_class(base), c).as_local_system()
+
+
+def _naturality_bundles():
+    split = _surface_system(octahedron_sphere(), 3)
+    rng = random.Random(6)
+    for _ in range(6):
+        v = rng.randrange(split.base.simplex_count(0))
+        split = subdivide(split, v, rng.choice(split.stalk(0, v).ids))
+    bases = [(named_base("tetra"), 1), (octahedron_sphere(), 3), (delta_torus(), 1)]
+    bases.append((grid_torus(6), 3))
+    return [_surface_system(base, c) for base, c in bases] + [split]
+
+
+class TestNaturalityOracle:
+    """Corrupted projections and face tables: the library reports the same
+    problems as the per-face oracle, message for message."""
+
+    @staticmethod
+    def corrupt(asm, kind, rng):
+        table = [list(level) for level in asm.projection.table]
+        faces = [
+            [list(asm.total.face_row(q, i)) for i in asm.total.simplices(q)]
+            for q in range(1, asm.total.top_dim + 1)
+        ]
+        p = rng.randrange(1, len(table))
+        idx = rng.randrange(len(table[p]))
+        ref, op = table[p][idx]
+        if kind == "base ref":
+            n = asm.projection.base.simplex_count(ref.dim)
+            other = (ref.index + 1 + rng.randrange(n)) % n
+            table[p][idx] = (SimplexRef(ref.dim, other), op)
+        elif kind == "op":
+            wrong = tuple(sorted(rng.randrange(ref.dim + 1) for _ in op))
+            table[p][idx] = (ref, wrong)
+        elif kind == "not a degeneracy":
+            table[p][idx] = (ref, (0,) * len(op))
+        else:
+            row = faces[p - 1][idx]
+            rng.shuffle(row)
+        total = SemiSimplicialSet(len(table[0]), faces, check=False)
+        projection = SingularProjection(
+            asm.projection.base, tuple(tuple(level) for level in table)
+        )
+        return total, projection
+
+    @pytest.mark.parametrize("kind", ["base ref", "op", "not a degeneracy", "face row"])
+    def test_corruptions_match_oracle(self, kind):
+        rng = random.Random(kind)
+        found = 0
+        for system in _naturality_bundles():
+            asm = assemble(system)
+            assert check_projection_naturality(asm.total, asm.projection) == []
+            assert naturality_oracle(asm.total, asm.projection) == []
+            for _ in range(15):
+                total, projection = self.corrupt(asm, kind, rng)
+                want = naturality_oracle(total, projection)
+                assert check_projection_naturality(total, projection) == want
+                found += bool(want)
+        assert found >= 40
 
 
 class TestCocycleBridge:

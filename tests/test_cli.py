@@ -11,16 +11,24 @@ import pytest
 import scbundles
 from scbundles._json import canonical_dumps, read_json, write_json
 from scbundles import (
+    IncoherentLocalSystem,
     IntCochain,
+    build_surface_bundle,
     bundle_from_json_dict,
     bundle_to_json_dict,
     delta_torus,
+    fundamental_class,
     minimal_from_cocycle,
     named_base,
     subdivide,
 )
 from scbundles.cli import main
-from scbundles.simplicial import MAX_NAMED_K
+from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
+
+
+def named_base_system(name, chern=3):
+    base = named_base(name)
+    return build_surface_bundle(base, fundamental_class(base), chern).as_local_system()
 
 
 def run(capsys, *argv):
@@ -309,6 +317,24 @@ class TestVerify:
             "detail": f"H1 = {h1}, H2 = {h2}, chern {chern}, genus {genus}",
         }
 
+    def test_incoherent_general_bundle_exit_5(self, capsys, tmp_path):
+        # the reader's coherence check is verify's only one: an incoherent
+        # document stops at load with exit 5 and the reader's message
+        system = subdivide(subdivide(named_base_system("octahedron"), 0, 0), 0, 0)
+        doc = bundle_to_json_dict(system)
+        key = next(k for k, row in sorted(doc["bead_maps"].items()) if len(row) == 3)
+        row = doc["bead_maps"][key]
+        row[0], row[1] = row[1], row[0]
+        bundle = tmp_path / "bad.json"
+        write_json(bundle, doc)
+        with pytest.raises(IncoherentLocalSystem) as info:
+            bundle_from_json_dict(doc)
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "verify", "--bundle", str(bundle), *extra)
+            assert (code, out) == (5, "")
+            assert err == f"error: {info.value}\n"
+            assert "bead map along" in err
+
     def test_missing_bundle_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--bundle", str(tmp_path / "absent.json")
@@ -366,6 +392,7 @@ def test_malformed_bundle_exit_3_without_traceback(tmp_path, corrupt):
     [
         ("simplex:-1", 3), ("sphere:0", 3), ("sphere:-2", 3),
         (f"simplex:{MAX_NAMED_K + 1}", 11), ("sphere:25", 11),
+        ("torus:2", 3), ("torus:3", 0), (f"torus:{MAX_TORUS_N + 1}", 11),
     ],
 )
 def test_named_base_size_bounds(capsys, name, code):

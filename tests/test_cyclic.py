@@ -257,8 +257,8 @@ class TestNecklace:
 
     def test_navigation(self):
         n = Necklace.from_colors((0, 1, 0, 2))
-        assert n.predecessor(n.ids[0]) == n.ids[-1]
-        assert n.color_of(n.ids[1]) == n.colors[1]
+        assert [n.position[b] for b in n.ids] == [0, 1, 2, 3]
+        assert n.position is n.position  # built once
         assert n.has_bead(n.ids[0]) and not n.has_bead(99)
 
     def test_delete_color_maps(self):

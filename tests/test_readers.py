@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scbundles import (
+    IncoherentLocalSystem,
     IntCochain,
     MalformedFile,
+    Necklace,
+    NecklaceLocalSystem,
     ScbError,
     SemiSimplicialSet,
     bundle_from_json_dict,
@@ -23,6 +26,7 @@ from scbundles import (
     cochain_from_json_dict,
     cochain_to_json_dict,
     delta_torus,
+    elementary_system,
     minimal_from_cocycle,
     named_base,
     subdivide,
@@ -147,3 +151,40 @@ def test_single_corruptions_load_or_raise_documented_errors(name):
             assert exc.exit_code in codes, (type(exc).__name__, exc)
 
     check()
+
+
+# Over the edge 1/0 the stalk is (0 0 1 0 1) with ids (4 0 1 2 3); face 1
+# keeps the 0-colored beads 4, 0, 2 over vertex 0.  Over 2/0 the stalk is
+# (0 1 2), and face 0 sends beads 1, 2 of the face stalk (0 1) to 1, 2.
+EDGE = elementary_system(Necklace.from_colors((0, 1, 0, 1, 0)))
+TRIANGLE = elementary_system(Necklace.from_colors((0, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "system, key, row, message",
+    [
+        (EDGE, (1, 0, 1), None, "missing bead map along face 1 of 1/0"),
+        (EDGE, (1, 0, 1), {0: 0, 2: 2, 5: 4},
+         "bead map along face 1 of 1/0 is not defined on the face stalk"),
+        (EDGE, (1, 0, 1), {0: 0, 2: 0, 4: 4},
+         "bead map along face 1 of 1/0 is not injective"),
+        (EDGE, (1, 0, 1), {0: 0, 2: 2, 4: 1},
+         "bead map along face 1 of 1/0 must hit exactly the beads not colored 1"),
+        (TRIANGLE, (2, 0, 0), {1: 2, 2: 1},
+         "bead map along face 0 of 2/0 breaks colors at bead 1"),
+        (EDGE, (1, 0, 1), {0: 2, 2: 0, 4: 4},
+         "bead map along face 1 of 1/0 does not preserve the circular order"),
+    ],
+    ids=["missing", "domain", "not-injective", "survivors", "colors", "circular-order"],
+)
+def test_each_bead_map_failure_has_its_message(system, key, row, message):
+    maps = dict(system.bead_maps)
+    if row is None:
+        del maps[key]
+    else:
+        maps[key] = row
+    broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
+    assert broken.validate() == [message]
+    with pytest.raises(IncoherentLocalSystem) as info:
+        NecklaceLocalSystem(system.base, system.stalks, maps)
+    assert str(info.value) == message

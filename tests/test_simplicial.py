@@ -3,18 +3,46 @@ import math
 import pytest
 
 from scbundles import (
+    EnumerationBound,
     InvalidComplex,
     MalformedFile,
     SemiSimplicialSet,
     SimplexRef,
     boundary_sphere,
     delta_torus,
+    grid_torus,
+    homology_groups,
     named_base,
     octahedron_sphere,
     standard_simplex,
 )
 
 from generators import klein_bottle
+from scbundles.simplicial import MAX_TORUS_N
+
+
+def reference_grid_torus(n):
+    """The grid torus as the test generators built it before the library
+    had ``torus:n``: vertex (i, j) mod n is i * n + j, each square split
+    along its diagonal, each triangle's vertices sorted, and every face
+    found by deleting one vertex."""
+
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    edges = {}
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            for tri in ((a, b, c), (a, c, d)):
+                x, y, z = sorted(tri)
+                triangles.append(
+                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
+                )
+    edge_faces = [[v, u] for u, v in edges]
+    return SemiSimplicialSet(n * n, [edge_faces, triangles])
 
 
 def binomial(n, k):
@@ -199,3 +227,34 @@ class TestNamedBases:
             named_base("dodecahedron")
         with pytest.raises(MalformedFile):
             named_base("simplex:two")
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 16, 33])
+    def test_grid_torus_matches_reference(self, n):
+        torus = named_base(f"torus:{n}")
+        assert torus == reference_grid_torus(n)  # same vertex count and face tables
+        assert torus.counts == (n * n, 3 * n * n, 2 * n * n)
+        assert torus.validate() == []
+
+    def test_grid_torus_is_a_torus(self):
+        assert str(homology_groups(named_base("torus:5"))) == "H0=Z, H1=Z^2, H2=Z"
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("torus:2", MalformedFile),
+            ("torus:-4", MalformedFile),
+            ("torus:x", MalformedFile),
+            (f"torus:{MAX_TORUS_N + 1}", EnumerationBound),
+            ("torus:1000000000", EnumerationBound),
+        ],
+    )
+    def test_grid_torus_bounds(self, name, error):
+        with pytest.raises(error):
+            named_base(name)
+
+    def test_grid_torus_needs_three_rows(self):
+        with pytest.raises(ValueError):
+            grid_torus(2)
+
+    def test_grid_torus_cap_is_reachable(self):
+        assert named_base(f"torus:{MAX_TORUS_N}").counts[0] == MAX_TORUS_N**2
