@@ -62,7 +62,6 @@ from .cyclic import (
     Necklace,
     TripleOrderFamily,
     c01,
-    default_enumeration_bound,
     enumerate_sc,
     insertion_extend,
     is_classical_necklace,
@@ -75,7 +74,6 @@ from .bundle import (
     MinimalBundle,
     NecklaceLocalSystem,
     SingularProjection,
-    TotalSpaceIndex,
     assemble,
     bundle_from_json_dict,
     bundle_to_json_dict,

@@ -53,7 +53,6 @@ __all__ = [
     "MinimalBundle",
     "AssembledBundle",
     "SingularProjection",
-    "TotalSpaceIndex",
     "assemble",
     "elementary_system",
     "elementary_bundle",
@@ -84,7 +83,7 @@ class NecklaceLocalSystem:
     immutable; spindle moves build modified copies.
     """
 
-    __slots__ = ("base", "stalks", "bead_maps", "_arc_maps", "_embeddings")
+    __slots__ = ("base", "stalks", "bead_maps", "_embeddings")
 
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
@@ -92,7 +91,6 @@ class NecklaceLocalSystem:
         self.bead_maps: dict[tuple[int, int, int], dict[int, int]] = {
             k: dict(v) for k, v in bead_maps.items()
         }
-        self._arc_maps: dict[tuple[int, int, int], dict[int, int]] = {}
         self._embeddings: dict[tuple[int, int, int], dict[int, int]] = {}
         if check:
             problems = self.validate()
@@ -116,13 +114,8 @@ class NecklaceLocalSystem:
     def arc_map(self, q: int, index: int, i: int) -> dict[int, int]:
         """Arc merge map along face i: the arc after each bead of the
         stalk lands in the arc after a surviving bead of the face stalk."""
-        key = (q, index, i)
-        cached = self._arc_maps.get(key)
-        if cached is not None:
-            return cached
-        big = self.stalk(q, index)
         inv = self.inverse_bead_map(q, index, i)
-        order = big.ids
+        order = self.stalk(q, index).ids
         n = len(order)
         out = {}
         for p, b in enumerate(order):
@@ -130,7 +123,6 @@ class NecklaceLocalSystem:
             while order[walk % n] not in inv:
                 walk -= 1
             out[b] = inv[order[walk % n]]
-        self._arc_maps[key] = out
         return out
 
     def vertex_embedding(self, q: int, index: int, p: int) -> dict[int, int]:
@@ -292,18 +284,6 @@ def _minimal_system(
 
 
 @dataclass(frozen=True)
-class TotalSpaceIndex:
-    """Bidirectional index between catalog keys and dense simplex ids.
-
-    Keys are tuples ("H", q, index, bead) for the horizontal simplex of
-    the arc following the bead, and ("V", q, index, bead) for the
-    vertical simplex of the bead, over base simplex q/index.
-    """
-
-    keys: tuple[tuple[tuple, ...], ...]
-
-
-@dataclass(frozen=True)
 class SingularProjection:
     """Projection of each total simplex to its base simplex.
 
@@ -319,14 +299,12 @@ class SingularProjection:
 
 @dataclass(frozen=True)
 class AssembledBundle:
-    system: NecklaceLocalSystem
     total: SemiSimplicialSet
     projection: SingularProjection
-    index: TotalSpaceIndex
 
 
 def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
-    """Build the total space, its projection, and the catalog index.
+    """Build the total space and its projection.
 
     Dimension p lists the horizontal simplices over the base p-simplices,
     then the vertical ones over the (p-1)-simplices, stalk by stalk in
@@ -337,19 +315,16 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     top = base.top_dim
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
-    keys_by_dim: list[list[tuple]] = []
     faces: list[list[list[int]]] = []
     proj_table = []
     for p in range(top + 2):
-        level: list[tuple] = []
         rows: list[list[int]] = []
         entries = []
         starts = []
         identity = tuple(range(p + 1))
         for idx in base.simplices(p):
             neck = system.stalk(p, idx)
-            starts.append(len(level))
-            level.extend(("H", p, idx, b) for b in neck.ids)
+            starts.append(len(entries))
             entries.extend([(SimplexRef(p, idx), identity)] * neck.size)
             if p:
                 arcs = [
@@ -369,7 +344,7 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
             starts = []
             for idx in base.simplices(q):
                 neck = system.stalk(q, idx)
-                starts.append(len(level))
+                starts.append(len(entries))
                 h0 = first_h[q][idx]
                 ref = SimplexRef(q, idx)
                 # the bead's face below position m descends along face m or m - 1
@@ -379,7 +354,6 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
                     for fm, f in enumerate(base.face_row(q, idx) if q else ())
                 ]
                 for pos, (b, j) in enumerate(neck.beads()):
-                    level.append(("V", q, idx, b))
                     entries.append((ref, degeneracies[j]))
                     row = []
                     for m in range(p + 1):
@@ -393,12 +367,9 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
                     rows.append(row)
             first_v.append(starts)
             faces.append(rows)
-        keys_by_dim.append(level)
         proj_table.append(tuple(entries))
-    total = SemiSimplicialSet(len(keys_by_dim[0]), faces, check=False)
-    projection = SingularProjection(base, tuple(proj_table))
-    index = TotalSpaceIndex(tuple(tuple(level) for level in keys_by_dim))
-    return AssembledBundle(system, total, projection, index)
+    total = SemiSimplicialSet(len(proj_table[0]), faces, check=False)
+    return AssembledBundle(total, SingularProjection(base, tuple(proj_table)))
 
 
 def check_projection_naturality(
@@ -686,8 +657,7 @@ def bundle_to_json_dict(system: NecklaceLocalSystem) -> dict:
     for (q, idx, i), bm in system.bead_maps.items():
         fidx = base.face_index(q, idx, i)
         small = system.stalk(q - 1, fidx)
-        big = system.stalk(q, idx)
-        pos = {b: p for p, b in enumerate(big.ids)}
+        pos = system.stalk(q, idx).position
         maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in small.ids]
     doc["bead_maps"] = maps
     return doc

@@ -16,7 +16,6 @@ Conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
@@ -35,7 +34,7 @@ __all__ = [
     "Necklace",
     "c01",
     "enumerate_sc",
-    "default_enumeration_bound",
+    "MAX_SC_K",
     "TripleOrderFamily",
     "insertion_extend",
     "kan_lifts",
@@ -45,18 +44,8 @@ __all__ = [
 ]
 
 
-def default_enumeration_bound() -> int:
-    """Size ceiling for exhaustive circular-permutation enumeration.
-
-    Read from the environment variable SC_MAX_K when set, else 7.
-    """
-    raw = os.environ.get("SC_MAX_K")
-    if raw is None:
-        return 7
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise EnumerationBound(f"SC_MAX_K must be an integer, got {raw!r}") from exc
+# 0..k has k! circular permutations; enumeration stops above this top
+MAX_SC_K = 7
 
 
 # -- core word operations (plain tuples, cached) -----------------------
@@ -134,9 +123,7 @@ class CircularPermutation:
         """Induced cyclic order of a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
         if not a < b < c:
             raise ValueError("triple must be strictly increasing")
-        sub = tuple(v for v in self.word if v in (a, b, c))
-        j = sub.index(a)
-        return 0 if sub[j:] + sub[:j] == (a, b, c) else 1
+        return _induced_bit(self.word, a, b, c)
 
     def _check_color(self, i: int) -> None:
         if not 0 <= i <= self.top:
@@ -144,6 +131,13 @@ class CircularPermutation:
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.word) + ">"
+
+
+def _induced_bit(word: Iterable[int], a: int, b: int, c: int) -> int:
+    """Cyclic order a word induces on a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
+    sub = tuple(v for v in word if v in (a, b, c))
+    j = sub.index(a)
+    return 0 if sub[j:] + sub[:j] == (a, b, c) else 1
 
 
 def c01(theta: CircularPermutation) -> int:
@@ -159,15 +153,14 @@ def _sc_words(k: int) -> Iterator[tuple[int, ...]]:
         yield (0,) + rest
 
 
-def enumerate_sc(k: int, max_k: int | None = None) -> tuple[CircularPermutation, ...]:
+def enumerate_sc(k: int) -> tuple[CircularPermutation, ...]:
     """All circular permutations of 0..k in lexicographic order of the
-    canonical word; there are k! of them."""
+    canonical word; there are k! of them, for k at most ``MAX_SC_K``."""
     if k < 0:
         raise ValueError("alphabet top must be nonnegative")
-    bound = max_k if max_k is not None else default_enumeration_bound()
-    if k > bound:
+    if k > MAX_SC_K:
         raise EnumerationBound(
-            f"enumeration of circular permutations capped at top {bound}, got {k}"
+            f"enumeration of circular permutations capped at top {MAX_SC_K}, got {k}"
         )
     return tuple(CircularPermutation(w) for w in _sc_words(k))
 
@@ -201,23 +194,15 @@ class TripleOrderFamily:
         ordered = [bits[t] for t in combinations(range(top + 1), 3)]
         return cls(top, tuple(ordered))
 
-    def bit(self, a: int, b: int, c: int) -> int:
-        triples = combinations(range(self.top + 1), 3)
-        for rank, t in enumerate(triples):
-            if t == (a, b, c):
-                return self.bits[rank]
-        raise KeyError((a, b, c))
-
     def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
         return zip(combinations(range(self.top + 1), 3), self.bits)
 
 
-def _violating_quadruple(fam: TripleOrderFamily) -> tuple[int, ...] | None:
-    for a, b, c, d in combinations(range(fam.top + 1), 4):
-        total = (
-            fam.bit(b, c, d) - fam.bit(a, c, d) + fam.bit(a, b, d) - fam.bit(a, b, c)
-        )
-        if total:
+def _violating_quadruple(
+    top: int, bits: Mapping[tuple[int, int, int], int]
+) -> tuple[int, ...] | None:
+    for a, b, c, d in combinations(range(top + 1), 4):
+        if bits[(b, c, d)] - bits[(a, c, d)] + bits[(a, b, d)] - bits[(a, b, c)]:
             return (a, b, c, d)
     return None
 
@@ -234,31 +219,25 @@ def insertion_extend(fam: TripleOrderFamily) -> CircularPermutation:
         raise ValueError("triple orders need a ground set of at least three")
     bits = dict(fam.items())
     word = [0, 1, 2] if bits[(0, 1, 2)] == 0 else [0, 2, 1]
-
-    def induced(w: list[int], a: int, b: int, c: int) -> int:
-        sub = [v for v in w if v in (a, b, c)]
-        j = sub.index(a)
-        return 0 if sub[j:] + sub[:j] == [a, b, c] else 1
-
     for m in range(3, fam.top + 1):
         spot = None
         for gap in range(len(word)):
             candidate = word[: gap + 1] + [m] + word[gap + 1 :]
             if all(
-                induced(candidate, a, b, m) == bits[(a, b, m)]
+                _induced_bit(candidate, a, b, m) == bits[(a, b, m)]
                 for a, b in combinations(range(m), 2)
             ):
                 spot = candidate
                 break
         if spot is None:
-            quad = _violating_quadruple(fam)
+            quad = _violating_quadruple(fam.top, bits)
             if quad is None:
                 raise AssertionError("insertion failed on a transitive family")
             raise InconsistentTriples(quad)
         word = spot
     for (a, b, c), bit in bits.items():
-        if induced(word, a, b, c) != bit:
-            quad = _violating_quadruple(fam)
+        if _induced_bit(word, a, b, c) != bit:
+            quad = _violating_quadruple(fam.top, bits)
             if quad is None:
                 raise AssertionError("verification failed on a transitive family")
             raise InconsistentTriples(quad)
@@ -268,9 +247,7 @@ def insertion_extend(fam: TripleOrderFamily) -> CircularPermutation:
 # -- horn lifting ------------------------------------------------------
 
 
-def kan_lifts(
-    facets: Iterable[CircularPermutation], max_k: int | None = None
-) -> list[CircularPermutation]:
+def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation]:
     """All circular permutations whose faces are the given facet family.
 
     The family lists a facet for every face index 0..k; the pairwise
@@ -298,13 +275,13 @@ def kan_lifts(
                     f"face {i} of the latter is {right}"
                 )
     out = []
-    for theta in enumerate_sc(k, max_k=max_k):
+    for theta in enumerate_sc(k):
         if all(theta.face(i) == facets[i] for i in range(k + 1)):
             out.append(theta)
     return out
 
 
-def kan_survey(k: int, max_k: int | None = None) -> dict:
+def kan_survey(k: int) -> dict:
     """Exhaustive lifting census over all facet families in dimension k.
 
     Every (k+1)-tuple of circular permutations of 0..k-1 is tried;
@@ -314,7 +291,7 @@ def kan_survey(k: int, max_k: int | None = None) -> dict:
     """
     if k < 2:
         raise MismatchedCarriers("the lifting census needs dimension >= 2")
-    elems = enumerate_sc(k - 1, max_k=max_k)
+    elems = enumerate_sc(k - 1)
     total = len(elems) ** (k + 1)
     if total > 1_000_000:
         raise EnumerationBound(
@@ -324,7 +301,7 @@ def kan_survey(k: int, max_k: int | None = None) -> dict:
     histogram: dict[int, int] = {}
     for facets in product(elems, repeat=k + 1):
         try:
-            lifts = kan_lifts(facets, max_k=max_k)
+            lifts = kan_lifts(facets)
         except IncompatibleFamily:
             continue
         compatible += 1
@@ -437,15 +414,14 @@ def sc_normalized_homology(max_dim: int = 3):
     through dimension max_dim - 1, with nondegenerate element counts.
 
     Returns (counts, HomologyGroups); counts lists the nondegenerate
-    elements per dimension 0..max_dim.
+    elements per dimension 0..max_dim.  Above ``MAX_SC_K`` the enumeration
+    raises ``EnumerationBound``.
     """
     from .homology import HomologyGroups, chain_homology
 
     nondeg: list[list[CircularPermutation]] = []
     for k in range(max_dim + 1):
-        nondeg.append(
-            [th for th in enumerate_sc(k, max_k=max(7, max_dim)) if not th.is_degenerate()]
-        )
+        nondeg.append([th for th in enumerate_sc(k) if not th.is_degenerate()])
     counts = tuple(len(level) for level in nondeg)
     boundaries = []
     for q in range(1, max_dim + 1):

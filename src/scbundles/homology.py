@@ -87,18 +87,6 @@ class IntMatrix:
             sum(a * v for a, v in zip(row, vec) if a) for row in self.data
         ]
 
-    def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 

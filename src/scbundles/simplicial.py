@@ -64,9 +64,7 @@ class SemiSimplicialSet:
 
     def __init__(self, num_vertices, faces, labels=None, check=True):
         self._num_vertices = int(num_vertices)
-        levels = [
-            tuple(tuple(int(v) for v in row) for row in level) for level in faces
-        ]
+        levels = [tuple(map(tuple, level)) for level in faces]
         while levels and not levels[-1]:
             levels.pop()
         self._faces = tuple(levels)
@@ -103,9 +101,6 @@ class SemiSimplicialSet:
 
     def face_index(self, q: int, index: int, i: int) -> int:
         return self._faces[q - 1][index][i]
-
-    def face(self, ref: SimplexRef, i: int) -> SimplexRef:
-        return SimplexRef(ref.dim - 1, self.face_index(ref.dim, ref.index, i))
 
     def face_row(self, q: int, index: int) -> tuple[int, ...]:
         return self._faces[q - 1][index]

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -44,6 +46,27 @@ from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
 from generators import grid_torus, random_binary_cocycle, random_necklace, random_system
+
+
+def catalog(system):
+    """Catalog keys of the total simplices in the order ``assemble`` numbers
+    them: in dimension p, ("H", p, idx, bead) over every base p-simplex,
+    then ("V", p - 1, idx, bead) over every (p-1)-simplex, each stalk in
+    stored bead order."""
+    base = system.base
+    levels = []
+    for p in range(base.top_dim + 2):
+        level = [
+            ("H", p, idx, b) for idx in base.simplices(p) for b in system.stalk(p, idx).ids
+        ]
+        if p:
+            level += [
+                ("V", p - 1, idx, b)
+                for idx in base.simplices(p - 1)
+                for b in system.stalk(p - 1, idx).ids
+            ]
+        levels.append(level)
+    return levels
 
 
 def assert_assembly_clean(system):
@@ -167,18 +190,42 @@ class TestAssembly:
         assert str(h) == "H0=Z, H1=Z"
 
     def test_index_round_trip(self):
-        asm = elementary_bundle(Necklace.from_colors((0, 1, 0, 2)))
-        for p in range(len(asm.index.keys)):
-            keys = list(asm.index.keys[p])
+        system = elementary_system(Necklace.from_colors((0, 1, 0, 2)))
+        asm = assemble(system)
+        for p, keys in enumerate(catalog(system)):
             assert len(keys) == asm.total.simplex_count(p)
             assert len(set(keys)) == len(keys)
             for kind, q, _, _ in keys:
                 assert p == (q if kind == "H" else q + 1)
 
+    def test_catalog_counts(self):
+        torus = _surface_system(grid_torus(6), 3)
+        rng = random.Random(4)
+        split = torus
+        for _ in range(5):
+            v = rng.randrange(split.base.simplex_count(0))
+            split = subdivide(split, v, rng.choice(split.stalk(0, v).ids))
+        counts = [tuple(len(level) for level in catalog(s)) for s in (torus, split)]
+        assert counts == [assemble(s).total.counts for s in (torus, split)]
+        assert counts[0] != counts[1]  # the moves did split beads
+
+    def test_assembled_bundle_holds_no_system(self):
+        class Tracked(NecklaceLocalSystem):
+            """Has no __slots__, so it accepts a weak reference."""
+
+        s = elementary_system(Necklace.from_colors((0, 1, 0, 2)))
+        s = Tracked(s.base, s.stalks, s.bead_maps)
+        held = weakref.ref(s)
+        asm = assemble(s)
+        del s
+        gc.collect()
+        assert held() is None
+        assert asm.total.counts == (4, 12, 12, 4)
+
     def test_projection_ops(self):
         system = elementary_system(CircularPermutation((0, 1, 2)))
         asm = assemble(system)
-        for p, level in enumerate(asm.index.keys):
+        for p, level in enumerate(catalog(system)):
             for i, key in enumerate(level):
                 kind, q, idx, bead = key
                 ref, op = asm.projection.table[p][i]
@@ -219,7 +266,7 @@ def naturality_oracle(total, projection):
                         )
                 elif len(missing) == 1:
                     v = missing[0]
-                    want_ref = base.face(x, v)
+                    want_ref = SimplexRef(x.dim - 1, base.face_index(x.dim, x.index, v))
                     want_op = tuple(w if w < v else w - 1 for w in composite)
                     if fx != want_ref or fs != want_op:
                         problems.append(
@@ -510,5 +557,5 @@ class TestSerialization:
         doc = total_to_json_dict(asm)
         back = SemiSimplicialSet.from_json_dict(doc)
         assert back == asm.total
-        for p in range(len(asm.index.keys)):
+        for p in range(len(catalog(system))):
             assert len(doc["projection"][str(p)]) == asm.total.simplex_count(p)

@@ -22,6 +22,7 @@ from scbundles import (
     kan_survey,
     sc_normalized_homology,
 )
+from scbundles.cyclic import MAX_SC_K
 
 
 class TestCircularWords:
@@ -124,18 +125,11 @@ class TestEnumeration:
         for k in range(6):
             assert len(enumerate_sc(k)) == math.factorial(k)
 
-    def test_bound(self, monkeypatch):
-        monkeypatch.setenv("SC_MAX_K", "4")
-        with pytest.raises(EnumerationBound):
-            enumerate_sc(5)
-        assert len(enumerate_sc(4)) == 24
-        monkeypatch.setenv("SC_MAX_K", "banana")
-        with pytest.raises(EnumerationBound):
-            enumerate_sc(2)
-
-    def test_explicit_max_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("SC_MAX_K", "2")
-        assert len(enumerate_sc(4, max_k=5)) == 24
+    def test_bound(self):
+        with pytest.raises(EnumerationBound) as exc:
+            enumerate_sc(MAX_SC_K + 1)
+        assert exc.value.exit_code == 11
+        assert len(enumerate_sc(MAX_SC_K)) == 5040
 
     def test_degeneracy_detection_matches_images(self):
         assert not CircularPermutation((0,)).is_degenerate()
@@ -184,6 +178,35 @@ class TestParity:
         with pytest.raises(InconsistentTriples) as exc:
             insertion_extend(fam)
         assert exc.value.quadruple == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("top", [3, 4])
+    def test_insertion_succeeds_exactly_on_cocycles(self, top):
+        # Huntington's transitivity axiom is the cocycle law on 0/1 bits
+        def induced(word, t):
+            sub = [v for v in word if v in t]
+            j = sub.index(t[0])
+            return 0 if tuple(sub[j:] + sub[:j]) == t else 1
+
+        triples = list(itertools.combinations(range(top + 1), 3))
+        quadruples = list(itertools.combinations(range(top + 1), 4))
+        successes = 0
+        for code in range(2 ** len(triples)):
+            bits = {t: (code >> r) & 1 for r, t in enumerate(triples)}
+            violating = [
+                (a, b, c, d)
+                for a, b, c, d in quadruples
+                if bits[(b, c, d)] - bits[(a, c, d)] + bits[(a, b, d)] - bits[(a, b, c)]
+            ]
+            family = TripleOrderFamily.from_mapping(top, bits)
+            if violating:
+                with pytest.raises(InconsistentTriples) as exc:
+                    insertion_extend(family)
+                assert exc.value.quadruple == min(violating)
+            else:
+                th = insertion_extend(family)
+                assert {t: induced(th.word, t) for t in triples} == bits
+                successes += 1
+        assert successes == math.factorial(top)
 
 
 class TestKan:

@@ -137,7 +137,7 @@ class TestSmith:
         left, right = f.left, f.right
         assert abs(determinant(left)) == 1
         assert abs(determinant(right)) == 1
-        assert matmul(matmul(left, m), right) == diagonal_matrix(f)
+        assert matmul(matmul(left, m), right).data == diagonal_matrix(f).data
         # first two invariant factors against the minor-gcd oracle
         assert (d[0] if d else 0) == gcd_of_minors(m, 1)
         if len(d) >= 2:
@@ -191,7 +191,7 @@ class TestHomology:
         for x in (boundary_sphere(4), octahedron_sphere()):
             for q in range(2, x.top_dim + 1):
                 prod = matmul(boundary_matrix(x, q - 1), boundary_matrix(x, q))
-                assert prod.is_zero()
+                assert not any(any(row) for row in prod.data)
 
 
 @st.composite
