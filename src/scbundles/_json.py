@@ -16,6 +16,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def key_int(text: str) -> int:
+    """The integer a key spells as ``str`` writes it; any other spelling
+    ("01", " 1", "1_0") raises ValueError, so no two keys name one id."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError(f"{text!r} is not a canonical decimal")
+    return n
+
+
 def canonical_dumps(obj) -> str:
     """Serialize with sorted keys and a trailing newline, for stable files."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

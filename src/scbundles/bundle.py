@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from ._json import json_int
+from ._json import json_int, key_int
 from .cyclic import CircularPermutation, Necklace, c01, insertion_extend, TripleOrderFamily
 from .errors import (
     DanglingReference,
@@ -79,8 +79,8 @@ class NecklaceLocalSystem:
     ``stalks`` maps (dim, index) to the necklace over that simplex;
     ``bead_maps`` maps (dim, index, face_index) to the embedding of the
     face stalk's beads into the stalk's beads (its image is exactly the
-    set of beads not colored face_index).  Instances are treated as
-    immutable; spindle moves build modified copies.
+    set of beads not colored face_index).  Instances and their maps are
+    never mutated; spindle moves share every map they leave unchanged.
     """
 
     __slots__ = ("base", "stalks", "bead_maps", "_embeddings")
@@ -88,9 +88,7 @@ class NecklaceLocalSystem:
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
         self.stalks: dict[SimplexKey, Necklace] = dict(stalks)
-        self.bead_maps: dict[tuple[int, int, int], dict[int, int]] = {
-            k: dict(v) for k, v in bead_maps.items()
-        }
+        self.bead_maps: dict[tuple[int, int, int], dict[int, int]] = dict(bead_maps)
         self._embeddings: dict[tuple[int, int, int], dict[int, int]] = {}
         if check:
             problems = self.validate()
@@ -107,23 +105,6 @@ class NecklaceLocalSystem:
 
     def bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
         return self.bead_maps[(q, index, i)]
-
-    def inverse_bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
-        return {big: small for small, big in self.bead_map(q, index, i).items()}
-
-    def arc_map(self, q: int, index: int, i: int) -> dict[int, int]:
-        """Arc merge map along face i: the arc after each bead of the
-        stalk lands in the arc after a surviving bead of the face stalk."""
-        inv = self.inverse_bead_map(q, index, i)
-        order = self.stalk(q, index).ids
-        n = len(order)
-        out = {}
-        for p, b in enumerate(order):
-            walk = p
-            while order[walk % n] not in inv:
-                walk -= 1
-            out[b] = inv[order[walk % n]]
-        return out
 
     def vertex_embedding(self, q: int, index: int, p: int) -> dict[int, int]:
         """Composite bead embedding from the circle over vertex position p
@@ -315,25 +296,31 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     top = base.top_dim
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
+    arcs: list[list[list[int]]] = []  # [idx][m]: arc table along face m of p/idx
     faces: list[list[list[int]]] = []
     proj_table = []
     for p in range(top + 2):
         rows: list[list[int]] = []
         entries = []
         starts = []
+        below_arcs = arcs
+        arcs = []
         identity = tuple(range(p + 1))
         for idx in base.simplices(p):
             neck = system.stalk(p, idx)
             starts.append(len(entries))
             entries.extend([(SimplexRef(p, idx), identity)] * neck.size)
             if p:
-                arcs = [
-                    (first_h[p - 1][f], system.stalk(p - 1, f).position,
-                     system.arc_map(p, idx, m))
-                    for m, f in enumerate(base.face_row(p, idx))
+                face_row = base.face_row(p, idx)
+                tables = [
+                    _arc_table(neck, system.stalk(p - 1, f), system.bead_map(p, idx, m))
+                    for m, f in enumerate(face_row)
                 ]
+                arcs.append(tables)
+                heads = [first_h[p - 1][f] for f in face_row]
                 rows.extend(
-                    [start + pos[am[b]] for start, pos, am in arcs] for b in neck.ids
+                    [h + t[pos] for h, t in zip(heads, tables)]
+                    for pos in range(neck.size)
                 )
         first_h.append(starts)
         if p:
@@ -347,13 +334,12 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
                 starts.append(len(entries))
                 h0 = first_h[q][idx]
                 ref = SimplexRef(q, idx)
-                # the bead's face below position m descends along face m or m - 1
+                # face m lies over face m or m - 1, which the bead survives
                 lower = [
-                    (first_v[q - 1][f], system.stalk(q - 1, f).position,
-                     system.inverse_bead_map(q, idx, fm))
+                    (first_v[q - 1][f], below_arcs[idx][fm])
                     for fm, f in enumerate(base.face_row(q, idx) if q else ())
                 ]
-                for pos, (b, j) in enumerate(neck.beads()):
+                for pos, j in enumerate(neck.colors):
                     entries.append((ref, degeneracies[j]))
                     row = []
                     for m in range(p + 1):
@@ -362,14 +348,28 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
                         elif m == j + 1:
                             row.append(h0 + (pos - 1) % neck.size)
                         else:
-                            start, small_pos, inv = lower[m if m < j else m - 1]
-                            row.append(start + small_pos[inv[b]])
+                            start, table = lower[m if m < j else m - 1]
+                            row.append(start + table[pos])
                     rows.append(row)
             first_v.append(starts)
             faces.append(rows)
         proj_table.append(tuple(entries))
     total = SemiSimplicialSet(len(proj_table[0]), faces, check=False)
     return AssembledBundle(total, SingularProjection(base, tuple(proj_table)))
+
+
+def _arc_table(big: Necklace, small: Necklace, bead_map: Mapping[int, int]) -> list[int]:
+    """Arc merge table along a face: for each bead position of big, the
+    position in small of the bead whose arc takes in the arc after it.
+    That bead is the preimage of the nearest bead at or before it that
+    survives the face, so a surviving bead's entry is its own preimage."""
+    hit = {b: small.position[s] for s, b in bead_map.items()}
+    last = next(hit[b] for b in reversed(big.ids) if b in hit)
+    table = []
+    for b in big.ids:
+        last = hit.get(b, last)
+        table.append(last)
+    return table
 
 
 def check_projection_naturality(
@@ -669,8 +669,7 @@ def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[in
     out = {}
     for key, text in raw.items():
         try:
-            q_str, idx_str = key.split("/")
-            q, idx = int(q_str), int(idx_str)
+            q, idx = map(key_int, key.split("/"))
         except ValueError as exc:
             raise MalformedFile(f"bad stalk key {key!r}, expected 'dim/index'") from exc
         if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
@@ -716,8 +715,7 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
     bead_maps = {}
     for key, row in raw_maps.items():
         try:
-            q_str, idx_str, i_str = key.split("/")
-            q, idx, i = int(q_str), int(idx_str), int(i_str)
+            q, idx, i = map(key_int, key.split("/"))
         except ValueError as exc:
             raise MalformedFile(f"bad bead map key {key!r}") from exc
         if not (1 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q) and 0 <= i <= q):

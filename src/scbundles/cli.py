@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ._json import canonical_dumps, json_int, read_json, write_json
+from ._json import canonical_dumps, json_int, key_int, read_json, write_json
 from .bundle import (
     assemble,
     bundle_from_json_dict,
@@ -71,7 +71,7 @@ def _load_selection(path: str) -> dict[int, int]:
     if not isinstance(doc, dict):
         raise MalformedFile("selection file must map vertex ids to bead ids")
     try:
-        return {int(v): json_int(b, f"the bead kept over {v}") for v, b in doc.items()}
+        return {key_int(v): json_int(b, f"the bead kept over {v}") for v, b in doc.items()}
     except ValueError as exc:
         raise MalformedFile("selection file must map vertex ids to bead ids") from exc
 

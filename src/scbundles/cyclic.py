@@ -28,6 +28,7 @@ from .errors import (
     LastColor,
     MismatchedCarriers,
 )
+from .homology import HomologyGroups, chain_homology
 
 __all__ = [
     "CircularPermutation",
@@ -417,8 +418,6 @@ def sc_normalized_homology(max_dim: int = 3):
     elements per dimension 0..max_dim.  Above ``MAX_SC_K`` the enumeration
     raises ``EnumerationBound``.
     """
-    from .homology import HomologyGroups, chain_homology
-
     nondeg: list[list[CircularPermutation]] = []
     for k in range(max_dim + 1):
         nondeg.append([th for th in enumerate_sc(k) if not th.is_degenerate()])

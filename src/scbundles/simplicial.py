@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from ._json import json_int
+from ._json import json_int, key_int
 from .errors import EnumerationBound, InvalidComplex, MalformedFile
 
 __all__ = [
@@ -224,7 +224,7 @@ class SemiSimplicialSet:
             faces.append(table)
         for q_str in raw_faces:
             try:
-                q = int(q_str)
+                q = key_int(q_str)
             except ValueError as exc:
                 raise MalformedFile(f"bad faces key {q_str!r}") from exc
             if not 1 <= q < len(dims):
@@ -232,7 +232,7 @@ class SemiSimplicialSet:
         labels = {}
         try:
             for q_str, names in (doc.get("labels") or {}).items():
-                q = int(q_str)
+                q = key_int(q_str)
                 for i, name in enumerate(names):
                     if name is not None:
                         labels[(q, i)] = str(name)

@@ -1,7 +1,8 @@
 """Spindle moves on necklace local systems.
 
 Contracting a bead of a vertex circle removes its trace from every stalk
-over the vertex's star; splitting a bead is the inverse move.  Iterating
+over the vertex's star; splitting a bead is the inverse move.  Either
+move shares every other stalk and bead map with its input.  Iterating
 contractions until each vertex circle has a single bead reduces any
 bundle to a minimal one, and the result depends only on which bead is
 kept over each vertex, not on the order of removals.  So ``minimize``
@@ -31,107 +32,96 @@ __all__ = [
 ArcSelection = Mapping[int, int]
 
 
-def _check_vertex(system: NecklaceLocalSystem, v: int) -> Necklace:
-    if not 0 <= v < system.base.simplex_count(0):
+def _star(
+    system: NecklaceLocalSystem, v: int, bead: int
+) -> dict[tuple[int, int], dict[int, int]]:
+    """Each simplex of v's star, dimension by dimension, with the image of
+    bead at every position where v sits.  A simplex of dimension at least
+    1 contains v exactly when one of its faces does, so the star is found
+    from the face rows, and vertices and embeddings are read on it alone.
+    """
+    base = system.base
+    if not 0 <= v < base.simplex_count(0):
         raise DanglingReference(f"no vertex {v} in the base")
-    return system.stalk(0, v)
-
-
-def _vertex_positions(base, q: int, idx: int, v: int) -> list[int]:
-    return [p for p in range(q + 1) if base.vertex_at(q, idx, p) == v]
+    if not system.stalk(0, v).has_bead(bead):
+        raise BeadNotFound(f"vertex {v} has no bead {bead}")
+    star = {(0, v): {0: bead}}
+    level = {v}
+    for q in range(1, base.top_dim + 1):
+        level = {
+            idx for idx in base.simplices(q)
+            if not level.isdisjoint(base.face_row(q, idx))
+        }
+        for idx in sorted(level):
+            star[(q, idx)] = {
+                p: system.vertex_embedding(q, idx, p)[bead]
+                for p, u in enumerate(base.vertices_of(q, idx)) if u == v
+            }
+    return star
 
 
 def contract(
     system: NecklaceLocalSystem, v: int, bead: int, check: bool = True
 ) -> NecklaceLocalSystem:
-    """Remove bead from the circle over v and its trace from every stalk.
+    """Remove bead from the circle over v and its trace from every stalk
+    over v's star; every other stalk and bead map is shared with system.
 
     Over a simplex containing v at positions P, the beads removed are the
     embedded images of the bead at each position in P; they have pairwise
     distinct colors, so each color class keeps at least one bead as long
     as the vertex circle itself does.
     """
-    circle = _check_vertex(system, v)
-    if not circle.has_bead(bead):
-        raise BeadNotFound(f"vertex {v} has no bead {bead}")
-    if circle.size == 1:
+    removed = {key: set(imgs.values()) for key, imgs in _star(system, v, bead).items()}
+    if system.stalk(0, v).size == 1:
         raise LastArc(f"bead {bead} is the only bead over vertex {v}")
     base = system.base
-    stalks: dict[tuple[int, int], Necklace] = {}
-    removed: dict[tuple[int, int], set[int]] = {}
-    for (q, idx), neck in system.stalks.items():
-        gone = {
-            system.vertex_embedding(q, idx, p)[bead]
-            for p in _vertex_positions(base, q, idx, v)
-        }
-        removed[(q, idx)] = gone
-        if gone:
-            picked = [(b, c) for b, c in neck.beads() if b not in gone]
-            stalks[(q, idx)] = Necklace(
-                tuple(c for _, c in picked), tuple(b for b, _ in picked)
-            )
-        else:
-            stalks[(q, idx)] = neck
-    bead_maps = {}
-    for (q, idx, i), m in system.bead_maps.items():
-        fidx = base.face_index(q, idx, i)
-        gone_small = removed[(q - 1, fidx)]
-        gone_big = removed[(q, idx)]
-        kept = {s: t for s, t in m.items() if s not in gone_small}
-        if any(t in gone_big for t in kept.values()):
-            raise IncoherentLocalSystem(
-                f"contracting bead {bead} over vertex {v} removes the image of "
-                f"a surviving bead along face {i} of {q}/{idx}"
-            )
-        bead_maps[(q, idx, i)] = kept
+    stalks = dict(system.stalks)
+    bead_maps = dict(system.bead_maps)
+    for (q, idx), gone in removed.items():
+        picked = [(c, b) for b, c in stalks[(q, idx)].beads() if b not in gone]
+        stalks[(q, idx)] = Necklace(*zip(*picked))
+        for i, f in enumerate(base.face_row(q, idx) if q else ()):
+            gone_small = removed.get((q - 1, f), ())
+            m = bead_maps[(q, idx, i)]
+            kept = {s: t for s, t in m.items() if s not in gone_small}
+            if any(t in gone for t in kept.values()):
+                raise IncoherentLocalSystem(
+                    f"contracting bead {bead} over vertex {v} removes the image of "
+                    f"a surviving bead along face {i} of {q}/{idx}"
+                )
+            bead_maps[(q, idx, i)] = kept
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
 
 def subdivide(
     system: NecklaceLocalSystem, v: int, bead: int, check: bool = True
 ) -> NecklaceLocalSystem:
-    """Split bead into two adjacent beads of its color in every stalk
-    where it appears.  Fresh ids count up from each stalk's current
-    maximum, one per affected position, so contracting the new vertex
-    bead restores the original system verbatim.
-    """
-    circle = _check_vertex(system, v)
-    if not circle.has_bead(bead):
-        raise BeadNotFound(f"vertex {v} has no bead {bead}")
+    """Split bead into two adjacent beads of its color in every stalk over
+    v's star; every other stalk and bead map is shared with system.  Fresh
+    ids count up from each stalk's maximum, one per position of v, so
+    contracting the new vertex bead restores the original verbatim."""
+    star = _star(system, v, bead)
     base = system.base
-    stalks: dict[tuple[int, int], Necklace] = {}
+    stalks = dict(system.stalks)
+    bead_maps = dict(system.bead_maps)
     fresh: dict[tuple[int, int], dict[int, int]] = {}
-    for (q, idx), neck in system.stalks.items():
-        positions = _vertex_positions(base, q, idx, v)
-        if not positions:
-            stalks[(q, idx)] = neck
-            fresh[(q, idx)] = {}
-            continue
-        next_id = max(neck.ids) + 1
-        minted = {}
-        split_after = {}
-        for p in positions:
-            target = system.vertex_embedding(q, idx, p)[bead]
-            minted[p] = next_id
-            split_after[target] = next_id
-            next_id += 1
+    for (q, idx), images in star.items():
+        neck = stalks[(q, idx)]
+        first = max(neck.ids) + 1
+        minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
+        split_after = {images[p]: b for p, b in minted.items()}
         seq = []
         for b, c in neck.beads():
-            seq.append((b, c))
+            seq.append((c, b))
             if b in split_after:
-                seq.append((split_after[b], c))
-        stalks[(q, idx)] = Necklace(
-            tuple(c for _, c in seq), tuple(b for b, _ in seq)
-        )
-        fresh[(q, idx)] = minted
-    bead_maps = {}
-    for (q, idx, i), m in system.bead_maps.items():
-        fidx = base.face_index(q, idx, i)
-        extended = dict(m)
-        for p_small, new_small in fresh[(q - 1, fidx)].items():
-            p_big = p_small if p_small < i else p_small + 1
-            extended[new_small] = fresh[(q, idx)][p_big]
-        bead_maps[(q, idx, i)] = extended
+                seq.append((c, split_after[b]))
+        stalks[(q, idx)] = Necklace(*zip(*seq))
+        for i, f in enumerate(base.face_row(q, idx) if q else ()):
+            extended = dict(bead_maps[(q, idx, i)])
+            for p_small, new_small in fresh.get((q - 1, f), {}).items():
+                p_big = p_small if p_small < i else p_small + 1
+                extended[new_small] = minted[p_big]
+            bead_maps[(q, idx, i)] = extended
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
 

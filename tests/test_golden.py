@@ -4,7 +4,9 @@ Each case builds a bundle file (a Chern-c bundle from `gen-surface`, or a
 subdivided one), then runs `verify --json`, plain `verify` and
 `assemble`, and compares sha256 digests of the input file, both stdouts
 and the written total-space file with the table below.  `assemble`'s
-stdout names its `--out` path, so only its file is digested.
+stdout names its `--out` path, so only its file is digested.  A second
+table pins the spindle moves: the digest of the bundle file written
+after a seeded chain of subdivides and contractions.
 
 A change meant to keep outputs identical (a performance change, say)
 must pass unchanged.  To print the table for the current code, run
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from scbundles import bundle_from_json_dict, bundle_to_json_dict, subdivide
+from scbundles import bundle_from_json_dict, bundle_to_json_dict, contract, subdivide
 from scbundles._json import read_json, write_json
 from scbundles.cli import main
 
@@ -32,6 +34,7 @@ from generators import grid_torus
 CHERNS = (-2, 0, 1, 3)
 BASES = ("tetra", "octahedron", "delta-torus", "torus6")
 SUBDIVIDED = "octahedron/3/split6"
+MOVE_BASES = ("torus6", "delta-torus")
 
 
 def _run(argv) -> tuple[int, str]:
@@ -89,6 +92,23 @@ def digests(case: str, tmp: Path) -> dict[str, str] | None:
     assert code == 0
     out["assemble"] = _digest(total.read_bytes())
     return out
+
+
+def move_digest(base: str, tmp: Path) -> str:
+    """Digest of the Chern-1 bundle over base after 30 seeded subdivides,
+    then 10 seeded contractions, written as a bundle file."""
+    system = bundle_from_json_dict(read_json(_make_bundle(f"{base}/1", tmp)))
+    rng = random.Random(30)
+    vertices = system.base.simplices(0)
+    for _ in range(30):
+        v = rng.choice(vertices)
+        system = subdivide(system, v, rng.choice(system.stalk(0, v).ids))
+    for _ in range(10):
+        v = rng.choice([u for u in vertices if system.stalk(0, u).size > 1])
+        system = contract(system, v, rng.choice(system.stalk(0, v).ids))
+    path = tmp / "moved.json"
+    write_json(path, bundle_to_json_dict(system))
+    return _digest(path.read_bytes())
 
 
 def all_cases() -> list[str]:
@@ -184,6 +204,13 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
+# digests of the moved bundles before the moves rewrote only the star
+MOVES: dict[str, str] = {
+    'torus6': 'f02165fb8cbe940f212e3922cb507d2c13e7f9e3fdae9924bd69c56604c397b6',
+    'delta-torus': '5fe9f93e9c5116d9d9de540fbb8ba1f9546b1d4818918ce64878e485f522d163',
+}
+
+
 def test_table_covers_every_accepted_case(tmp_path):
     accepted = [
         case for case in all_cases() if _make_bundle(case, tmp_path) is not None
@@ -194,6 +221,11 @@ def test_table_covers_every_accepted_case(tmp_path):
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_outputs_match_golden_digests(case, tmp_path):
     assert digests(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("base", list(MOVES))
+def test_spindle_moves_match_golden_digests(base, tmp_path):
+    assert move_digest(base, tmp_path) == MOVES[base]
 
 
 if __name__ == "__main__":
@@ -210,4 +242,9 @@ if __name__ == "__main__":
         for key, value in found.items():
             print(f"        {key!r}: {value!r},")
         print("    },")
+    print("}")
+    print("MOVES: dict[str, str] = {")
+    for base in MOVE_BASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {base!r}: {move_digest(base, Path(tmp))!r},")
     print("}")

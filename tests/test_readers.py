@@ -90,6 +90,53 @@ def test_readers_reject_non_integers(tmp_path, reader, doc, corrupt):
             reader(doc)
 
 
+def rename_key(table, old, new):
+    table[new] = table.pop(old)
+
+
+@pytest.mark.parametrize(
+    "reader, doc, corrupt",
+    [
+        (bundle_from_json_dict, MINIMAL_DOC,
+         lambda d: d["stalks"].update({"0/0_0": "(0)"})),
+        (bundle_from_json_dict, MINIMAL_DOC,
+         lambda d: rename_key(d["stalks"], "2/1", "2/ 1")),
+        (bundle_from_json_dict, MINIMAL_DOC,
+         lambda d: rename_key(d["stalks"], "1/0", "01/0")),
+        (bundle_from_json_dict, GENERAL_DOC,
+         lambda d: rename_key(d["bead_maps"], "1/0/0", "1/0/00")),
+        (bundle_from_json_dict, GENERAL_DOC,
+         lambda d: rename_key(d["bead_maps"], "1/0/0", "1/+0/0")),
+        (SemiSimplicialSet.from_json_dict, COMPLEX_DOC,
+         lambda d: d["faces"].update({"01": [["junk"]]})),
+        (SemiSimplicialSet.from_json_dict, COMPLEX_DOC,
+         lambda d: d["faces"].update({"+2": []})),
+        (bundle_from_json_dict, MINIMAL_DOC,
+         lambda d: rename_key(d["stalks"], "2/1", "2/\N{FULLWIDTH DIGIT ONE}")),
+        (SemiSimplicialSet.from_json_dict, COMPLEX_DOC,
+         lambda d: rename_key(d["labels"], "1", "1 ")),
+        (read_selection, {"0": 0}, lambda d: d.update({"00": 0})),
+    ],
+    ids=[
+        "stalk-underscore-alias", "stalk-space", "stalk-leading-zero",
+        "bead-map-leading-zero", "bead-map-plus", "faces-leading-zero",
+        "faces-plus", "stalk-fullwidth-digit", "labels-space",
+        "selection-leading-zero",
+    ],
+)
+def test_readers_reject_non_canonical_keys(tmp_path, reader, doc, corrupt):
+    # int() also reads these spellings, so without the check each would
+    # load, alias another key or be ignored
+    doc = copy.deepcopy(doc)
+    corrupt(doc)
+    with pytest.raises(MalformedFile) as info:
+        if reader is read_selection:
+            reader(doc, tmp_path)
+        else:
+            reader(doc)
+    assert info.value.exit_code == 3
+
+
 def paths(node, prefix=()):
     """Every position in a JSON tree, the root excluded."""
     if isinstance(node, dict):

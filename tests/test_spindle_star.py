@@ -1,0 +1,193 @@
+"""The spindle moves against whole-walk references.
+
+``contract`` and ``subdivide`` rebuild only the stalks over the star of
+the vertex and the bead maps of the star's simplices.  The references
+below walk every stalk and every bead map of the system instead.  On
+random systems both must give equal stalks and bead maps in the same
+order, raise the same errors, and the library moves must share every
+stalk and bead map outside the star with their input.
+"""
+
+import random
+
+from scbundles import (
+    BeadNotFound,
+    DanglingReference,
+    IncoherentLocalSystem,
+    LastArc,
+    Necklace,
+    NecklaceLocalSystem,
+    ScbError,
+    contract,
+    elementary_system,
+    octahedron_sphere,
+    subdivide,
+)
+
+from generators import BUNDLE_BASES, grid_torus, random_system
+
+BASES = BUNDLE_BASES + (octahedron_sphere(), grid_torus(3))
+CASES = 200
+
+
+def _check_vertex(system, v):
+    if not 0 <= v < system.base.simplex_count(0):
+        raise DanglingReference(f"no vertex {v} in the base")
+    return system.stalk(0, v)
+
+
+def _vertex_positions(base, q, idx, v):
+    return [p for p in range(q + 1) if base.vertex_at(q, idx, p) == v]
+
+
+def reference_contract(system, v, bead, check=True):
+    circle = _check_vertex(system, v)
+    if not circle.has_bead(bead):
+        raise BeadNotFound(f"vertex {v} has no bead {bead}")
+    if circle.size == 1:
+        raise LastArc(f"bead {bead} is the only bead over vertex {v}")
+    base = system.base
+    stalks = {}
+    removed = {}
+    for (q, idx), neck in system.stalks.items():
+        gone = {
+            system.vertex_embedding(q, idx, p)[bead]
+            for p in _vertex_positions(base, q, idx, v)
+        }
+        removed[(q, idx)] = gone
+        if gone:
+            picked = [(b, c) for b, c in neck.beads() if b not in gone]
+            stalks[(q, idx)] = Necklace(
+                tuple(c for _, c in picked), tuple(b for b, _ in picked)
+            )
+        else:
+            stalks[(q, idx)] = neck
+    bead_maps = {}
+    for (q, idx, i), m in system.bead_maps.items():
+        fidx = base.face_index(q, idx, i)
+        gone_small = removed[(q - 1, fidx)]
+        gone_big = removed[(q, idx)]
+        kept = {s: t for s, t in m.items() if s not in gone_small}
+        if any(t in gone_big for t in kept.values()):
+            raise IncoherentLocalSystem(
+                f"contracting bead {bead} over vertex {v} removes the image of "
+                f"a surviving bead along face {i} of {q}/{idx}"
+            )
+        bead_maps[(q, idx, i)] = kept
+    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+
+
+def reference_subdivide(system, v, bead, check=True):
+    circle = _check_vertex(system, v)
+    if not circle.has_bead(bead):
+        raise BeadNotFound(f"vertex {v} has no bead {bead}")
+    base = system.base
+    stalks = {}
+    fresh = {}
+    for (q, idx), neck in system.stalks.items():
+        positions = _vertex_positions(base, q, idx, v)
+        if not positions:
+            stalks[(q, idx)] = neck
+            fresh[(q, idx)] = {}
+            continue
+        next_id = max(neck.ids) + 1
+        minted = {}
+        split_after = {}
+        for p in positions:
+            target = system.vertex_embedding(q, idx, p)[bead]
+            minted[p] = next_id
+            split_after[target] = next_id
+            next_id += 1
+        seq = []
+        for b, c in neck.beads():
+            seq.append((b, c))
+            if b in split_after:
+                seq.append((split_after[b], c))
+        stalks[(q, idx)] = Necklace(
+            tuple(c for _, c in seq), tuple(b for b, _ in seq)
+        )
+        fresh[(q, idx)] = minted
+    bead_maps = {}
+    for (q, idx, i), m in system.bead_maps.items():
+        fidx = base.face_index(q, idx, i)
+        extended = dict(m)
+        for p_small, new_small in fresh[(q - 1, fidx)].items():
+            p_big = p_small if p_small < i else p_small + 1
+            extended[new_small] = fresh[(q, idx)][p_big]
+        bead_maps[(q, idx, i)] = extended
+    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+
+
+def star(system, v):
+    base = system.base
+    return {
+        (q, idx)
+        for q in range(base.top_dim + 1)
+        for idx in base.simplices(q)
+        if v in base.vertices_of(q, idx)
+    }
+
+
+def assert_same_move(moved, reference, system, v):
+    assert list(moved.stalks.items()) == list(reference.stalks.items())
+    assert list(moved.bead_maps.items()) == list(reference.bead_maps.items())
+    inside = star(system, v)
+    for key, neck in system.stalks.items():
+        if key not in inside:
+            assert moved.stalks[key] is neck, key
+    for (q, idx, i), m in system.bead_maps.items():
+        if (q, idx) not in inside:
+            assert moved.bead_maps[(q, idx, i)] is m, (q, idx, i)
+
+
+def test_subdivide_matches_the_whole_walk():
+    rng = random.Random(81)
+    for _ in range(CASES):
+        system = random_system(rng, BASES)
+        v = rng.randrange(system.base.simplex_count(0))
+        bead = rng.choice(system.stalk(0, v).ids)
+        moved = subdivide(system, v, bead)
+        assert_same_move(moved, reference_subdivide(system, v, bead), system, v)
+
+
+def test_contract_matches_the_whole_walk():
+    rng = random.Random(82)
+    for _ in range(CASES):
+        system = random_system(rng, BASES)
+        v = rng.randrange(system.base.simplex_count(0))
+        system = subdivide(system, v, rng.choice(system.stalk(0, v).ids))
+        # the fresh bead has the largest id; otherwise any bead of the circle
+        ids = system.stalk(0, v).ids
+        bead = max(ids) if rng.randrange(2) else rng.choice(ids)
+        moved = contract(system, v, bead)
+        assert_same_move(moved, reference_contract(system, v, bead), system, v)
+
+
+def _outcome(move, *args):
+    try:
+        return move(*args)
+    except ScbError as exc:
+        return type(exc), str(exc)
+
+
+def test_errors_match_the_whole_walk():
+    system = elementary_system(Necklace.from_colors((0, 0, 1)))
+    doomed = system.stalk(0, 0).ids[0]
+    maps = dict(system.bead_maps)
+    (other,) = maps[(1, 0, 0)]
+    maps[(1, 0, 0)] = {other: system.vertex_embedding(1, 0, 0)[doomed]}
+    broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
+    cases = [
+        (contract, (broken, 0, doomed, False), IncoherentLocalSystem),
+        (contract, (system, 7, 0), DanglingReference),
+        (contract, (system, 0, 99), BeadNotFound),
+        (contract, (system, 1, system.stalk(0, 1).ids[0]), LastArc),
+        (subdivide, (system, -1, 0), DanglingReference),
+        (subdivide, (system, 1, 99), BeadNotFound),
+    ]
+    references = {contract: reference_contract, subdivide: reference_subdivide}
+    for move, args, error in cases:
+        got = _outcome(move, *args)
+        assert got == _outcome(references[move], *args)
+        assert got[0] is error
+
