@@ -343,9 +343,9 @@ class Necklace:
         top = max(colors)
         if min(colors) < 0 or set(colors) != set(range(top + 1)):
             raise ValueError("every color 0..top must appear at least once")
-        n = len(colors)
+        # the least turning starts at a bead of color 0
         best = min(
-            range(n),
+            (r for r, c in enumerate(colors) if c == 0),
             key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
         )
         object.__setattr__(self, "colors", colors[best:] + colors[:best])

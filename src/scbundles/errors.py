@@ -14,7 +14,8 @@ class ScbError(Exception):
 
 
 class MalformedFile(ScbError):
-    """A document that does not parse, or parses to the wrong shape."""
+    """A file that cannot be read or written, or a document that does not
+    parse or parses to the wrong shape."""
 
     exit_code = 3
 

@@ -388,6 +388,27 @@ def test_malformed_bundle_exit_3_without_traceback(tmp_path, corrupt):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["gen-surface", "--base", "tetra", "--chern", "1"],
+        ["assemble", "--bundle", "hopf.json"],
+        ["extend", "--base", "tetra", "--cocycle", "hopf_cocycle.json"],
+        ["minimize", "--bundle", "hopf.json"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("out", [".", "absent/out.json"], ids=["directory", "no-parent"])
+def test_unwritable_out_exit_3_without_traceback(tmp_path, command, out):
+    hopf = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
+    write_json(tmp_path / "hopf.json", bundle_to_json_dict(hopf.as_local_system()))
+    write_json(tmp_path / "hopf_cocycle.json", {"dim": 2, "values": [0, 0, 1, 0]})
+    proc = run_module(tmp_path, *command, "--out", out)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "name, code",
     [
         ("simplex:-1", 3), ("sphere:0", 3), ("sphere:-2", 3),

@@ -271,6 +271,24 @@ class TestNecklace:
         assert n.colors == (0, 1, 0, 1)
         assert n.ids == (1, 0, 3, 2)
 
+    def test_canonical_turning_is_least_of_all_rotations(self):
+        # oracle: the least (colors, ids) pair over every rotation
+        rng = random.Random(9)
+        for _ in range(500):
+            top = rng.randrange(4)
+            colors = list(range(top + 1)) + [
+                rng.randrange(top + 1) for _ in range(rng.randrange(8))
+            ]
+            rng.shuffle(colors)
+            ids = rng.sample(range(100), len(colors))
+            n = len(colors)
+            want = min(
+                (tuple(colors[r:] + colors[:r]), tuple(ids[r:] + ids[:r]))
+                for r in range(n)
+            )
+            got = Necklace(tuple(colors), tuple(ids))
+            assert (got.colors, got.ids) == want
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             Necklace((0, 2), (0, 1))

@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of `verify` and `assemble`.
+"""Byte-for-byte golden outputs of `verify`, `assemble` and the reports.
 
 Each case builds a bundle file (a Chern-c bundle from `gen-surface`, or a
 subdivided one), then runs `verify --json`, plain `verify` and
@@ -6,7 +6,11 @@ subdivided one), then runs `verify --json`, plain `verify` and
 and the written total-space file with the table below.  `assemble`'s
 stdout names its `--out` path, so only its file is digested.  A second
 table pins the spindle moves: the digest of the bundle file written
-after a seeded chain of subdivides and contractions.
+after a seeded chain of subdivides and contractions.  A third table
+pins outputs the first two do not reach: `gen-surface --json` reports,
+which carry the whole cocycle list, the `kan-check 3` and `hexagram`
+reports, and the total-space file of a Chern-3 bundle over `torus:16`,
+the largest face and projection tables in the suite.
 
 A change meant to keep outputs identical (a performance change, say)
 must pass unchanged.  To print the table for the current code, run
@@ -111,6 +115,30 @@ def move_digest(base: str, tmp: Path) -> str:
     return _digest(path.read_bytes())
 
 
+GEN_SURFACE = (("tetra", "-2"), ("octahedron", "3"), ("torus:16", "3"))
+
+
+def output_digests(tmp: Path) -> dict[str, str]:
+    out = {}
+    for base, chern in GEN_SURFACE:
+        code, stdout = _run(["gen-surface", "--base", base, "--chern", chern, "--json"])
+        assert code == 0, stdout
+        out[f"gen-surface/{base}/{chern}"] = _digest(stdout)
+    for name, argv in (("kan-check/3", ["kan-check", "3"]), ("hexagram", ["hexagram"])):
+        code, stdout = _run([*argv, "--json"])
+        assert code == 0, stdout
+        out[name] = _digest(stdout)
+    bundle, total = tmp / "bundle16.json", tmp / "total16.json"
+    code, _ = _run(
+        ["gen-surface", "--base", "torus:16", "--chern", "3", "--out", str(bundle)]
+    )
+    assert code == 0
+    code, _ = _run(["assemble", "--bundle", str(bundle), "--out", str(total)])
+    assert code == 0
+    out["assemble/torus:16/3"] = _digest(total.read_bytes())
+    return out
+
+
 def all_cases() -> list[str]:
     return [f"{b}/{c}" for b in BASES for c in CHERNS] + [SUBDIVIDED]
 
@@ -211,6 +239,17 @@ MOVES: dict[str, str] = {
 }
 
 
+# digests of the reports and the large total space before the table writer
+OUTPUTS: dict[str, str] = {
+    'gen-surface/tetra/-2': 'ac2f3a6971c67e24db493c6acb1f6a63197333e5c6ddc62d1f9e75208570740d',
+    'gen-surface/octahedron/3': '69362c11d25de9cf15874dff1c0e5d2366e3672747d6b711d42234a90749b7b0',
+    'gen-surface/torus:16/3': '5a29770fdf7d2e9e0e07bd9578e9b60cedb7ec991bed302f14a7f887a5182762',
+    'kan-check/3': 'c67135a3d966b89eba9b268e7db29fbdf292c7f25eede64f11019ff1420e6415',
+    'hexagram': '74988b94d5f33205d9cc7e4d28384692d3044699c0e339bf9d6c1afec3e86e83',
+    'assemble/torus:16/3': '6906a8af18807ea4aa7f2560889c4a330ef45f3cf8d8ec26c04aa720af8140e2',
+}
+
+
 def test_table_covers_every_accepted_case(tmp_path):
     accepted = [
         case for case in all_cases() if _make_bundle(case, tmp_path) is not None
@@ -226,6 +265,10 @@ def test_outputs_match_golden_digests(case, tmp_path):
 @pytest.mark.parametrize("base", list(MOVES))
 def test_spindle_moves_match_golden_digests(base, tmp_path):
     assert move_digest(base, tmp_path) == MOVES[base]
+
+
+def test_reports_and_large_total_space_match_golden_digests(tmp_path):
+    assert output_digests(tmp_path) == OUTPUTS
 
 
 if __name__ == "__main__":
@@ -247,4 +290,9 @@ if __name__ == "__main__":
     for base in MOVE_BASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {base!r}: {move_digest(base, Path(tmp))!r},")
+    print("}")
+    print("OUTPUTS: dict[str, str] = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value in output_digests(Path(tmp)).items():
+            print(f"    {name!r}: {value!r},")
     print("}")
