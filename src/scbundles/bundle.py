@@ -35,7 +35,14 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from ._json import json_int, key_int
-from .cyclic import CircularPermutation, Necklace, c01, insertion_extend, TripleOrderFamily
+from .cyclic import (
+    CircularPermutation,
+    Necklace,
+    TripleOrderFamily,
+    _cp_face,
+    c01,
+    insertion_extend,
+)
 from .errors import (
     DanglingReference,
     IncoherentLocalSystem,
@@ -128,20 +135,7 @@ class NecklaceLocalSystem:
 
     def validate(self) -> list[str]:
         base = self.base
-        problems: list[str] = []
-        for q in range(base.top_dim + 1):
-            for idx in base.simplices(q):
-                neck = self.stalks.get((q, idx))
-                if neck is None:
-                    problems.append(f"missing stalk over {q}/{idx}")
-                elif neck.top != q:
-                    problems.append(
-                        f"stalk over {q}/{idx} uses colors 0..{neck.top}, expected 0..{q}"
-                    )
-        for key in self.stalks:
-            q, idx = key
-            if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
-                problems.append(f"stalk over missing simplex {q}/{idx}")
+        problems = _stalk_problems(base, self.stalks)
         if problems:
             return problems
         for q in range(1, base.top_dim + 1):
@@ -173,6 +167,26 @@ class NecklaceLocalSystem:
                             f"descent maps of {q}/{idx} do not commute for faces ({i}, {j})"
                         )
         return problems
+
+
+def _stalk_problems(base: SemiSimplicialSet, stalks: Mapping) -> list[str]:
+    """Simplices without a stalk, stalks whose top color is not their
+    dimension, and stalks over no simplex; any stalk with a ``top`` will
+    do, a necklace or a circular permutation."""
+    problems = []
+    for q in range(base.top_dim + 1):
+        for idx in base.simplices(q):
+            stalk = stalks.get((q, idx))
+            if stalk is None:
+                problems.append(f"missing stalk over {q}/{idx}")
+            elif stalk.top != q:
+                problems.append(
+                    f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
+                )
+    for q, idx in stalks:
+        if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
+            problems.append(f"stalk over missing simplex {q}/{idx}")
+    return problems
 
 
 def _bead_map_problem(
@@ -211,9 +225,10 @@ class MinimalBundle:
     """The circular-permutation record of a minimal bundle.
 
     ``stalks`` maps (dim, index) to the circular permutation over that
-    simplex.  Construction checks coherence on the expanded local system
-    unless ``check`` is false; ``minimal_from_cocycle`` and ``minimize``
-    pass false, since their output is coherent by construction.
+    simplex.  Construction checks, word by word, that deleting color i
+    from each stalk gives the stalk over face i, unless ``check`` is
+    false; ``minimal_from_cocycle`` and ``minimize`` pass false, since
+    their output is coherent by construction.
     """
 
     __slots__ = ("base", "stalks")
@@ -222,7 +237,9 @@ class MinimalBundle:
         self.base = base
         self.stalks: dict[SimplexKey, CircularPermutation] = dict(stalks)
         if check:
-            _minimal_system(base, self.stalks, check=True)
+            problems = _minimal_problems(base, self.stalks)
+            if problems:
+                raise IncoherentLocalSystem("; ".join(problems))
 
     def stalk(self, q: int, index: int) -> CircularPermutation:
         return self.stalks[(q, index)]
@@ -230,16 +247,38 @@ class MinimalBundle:
     def as_local_system(self) -> NecklaceLocalSystem:
         """Expand to the general representation: bead ids equal colors and
         descent maps are the canonical color embeddings."""
-        return _minimal_system(self.base, self.stalks, check=False)
+        return _minimal_system(self.base, self.stalks)
 
     def __repr__(self):
         return f"MinimalBundle(base={self.base.counts})"
 
 
+def _minimal_problems(
+    base: SemiSimplicialSet, stalks: Mapping[SimplexKey, CircularPermutation]
+) -> list[str]:
+    """The problems ``validate`` finds in the minimal system of these
+    stalks, in its order and words, without building that system.
+
+    The canonical color embeddings always commute and pass every
+    bead-map test but circular order, which holds exactly when deleting
+    color i from the stalk gives the stalk over face i."""
+    problems = _stalk_problems(base, stalks)
+    if problems:
+        return problems
+    for q in range(1, base.top_dim + 1):
+        for idx in base.simplices(q):
+            word = stalks[(q, idx)].word
+            for i, f in enumerate(base.face_row(q, idx)):
+                if _cp_face(word, i) != stalks[(q - 1, f)].word:
+                    problems.append(
+                        f"bead map along face {i} of {q}/{idx} "
+                        "does not preserve the circular order"
+                    )
+    return problems
+
+
 def _minimal_system(
-    base: SemiSimplicialSet,
-    stalks: Mapping[SimplexKey, CircularPermutation],
-    check: bool,
+    base: SemiSimplicialSet, stalks: Mapping[SimplexKey, CircularPermutation]
 ) -> NecklaceLocalSystem:
     """The local system of circular-permutation stalks: each bead id is
     its color, and face i sends color c to c below i and to c + 1 above.
@@ -258,7 +297,7 @@ def _minimal_system(
         for idx in base.simplices(q):
             for i in range(q + 1):
                 bead_maps[(q, idx, i)] = embeddings[i]
-    return NecklaceLocalSystem(base, necklaces, bead_maps, check=check)
+    return NecklaceLocalSystem(base, necklaces, bead_maps, check=False)
 
 
 # -- total space assembly ----------------------------------------------
@@ -291,9 +330,12 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     then the vertical ones over the (p-1)-simplices, stalk by stalk in
     stored bead order; so a simplex's id is the first id of its stalk
     plus its bead's position, and face rows are read off bead positions.
+    Arc tables are built once per distinct (stalk, face stalk, bead map)
+    triple of objects, which the system keeps alive for the whole call.
     """
     base = system.base
     top = base.top_dim
+    arc_memo: dict[tuple[int, int, int], list[int]] = {}
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
     arcs: list[list[list[int]]] = []  # [idx][m]: arc table along face m of p/idx
@@ -312,10 +354,14 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
             entries.extend([(SimplexRef(p, idx), identity)] * neck.size)
             if p:
                 face_row = base.face_row(p, idx)
-                tables = [
-                    _arc_table(neck, system.stalk(p - 1, f), system.bead_map(p, idx, m))
-                    for m, f in enumerate(face_row)
-                ]
+                tables = []
+                for m, f in enumerate(face_row):
+                    small, bm = system.stalk(p - 1, f), system.bead_map(p, idx, m)
+                    key = (id(neck), id(small), id(bm))
+                    table = arc_memo.get(key)
+                    if table is None:
+                        table = arc_memo[key] = _arc_table(neck, small, bm)
+                    tables.append(table)
                 arcs.append(tables)
                 heads = [first_h[p - 1][f] for f in face_row]
                 rows.extend(
@@ -497,13 +543,14 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
     """
     _require_binary_cocycle(base, u)
     stalks: dict[SimplexKey, CircularPermutation] = {}
+    point, arc = CircularPermutation((0,)), CircularPermutation((0, 1))
+    parities = (CircularPermutation((0, 1, 2)), CircularPermutation((0, 2, 1)))
     for idx in base.simplices(0):
-        stalks[(0, idx)] = CircularPermutation((0,))
+        stalks[(0, idx)] = point
     for idx in base.simplices(1):
-        stalks[(1, idx)] = CircularPermutation((0, 1))
+        stalks[(1, idx)] = arc
     for idx in base.simplices(2):
-        word = (0, 1, 2) if u.values[idx] == 0 else (0, 2, 1)
-        stalks[(2, idx)] = CircularPermutation(word)
+        stalks[(2, idx)] = parities[u.values[idx]]
     for q in range(3, base.top_dim + 1):
         for idx in base.simplices(q):
             bits = {}
@@ -630,7 +677,7 @@ def parse_necklace_text(text: str) -> tuple[int, ...]:
     if not body:
         raise MalformedFile("necklace text must list at least one color")
     try:
-        return tuple(int(tok) for tok in body.split())
+        return tuple(map(key_int, body.split()))
     except ValueError as exc:
         raise MalformedFile(f"bad necklace text {text!r}") from exc
 
@@ -644,13 +691,14 @@ def bundle_to_json_dict(system: NecklaceLocalSystem) -> dict:
     since its descent is forced by the colors.
     """
     base = system.base
-    doc: dict = {
-        "base": base.to_json_dict(),
-        "stalks": {
-            f"{q}/{idx}": format_necklace_text(n.colors)
-            for (q, idx), n in system.stalks.items()
-        },
-    }
+    texts: dict[tuple[int, ...], str] = {}  # few distinct words recur
+    stalks = {}
+    for (q, idx), n in system.stalks.items():
+        text = texts.get(n.colors)
+        if text is None:
+            text = texts[n.colors] = format_necklace_text(n.colors)
+        stalks[f"{q}/{idx}"] = text
+    doc: dict = {"base": base.to_json_dict(), "stalks": stalks}
     if system.is_minimal():
         return doc
     maps = {}
@@ -667,6 +715,7 @@ def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[in
     if not isinstance(raw, Mapping):
         raise MalformedFile("'stalks' must map 'dim/index' keys to necklace text")
     out = {}
+    parsed: dict[str, tuple[int, ...]] = {}  # few distinct texts recur
     for key, text in raw.items():
         try:
             q, idx = map(key_int, key.split("/"))
@@ -676,7 +725,10 @@ def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[in
             raise DanglingReference(f"stalk key {key} names no base simplex")
         if not isinstance(text, str):
             raise MalformedFile(f"stalk {key} must be necklace text like \"(0 1 2)\"")
-        out[(q, idx)] = parse_necklace_text(text)
+        word = parsed.get(text)
+        if word is None:
+            word = parsed[text] = parse_necklace_text(text)
+        out[(q, idx)] = word
     return out
 
 
@@ -695,15 +747,19 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
     raw_maps = doc.get("bead_maps")
     if raw_maps is None:
         stalks = {}
+        perms: dict[tuple[int, ...], CircularPermutation] = {}
         for key, word in words.items():
-            try:
-                stalks[key] = CircularPermutation(word)
-            except ValueError as exc:
-                raise MalformedFile(
-                    f"stalk {key[0]}/{key[1]} is not a circular permutation "
-                    "and no bead_maps are given"
-                ) from exc
-        return _minimal_system(base, stalks, check=True)
+            th = perms.get(word)
+            if th is None:
+                try:
+                    th = perms[word] = CircularPermutation(word)
+                except ValueError as exc:
+                    raise MalformedFile(
+                        f"stalk {key[0]}/{key[1]} is not a circular permutation "
+                        "and no bead_maps are given"
+                    ) from exc
+            stalks[key] = th
+        return MinimalBundle(base, stalks).as_local_system()
     stalks = {}
     for key, word in words.items():
         try:

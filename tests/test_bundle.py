@@ -41,7 +41,7 @@ from scbundles import (
     total_to_json_dict,
 )
 from scbundles._json import canonical_dumps
-from scbundles.bundle import format_necklace_text, parse_necklace_text
+from scbundles.bundle import _minimal_system, format_necklace_text, parse_necklace_text
 from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
@@ -243,6 +243,27 @@ class TestAssembly:
         for _ in range(30):
             assert_assembly_clean(random_system(rng))
 
+    def test_arc_tables_do_not_depend_on_sharing(self):
+        # assemble keys its arc tables on object identity: a copy with a
+        # fresh object for every stalk and bead map must assemble the same
+        shared = _surface_system(grid_torus(6), 3)
+        assert len({id(n) for n in shared.stalks.values()}) == 4
+        rng = random.Random(10)
+        moved = shared
+        for _ in range(20):
+            v = rng.randrange(moved.base.simplex_count(0))
+            moved = subdivide(moved, v, rng.choice(moved.stalk(0, v).ids), check=False)
+        for system in (shared, moved):
+            unshared = NecklaceLocalSystem(
+                system.base,
+                {key: Necklace(n.colors, n.ids) for key, n in system.stalks.items()},
+                {key: dict(bm) for key, bm in system.bead_maps.items()},
+                check=False,
+            )
+            a, b = assemble(system), assemble(unshared)
+            assert a.total == b.total
+            assert a.projection.table == b.projection.table
+
 
 def naturality_oracle(total, projection):
     """The per-face naturality check, recomputing every composite: the
@@ -413,6 +434,66 @@ class TestCocycleBridge:
         assert chern_cocycle(again).values == (1, 0)
 
 
+class TestMinimalWordCheck:
+    """Corrupted minimal bundles: the word-by-word check raises exactly the
+    problems the generic ``validate`` finds in the expanded local system,
+    in its order, and nothing when it finds none."""
+
+    @staticmethod
+    def corrupt(base, stalks, rng):
+        # swaps weigh most: any other corruption hides the face problems
+        kind = rng.choice(["swap", "swap", "swap", "length", "missing", "beyond"])
+        if kind == "beyond":
+            q = rng.randrange(base.top_dim + 2)
+            key = (q, base.simplex_count(q) + rng.randrange(2))
+            stalks[key] = CircularPermutation(tuple(range(q + 1)))
+            return kind
+        q = rng.randrange(base.top_dim + 1)
+        key = (q, rng.randrange(base.simplex_count(q)))
+        if kind == "missing":
+            stalks.pop(key, None)
+        elif kind == "length":
+            size = q + rng.choice([0, 2]) if q else 2
+            stalks[key] = CircularPermutation(tuple(range(size)))
+        elif key in stalks:
+            word = list(stalks[key].word)
+            i, j = rng.sample(range(len(word)), 2) if len(word) > 1 else (0, 0)
+            word[i], word[j] = word[j], word[i]
+            stalks[key] = CircularPermutation(tuple(word))
+        return kind
+
+    @pytest.mark.parametrize(
+        "name", ["tetra", "delta-torus", "torus:5", "simplex:3", "simplex:4", "sphere:4"]
+    )
+    def test_matches_generic_validate(self, name):
+        base = named_base(name)
+        rng = random.Random(name)
+        orders = 0
+        for _ in range(40):
+            stalks = dict(minimal_from_cocycle(base, random_binary_cocycle(base, rng)).stalks)
+            kinds = {self.corrupt(base, stalks, rng) for _ in range(rng.randrange(1, 4))}
+            want = "; ".join(_minimal_system(base, stalks).validate())
+            orders += "circular order" in want
+            builds = [lambda: MinimalBundle(base, stalks)]
+            if kinds <= {"swap", "length"}:
+                doc = {
+                    "base": base.to_json_dict(),
+                    "stalks": {
+                        f"{q}/{idx}": format_necklace_text(th.word)
+                        for (q, idx), th in stalks.items()
+                    },
+                }
+                builds.append(lambda: bundle_from_json_dict(doc))
+            for build in builds:
+                if not want:
+                    build()
+                    continue
+                with pytest.raises(IncoherentLocalSystem) as info:
+                    build()
+                assert str(info.value) == want
+        assert orders >= (5 if base.top_dim >= 3 else 0)
+
+
 class TestClassicality:
     def test_matches_necklace_criterion(self):
         rng = random.Random(2)
@@ -473,7 +554,11 @@ class TestSerialization:
     def test_necklace_text(self):
         assert format_necklace_text((0, 2, 1)) == "(0 2 1)"
         assert parse_necklace_text("( 0 2 1 )") == (0, 2, 1)
-        for bad in ["0 2 1", "()", "(x)", ""]:
+        # tokens are canonical decimals, as keys are
+        for bad in [
+            "0 2 1", "()", "(x)", "",
+            "(0 +1)", "(0 01)", "(0 1_0)", "(0 \N{FULLWIDTH DIGIT ONE})",
+        ]:
             with pytest.raises(MalformedFile):
                 parse_necklace_text(bad)
 

@@ -342,6 +342,57 @@ class TestVerify:
         assert code == 3
 
 
+SIMPLEX3 = named_base("simplex:3")
+SIMPLEX3_DOC = bundle_to_json_dict(
+    minimal_from_cocycle(
+        SIMPLEX3, IntCochain(2, (0,) * SIMPLEX3.simplex_count(2))
+    ).as_local_system()
+)
+
+
+def simplex3_file_with_stalk(tmp_path, key, text):
+    doc = json.loads(json.dumps(SIMPLEX3_DOC))
+    doc["stalks"][key] = text
+    bundle = tmp_path / "bad.json"
+    write_json(bundle, doc)
+    return str(bundle)
+
+
+@pytest.mark.parametrize("command", ["verify", "assemble"])
+@pytest.mark.parametrize(
+    "key, text, code, message",
+    [
+        # faces 0 and 1 of <0,1,3,2> are <0,2,1>; its triangles are <0,1,2>
+        ("3/0", "(0 1 3 2)", 5,
+         "bead map along face 0 of 3/0 does not preserve the circular order; "
+         "bead map along face 1 of 3/0 does not preserve the circular order"),
+        ("1/0", "(0 1 2)", 5, "stalk over 1/0 uses colors 0..2, expected 0..1"),
+        ("1/0", "(0 1 1)", 3,
+         "stalk 1/0 is not a circular permutation and no bead_maps are given"),
+    ],
+    ids=["tetra-contradicts-triangle", "edge-three-colors", "edge-repeated-color"],
+)
+def test_corrupt_minimal_file_exit_and_message(
+    capsys, tmp_path, command, key, text, code, message
+):
+    bundle = simplex3_file_with_stalk(tmp_path, key, text)
+    extra = ("--out", str(tmp_path / "total.json")) if command == "assemble" else ()
+    assert run(capsys, command, "--bundle", bundle, *extra) == (
+        code, "", f"error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["(0 +1 2)", "(0 1 \N{FULLWIDTH DIGIT TWO})"], ids=["plus", "fullwidth-digit"]
+)
+def test_necklace_tokens_must_be_canonical_exit_3(capsys, tmp_path, text):
+    # both loaded with exit 0 while tokens were read with int()
+    bundle = simplex3_file_with_stalk(tmp_path, "2/0", text)
+    assert run(capsys, "verify", "--bundle", bundle) == (
+        3, "", f"error: bad necklace text {text!r}\n"
+    )
+
+
 def run_module(cwd, *argv):
     """Run ``python -m scbundles`` in a child, on the source tree this
     suite imports."""
@@ -451,3 +502,4 @@ def test_console_script_subprocess(tmp_path):
     proc = run_child("homology", "nosuchbase")
     assert proc.returncode == 3
     assert "unknown base" in proc.stderr
+

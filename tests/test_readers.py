@@ -137,6 +137,26 @@ def test_readers_reject_non_canonical_keys(tmp_path, reader, doc, corrupt):
     assert info.value.exit_code == 3
 
 
+@pytest.mark.parametrize("doc", [MINIMAL_DOC, GENERAL_DOC], ids=["minimal", "general"])
+@pytest.mark.parametrize(
+    "token", ["+1", "01", "\N{FULLWIDTH DIGIT ONE}", "1_0", "1.0"],
+    ids=["plus", "leading-zero", "fullwidth-digit", "underscore", "fraction"],
+)
+def test_necklace_tokens_are_canonical_decimals(doc, token):
+    # int() reads the first four, three of them as 1, so the stalk
+    # would load as if it were written plainly
+    doc = copy.deepcopy(doc)
+    key, text = next(
+        (key, text) for key, text in sorted(doc["stalks"].items()) if "1" in text.split()
+    )
+    bad = text.replace(" 1", " " + token, 1)
+    doc["stalks"][key] = bad
+    with pytest.raises(MalformedFile) as info:
+        bundle_from_json_dict(doc)
+    assert str(info.value) == f"bad necklace text {bad!r}"
+    assert info.value.exit_code == 3
+
+
 def paths(node, prefix=()):
     """Every position in a JSON tree, the root excluded."""
     if isinstance(node, dict):
