@@ -682,24 +682,27 @@ def parse_necklace_text(text: str) -> tuple[int, ...]:
         raise MalformedFile(f"bad necklace text {text!r}") from exc
 
 
-def bundle_to_json_dict(system: NecklaceLocalSystem) -> dict:
-    """Serialize a local system.
+def bundle_to_json_dict(system: NecklaceLocalSystem | MinimalBundle) -> dict:
+    """Serialize a local system or a minimal bundle.
 
     Stalk words are written in the canonical turning, which for a
     circular permutation starts at color 0.  Bead maps refer to beads by
-    their position in the written word; a minimal bundle omits them,
-    since its descent is forced by the colors.
+    their position in the written word; a minimal bundle, in either
+    representation, omits them, since its descent is forced by the
+    colors.  A ``MinimalBundle`` is written from its words, unexpanded.
     """
     base = system.base
+    minimal = isinstance(system, MinimalBundle)
     texts: dict[tuple[int, ...], str] = {}  # few distinct words recur
     stalks = {}
     for (q, idx), n in system.stalks.items():
-        text = texts.get(n.colors)
+        colors = n.word if minimal else n.colors
+        text = texts.get(colors)
         if text is None:
-            text = texts[n.colors] = format_necklace_text(n.colors)
+            text = texts[colors] = format_necklace_text(colors)
         stalks[f"{q}/{idx}"] = text
     doc: dict = {"base": base.to_json_dict(), "stalks": stalks}
-    if system.is_minimal():
+    if minimal or system.is_minimal():
         return doc
     maps = {}
     for (q, idx, i), bm in system.bead_maps.items():

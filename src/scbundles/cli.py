@@ -176,7 +176,7 @@ def cmd_extend(args) -> Report:
     base = _load_complex(args.base)
     u = cochain_from_json_dict(read_json(args.cocycle))
     bundle = minimal_from_cocycle(base, u)
-    write_json(args.out, bundle_to_json_dict(bundle.as_local_system()))
+    write_json(args.out, bundle_to_json_dict(bundle))
     data = {
         "base_counts": list(base.counts),
         "cocycle": list(u.values),
@@ -236,7 +236,7 @@ def cmd_minimize(args) -> Report:
     system = _load_bundle(args.bundle)
     selection = _load_selection(args.selection) if args.selection else default_selection(system)
     minimal = minimize(system, selection)
-    write_json(args.out, bundle_to_json_dict(minimal.as_local_system()))
+    write_json(args.out, bundle_to_json_dict(minimal))
     data = {
         "selection": {str(v): b for v, b in sorted(selection.items())},
         "stalks": {
@@ -254,7 +254,6 @@ def cmd_gen_surface(args) -> Report:
     orientation = parity_check(base, fm)
     u = cocycle_for_chern(base, fm, args.chern, seed=args.place_seed)
     bundle = minimal_from_cocycle(base, u)
-    system = bundle.as_local_system()
     data = {
         "base_counts": list(base.counts),
         "triangle_split": [orientation.positives, orientation.negatives],
@@ -273,11 +272,11 @@ def cmd_gen_surface(args) -> Report:
         f"cocycle for chern {args.chern}: {list(u.values)}",
     ]
     if args.out:
-        write_json(args.out, bundle_to_json_dict(system))
+        write_json(args.out, bundle_to_json_dict(bundle))
         data["out"] = args.out
         lines.append(f"bundle written to {args.out}")
     if args.verify:
-        asm = assemble(system)
+        asm = assemble(bundle.as_local_system())
         h = homology_groups(asm.total)
         achieved = chern_number(chern_cocycle(bundle), fm)
         checks = {

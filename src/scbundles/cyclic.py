@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -149,20 +149,20 @@ def c01(theta: CircularPermutation) -> int:
     return 0 if theta.word == (0, 1, 2) else 1
 
 
-def _sc_words(k: int) -> Iterator[tuple[int, ...]]:
-    for rest in permutations(range(1, k + 1)):
-        yield (0,) + rest
-
-
-def enumerate_sc(k: int) -> tuple[CircularPermutation, ...]:
-    """All circular permutations of 0..k in lexicographic order of the
-    canonical word; there are k! of them, for k at most ``MAX_SC_K``."""
+@lru_cache(maxsize=None)
+def _sc_words(k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         raise ValueError("alphabet top must be nonnegative")
     if k > MAX_SC_K:
         raise EnumerationBound(
             f"enumeration of circular permutations capped at top {MAX_SC_K}, got {k}"
         )
+    return tuple((0,) + rest for rest in permutations(range(1, k + 1)))
+
+
+def enumerate_sc(k: int) -> tuple[CircularPermutation, ...]:
+    """All circular permutations of 0..k in lexicographic order of the
+    canonical word; there are k! of them, for k at most ``MAX_SC_K``."""
     return tuple(CircularPermutation(w) for w in _sc_words(k))
 
 
@@ -248,6 +248,21 @@ def insertion_extend(fam: TripleOrderFamily) -> CircularPermutation:
 # -- horn lifting ------------------------------------------------------
 
 
+def _exchange_holds(lower: tuple[int, ...], upper: tuple[int, ...], i: int, m: int) -> bool:
+    """Whether facets i < m of a horn agree on their common face: face
+    m - 1 of the former must equal face i of the latter."""
+    return _cp_face(lower, m - 1) == _cp_face(upper, i)
+
+
+@lru_cache(maxsize=None)
+def _lift_table(k: int) -> dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    # facet words (d_0 w, ..., d_k w) -> the words w of SC(k) above them
+    table: dict = {}
+    for w in _sc_words(k):
+        table.setdefault(tuple(_cp_face(w, i) for i in range(k + 1)), []).append(w)
+    return table
+
+
 def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation]:
     """All circular permutations whose faces are the given facet family.
 
@@ -265,53 +280,54 @@ def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation
             raise MismatchedCarriers(
                 f"facet {j} should be a circular permutation of 0..{k - 1}"
             )
-    for i in range(k):
-        for j in range(i, k):
-            left = facets[i].face(j) if k >= 2 else None
-            right = facets[j + 1].face(i) if k >= 2 else None
-            if k >= 2 and left != right:
+    words = tuple(th.word for th in facets)
+    if k >= 2:
+        for i, m in combinations(range(k + 1), 2):
+            if not _exchange_holds(words[i], words[m], i, m):
                 raise IncompatibleFamily(
-                    f"faces disagree between facets {i} and {j + 1}: "
-                    f"face {j} of the former is {left}, "
-                    f"face {i} of the latter is {right}"
+                    f"faces disagree between facets {i} and {m}: "
+                    f"face {m - 1} of the former is {facets[i].face(m - 1)}, "
+                    f"face {i} of the latter is {facets[m].face(i)}"
                 )
-    out = []
-    for theta in enumerate_sc(k):
-        if all(theta.face(i) == facets[i] for i in range(k + 1)):
-            out.append(theta)
-    return out
+    return [CircularPermutation(w) for w in _lift_table(k).get(words, ())]
 
 
 def kan_survey(k: int) -> dict:
     """Exhaustive lifting census over all facet families in dimension k.
 
-    Every (k+1)-tuple of circular permutations of 0..k-1 is tried;
-    families failing the pairwise exchange precheck count as
-    incompatible.  Returns the family total, the compatible count, and a
+    A family is a (k+1)-tuple of circular permutations of 0..k-1, so
+    there are ((k-1)!)^(k+1) of them.  The compatible ones, those passing
+    the pairwise exchange precheck, are found by extending families one
+    facet at a time and keeping facet m only if it agrees with every
+    earlier facet; they come out in the lexicographic order of the
+    tuples.  Returns the family total, the compatible count, and a
     histogram of lift counts over compatible families.
     """
     if k < 2:
         raise MismatchedCarriers("the lifting census needs dimension >= 2")
-    elems = enumerate_sc(k - 1)
-    total = len(elems) ** (k + 1)
+    words = _sc_words(k - 1)
+    total = len(words) ** (k + 1)
     if total > 1_000_000:
         raise EnumerationBound(
             f"census over {total} facet families is out of reach"
         )
-    compatible = 0
+    families: list[tuple[tuple[int, ...], ...]] = [()]
+    for m in range(k + 1):
+        families = [
+            fam + (w,)
+            for fam in families
+            for w in words
+            if all(_exchange_holds(fam[i], w, i, m) for i in range(m))
+        ]
+    table = _lift_table(k)
     histogram: dict[int, int] = {}
-    for facets in product(elems, repeat=k + 1):
-        try:
-            lifts = kan_lifts(facets)
-        except IncompatibleFamily:
-            continue
-        compatible += 1
-        n = len(lifts)
+    for fam in families:
+        n = len(table.get(fam, ()))
         histogram[n] = histogram.get(n, 0) + 1
     return {
         "dimension": k,
         "families": total,
-        "compatible": compatible,
+        "compatible": len(families),
         "lift_counts": histogram,
     }
 

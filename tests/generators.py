@@ -1,4 +1,4 @@
-"""Shared generators for randomized suites.
+"""Shared generators for randomized suites, and a wall-clock budget.
 
 Everything is seeded by the caller; no test should draw from global
 random state.
@@ -7,6 +7,7 @@ random state.
 from __future__ import annotations
 
 import random
+import time
 
 from scbundles import (
     IntCochain,
@@ -77,3 +78,21 @@ def random_system(
 def grid_torus(n):
     """The n x n grid torus, the library's named base ``torus:n``."""
     return named_base(f"torus:{n}")
+
+
+class Budget:
+    """Context manager asserting the block finished inside its budget."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        if exc[0] is None:
+            elapsed = time.perf_counter() - self.start
+            assert elapsed < self.seconds, (
+                f"budget {self.seconds}s exceeded: {elapsed:.2f}s"
+            )

@@ -6,7 +6,6 @@ budget; run with -v to get one pass/fail line per criterion.
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -45,25 +44,7 @@ from scbundles import (
     systems_equivalent,
 )
 from scbundles._json import canonical_dumps
-from generators import random_binary_cocycle, random_necklace, random_system
-
-
-class Budget:
-    """Context manager asserting the block finished inside its budget."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if exc[0] is None:
-            elapsed = time.perf_counter() - self.start
-            assert elapsed < self.seconds, (
-                f"budget {self.seconds}s exceeded: {elapsed:.2f}s"
-            )
+from generators import Budget, random_binary_cocycle, random_necklace, random_system
 
 
 # (f0, f1, f2, f3) -> (chern number, extension word over the solid

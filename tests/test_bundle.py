@@ -592,6 +592,13 @@ class TestSerialization:
             for (q, idx), th in m.stalks.items()
         }
 
+    def test_minimal_bundle_written_unexpanded(self):
+        for u in ((1, 0), (0, 0)):
+            m = minimal_from_cocycle(delta_torus(), IntCochain(2, u))
+            assert canonical_dumps(bundle_to_json_dict(m)) == canonical_dumps(
+                bundle_to_json_dict(m.as_local_system())
+            )
+
     @pytest.mark.parametrize(
         "mutate",
         [

@@ -25,6 +25,8 @@ from scbundles import (
 from scbundles.bundle import _arc_table
 from scbundles.cyclic import MAX_SC_K
 
+from generators import Budget
+
 
 class TestCircularWords:
     def test_canonical_form(self):
@@ -210,6 +212,56 @@ class TestParity:
         assert successes == math.factorial(top)
 
 
+def _lifts_oracle(facets):
+    """Lifts of a facet family object by object: the exchange precheck on
+    `CircularPermutation.face`, then a filter of all of SC(k)."""
+    k = len(facets) - 1
+    for i in range(k):
+        for j in range(i, k):
+            left, right = facets[i].face(j), facets[j + 1].face(i)
+            if left != right:
+                raise IncompatibleFamily(
+                    f"faces disagree between facets {i} and {j + 1}: "
+                    f"face {j} of the former is {left}, "
+                    f"face {i} of the latter is {right}"
+                )
+    return [
+        th for th in enumerate_sc(k)
+        if all(th.face(i) == facets[i] for i in range(k + 1))
+    ]
+
+
+def _census_oracle(k):
+    """Every facet family of dimension k with its oracle outcome, in the
+    lexicographic order of the tuples, and the census built from them."""
+    outcomes = []
+    compatible = 0
+    histogram = {}
+    for facets in itertools.product(enumerate_sc(k - 1), repeat=k + 1):
+        try:
+            lifts = _lifts_oracle(facets)
+        except IncompatibleFamily as exc:
+            outcomes.append((facets, (IncompatibleFamily, str(exc))))
+            continue
+        outcomes.append((facets, lifts))
+        compatible += 1
+        histogram[len(lifts)] = histogram.get(len(lifts), 0) + 1
+    survey = {
+        "dimension": k,
+        "families": len(outcomes),
+        "compatible": compatible,
+        "lift_counts": histogram,
+    }
+    return outcomes, survey
+
+
+def _lifts_outcome(facets):
+    try:
+        return kan_lifts(facets)
+    except IncompatibleFamily as exc:
+        return (type(exc), str(exc))
+
+
 class TestKan:
     def test_dimension_two(self):
         edge = CircularPermutation((0, 1))
@@ -258,6 +310,19 @@ class TestKan:
             kan_survey(5)
         with pytest.raises(MismatchedCarriers):
             kan_survey(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_survey_matches_object_oracle(self, k):
+        outcomes, expected = _census_oracle(k)
+        survey = kan_survey(k)
+        assert survey == expected
+        assert list(survey["lift_counts"].items()) == list(expected["lift_counts"].items())
+        for facets, want in outcomes:
+            assert _lifts_outcome(facets) == want
+
+    def test_census_budget(self):
+        with Budget(0.05):
+            assert kan_survey(4)["compatible"] == 24
 
 
 class TestNecklace:

@@ -8,9 +8,11 @@ stdout names its `--out` path, so only its file is digested.  A second
 table pins the spindle moves: the digest of the bundle file written
 after a seeded chain of subdivides and contractions.  A third table
 pins outputs the first two do not reach: `gen-surface --json` reports,
-which carry the whole cocycle list, the `kan-check 3` and `hexagram`
-reports, and the total-space file of a Chern-3 bundle over `torus:16`,
-the largest face and projection tables in the suite.
+which carry the whole cocycle list, the `kan-check 2`, `kan-check 3`,
+`kan-check 4` and `hexagram` reports, and the total-space file of a
+Chern-3 bundle over `torus:16`, the largest face and projection tables
+in the suite.  The `kan-check 2` and `kan-check 4` digests were taken
+before the census ran on cached face tables.
 
 A change meant to keep outputs identical (a performance change, say)
 must pass unchanged.  To print the table for the current code, run
@@ -124,7 +126,12 @@ def output_digests(tmp: Path) -> dict[str, str]:
         code, stdout = _run(["gen-surface", "--base", base, "--chern", chern, "--json"])
         assert code == 0, stdout
         out[f"gen-surface/{base}/{chern}"] = _digest(stdout)
-    for name, argv in (("kan-check/3", ["kan-check", "3"]), ("hexagram", ["hexagram"])):
+    for name, argv in (
+        ("kan-check/2", ["kan-check", "2"]),
+        ("kan-check/3", ["kan-check", "3"]),
+        ("kan-check/4", ["kan-check", "4"]),
+        ("hexagram", ["hexagram"]),
+    ):
         code, stdout = _run([*argv, "--json"])
         assert code == 0, stdout
         out[name] = _digest(stdout)
@@ -244,7 +251,9 @@ OUTPUTS: dict[str, str] = {
     'gen-surface/tetra/-2': 'ac2f3a6971c67e24db493c6acb1f6a63197333e5c6ddc62d1f9e75208570740d',
     'gen-surface/octahedron/3': '69362c11d25de9cf15874dff1c0e5d2366e3672747d6b711d42234a90749b7b0',
     'gen-surface/torus:16/3': '5a29770fdf7d2e9e0e07bd9578e9b60cedb7ec991bed302f14a7f887a5182762',
+    'kan-check/2': '2792439414f6fab50074c0ccc02798584acacdcd6bdc6806d0a35c47506a08d0',
     'kan-check/3': 'c67135a3d966b89eba9b268e7db29fbdf292c7f25eede64f11019ff1420e6415',
+    'kan-check/4': 'e63402c206c33d1f03a66e500efc342d081c1489b2b68297695bca396ff303cf',
     'hexagram': '74988b94d5f33205d9cc7e4d28384692d3044699c0e339bf9d6c1afec3e86e83',
     'assemble/torus:16/3': '6906a8af18807ea4aa7f2560889c4a330ef45f3cf8d8ec26c04aa720af8140e2',
 }
