@@ -11,6 +11,7 @@ exits nonzero as well.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -408,7 +409,10 @@ def cmd_verify(args) -> Report:
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves
+    no state in it, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="scbundles",
         description="Triangulated circle bundles over semi-simplicial bases.",

@@ -9,14 +9,21 @@ during elimination without overflow.
 Homology reduces each boundary operator as a list of sparse columns: it
 eliminates +-1 pivots with unimodular column operations, each of which
 contributes a unit to the Smith diagonal, and runs dense Smith normal
-form only on the small block left when no unit entry remains.
+form only on the small block left when no unit entry remains.  The
+boundaries are reduced from the top dimension down, and each one skips
+the columns whose simplices were unit pivot rows of the boundary above:
+since the boundary squares to zero, those columns lie in the integer span
+of the others.  This is the clearing step of Chen and Kerber,
+*Persistent homology computation with a twist* (EuroCG 2011); over the
+integers it is a reduction pair in the sense of Kaczynski, Mrozek and
+Slusarek, *Homology computation by reduction of chain complexes* (1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from ._json import json_int
 from .errors import (
@@ -283,19 +290,22 @@ class HomologyGroups:
 
 
 def _rank_and_torsion(
-    columns: Sequence[Mapping[int, int]],
-) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors above 1 of a matrix of sparse columns.
+    columns: Sequence[Mapping[int, int]], cleared: AbstractSet[int] = frozenset()
+) -> tuple[int, tuple[int, ...], set[int]]:
+    """Rank, invariant factors above 1 and unit pivot rows of a matrix of
+    sparse columns, leaving out the columns numbered in ``cleared``.
 
     A +-1 pivot is taken from the row with the fewest nonzeros, in the
     shortest column holding a unit there; the rest of its row is cleared
     by column operations, and its row and column are dropped.  Every step is
     unimodular and adds a 1 to the Smith diagonal, so dense Smith normal
     form of what is left when no unit entry remains gives the other
-    invariant factors.
+    invariant factors.  The returned set holds one row per unit pivot.
     """
     cols = {}
     for c, col in enumerate(columns):
+        if c in cleared:
+            continue
         nonzero = {r: v for r, v in col.items() if v}
         if nonzero:
             cols[c] = nonzero
@@ -305,7 +315,7 @@ def _rank_and_torsion(
             rows.setdefault(r, set()).add(c)
     heap = [(len(cs), r) for r, cs in rows.items()]
     heapify(heap)
-    units = 0
+    pivot_rows: set[int] = set()
     while heap:
         size, r = heappop(heap)
         cs = rows.get(r)
@@ -340,14 +350,15 @@ def _rank_and_torsion(
                 heappush(heap, (len(rows[r2]), r2))
             else:
                 del rows[r2]
-        units += 1
+        pivot_rows.add(r)
     index = {r: i for i, r in enumerate(rows)}
     block = IntMatrix(len(index), len(cols))
     for j, col in enumerate(cols.values()):
         for r, v in col.items():
             block.data[index[r]][j] = v
     snf = smith_normal_form(block)
-    return units + snf.rank, tuple(d for d in snf.diagonal if d > 1)
+    torsion = tuple(d for d in snf.diagonal if d > 1)
+    return len(pivot_rows) + snf.rank, torsion, pivot_rows
 
 
 def chain_homology(
@@ -359,13 +370,26 @@ def chain_homology(
     ``boundaries[q - 1]`` lists the columns of the q-th boundary
     operator, one ``{row: value}`` dict per generator of dimension q;
     zero values are ignored.  The top boundary is taken to be zero.
+
+    The operators must form a complex: the q-th boundary after the
+    (q + 1)-th is zero.  They are reduced from the top down, and the q-th
+    skips the column of every generator that was a unit pivot row of the
+    (q + 1)-th.  If a reduced column z of the (q + 1)-th boundary has its
+    unit pivot at row r, then z is +-e_r plus later pivot rows plus rows
+    never pivoted, and the q-th boundary of z is zero; so by induction from
+    the last pivot, column r lies in the integer span of the columns kept.
+    Dropping it is a triangular basis change with +-1 on the diagonal,
+    which keeps the rank and the invariant factors.  This is the clearing
+    step of Chen and Kerber (EuroCG 2011), a reduction pair in the sense
+    of Kaczynski, Mrozek and Slusarek (1998).
     """
     if len(boundaries) != len(counts) - 1:
         raise ValueError("need one boundary operator per positive dimension")
     ranks = [0] * (len(counts) + 1)
     torsions: list[tuple[int, ...]] = [()] * (len(counts) + 1)
-    for q, columns in enumerate(boundaries, start=1):
-        ranks[q], torsions[q] = _rank_and_torsion(columns)
+    cleared: AbstractSet[int] = frozenset()
+    for q in range(len(boundaries), 0, -1):
+        ranks[q], torsions[q], cleared = _rank_and_torsion(boundaries[q - 1], cleared)
     return HomologyGroups(
         tuple(
             (counts[q] - ranks[q] - ranks[q + 1], torsions[q + 1])

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bundle import MinimalBundle, NecklaceLocalSystem, chern_cocycle
-from .cyclic import CircularPermutation, Necklace
+from .bundle import MinimalBundle, NecklaceLocalSystem
+from .cyclic import CircularPermutation, Necklace, c01
 from .errors import BeadNotFound, DanglingReference, IncoherentLocalSystem, LastArc
 from .homology import IntCochain
 
@@ -144,39 +144,57 @@ def validate_selection(system: NecklaceLocalSystem, selection: ArcSelection) -> 
             )
 
 
+def _checked_selection(
+    system: NecklaceLocalSystem, selection: ArcSelection | None
+) -> ArcSelection:
+    if selection is None:
+        selection = default_selection(system)
+    validate_selection(system, selection)
+    return selection
+
+
+def _kept_word(
+    system: NecklaceLocalSystem, selection: ArcSelection, q: int, idx: int
+) -> CircularPermutation:
+    """The circular permutation left over simplex (q, idx) once every
+    non-selected bead is contracted.
+
+    A stalk with one bead per color keeps it; any other stalk keeps, at
+    each vertex position p, the embedded image of the bead selected over
+    the vertex at p, and the kept beads in circular order give the word.
+    """
+    neck = system.stalks[(q, idx)]
+    if neck.size == q + 1:
+        return neck.to_circular()
+    base = system.base
+    kept = {
+        system.vertex_embedding(q, idx, p)[selection[base.vertex_at(q, idx, p)]]
+        for p in range(q + 1)
+    }
+    return CircularPermutation(tuple(c for b, c in neck.beads() if b in kept))
+
+
 def minimize(
     system: NecklaceLocalSystem, selection: ArcSelection | None = None
 ) -> MinimalBundle:
     """The minimal bundle left by contracting every non-selected bead.
 
-    It is computed in one pass rather than by a chain of contractions: a
-    stalk with one bead per color keeps it, and any other stalk keeps, at
-    each vertex position p, the embedded image of the bead selected over
-    the vertex at p; the kept beads, read in circular order, give the
-    circular permutation.
+    It is computed in one pass, stalk by stalk, rather than by a chain of
+    contractions.
     """
-    if selection is None:
-        selection = default_selection(system)
-    validate_selection(system, selection)
-    base = system.base
-    words = {}
-    for (q, idx), neck in system.stalks.items():
-        if neck.size == q + 1:
-            words[(q, idx)] = neck.to_circular()
-            continue
-        kept = {
-            system.vertex_embedding(q, idx, p)[selection[base.vertex_at(q, idx, p)]]
-            for p in range(q + 1)
-        }
-        words[(q, idx)] = CircularPermutation(
-            tuple(c for b, c in neck.beads() if b in kept)
-        )
-    return MinimalBundle(base, words, check=False)
+    selection = _checked_selection(system, selection)
+    words = {key: _kept_word(system, selection, *key) for key in system.stalks}
+    return MinimalBundle(system.base, words, check=False)
 
 
 def chern_cocycle_general(
     system: NecklaceLocalSystem, selection: ArcSelection | None = None
 ) -> IntCochain:
     """Triangle parities after reduction; selection-dependent as a
-    cochain but always in one cohomology class."""
-    return chern_cocycle(minimize(system, selection))
+    cochain but always in one cohomology class.  Only the triangle words
+    of the minimal bundle are built."""
+    selection = _checked_selection(system, selection)
+    return IntCochain(2, tuple(
+        c01(_kept_word(system, selection, 2, idx))
+        for idx in system.base.simplices(2)
+    ))

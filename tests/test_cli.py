@@ -22,7 +22,7 @@ from scbundles import (
     named_base,
     subdivide,
 )
-from scbundles.cli import main
+from scbundles.cli import build_parser, main
 from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
 
 
@@ -402,6 +402,35 @@ def run_module(cwd, *argv):
         [sys.executable, "-m", "scbundles", *argv],
         capture_output=True, text=True, cwd=cwd, env=env,
     )
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
+    """``main`` shares one parser across calls; a bad argument in between
+    leaves nothing behind that changes a later command's output."""
+    bundle = tmp_path / "b.json"
+    assert run(capsys, "gen-surface", "--base", "torus:4", "--chern", "3",
+               "--out", str(bundle))[0] == 0
+    sequence = [
+        ("hexagram", "--json"),
+        ("kan-check", "--no-such-flag"),
+        ("kan-check", "4", "--json"),
+        ("verify", "--bundle", str(bundle), "--json"),
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        child = run_module(tmp_path, *argv)
+        assert (code, out) == (child.returncode, child.stdout)
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
 
 
 def _wrap_bead_map_target(doc):

@@ -313,6 +313,27 @@ class TestGeneralChern:
         assert chern_number(chern_cocycle_general(system), fm) == start
 
 
+    def test_matches_chern_of_the_minimized_bundle(self):
+        # only the triangle words are built; they agree with the whole
+        # minimal bundle for any selection
+        rng = random.Random(29)
+        for _ in range(80):
+            system = random_system(rng, max_subdivisions=5)
+            random_pick = {
+                v: rng.choice(system.stalk(0, v).ids)
+                for v in system.base.simplices(0)
+            }
+            for selection in (None, random_pick):
+                assert chern_cocycle_general(system, selection) == chern_cocycle(
+                    minimize(system, selection)
+                )
+
+    def test_rejects_a_missing_bead(self):
+        system = subdivide(doubled_interval(), 0, 0)
+        with pytest.raises(BeadNotFound):
+            chern_cocycle_general(system, {0: 95, 1: system.stalk(0, 1).ids[0]})
+
+
 class TestHomologyInvariance:
     def test_total_homology_stable_under_moves(self):
         base = boundary_sphere(3)
