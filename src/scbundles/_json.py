@@ -113,10 +113,14 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise MalformedFile(f"{path}: JSON nested too deeply") from exc

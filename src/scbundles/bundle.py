@@ -380,23 +380,19 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
                 starts.append(len(entries))
                 h0 = first_h[q][idx]
                 ref = SimplexRef(q, idx)
-                # face m lies over face m or m - 1, which the bead survives
+                # faces j and j + 1 are the bead's two horizontal ends; face
+                # m < j lies over face m, and m > j + 1 over face m - 1
                 lower = [
                     (first_v[q - 1][f], below_arcs[idx][fm])
                     for fm, f in enumerate(base.face_row(q, idx) if q else ())
                 ]
                 for pos, j in enumerate(neck.colors):
                     entries.append((ref, degeneracies[j]))
-                    row = []
-                    for m in range(p + 1):
-                        if m == j:
-                            row.append(h0 + pos)
-                        elif m == j + 1:
-                            row.append(h0 + (pos - 1) % neck.size)
-                        else:
-                            start, table = lower[m if m < j else m - 1]
-                            row.append(start + table[pos])
-                    rows.append(row)
+                    rows.append(
+                        [start + table[pos] for start, table in lower[:j]]
+                        + [h0 + pos, h0 + (pos - 1) % neck.size]
+                        + [start + table[pos] for start, table in lower[j + 1:]]
+                    )
             first_v.append(starts)
             faces.append(rows)
         proj_table.append(tuple(entries))

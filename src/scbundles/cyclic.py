@@ -28,7 +28,7 @@ from .errors import (
     LastColor,
     MismatchedCarriers,
 )
-from .homology import HomologyGroups, chain_homology
+from .homology import HomologyGroups, _face_column, chain_homology
 
 __all__ = [
     "CircularPermutation",
@@ -438,18 +438,14 @@ def sc_normalized_homology(max_dim: int = 3):
     for k in range(max_dim + 1):
         nondeg.append([th for th in enumerate_sc(k) if not th.is_degenerate()])
     counts = tuple(len(level) for level in nondeg)
-    boundaries = []
-    for q in range(1, max_dim + 1):
-        index = {th: r for r, th in enumerate(nondeg[q - 1])}
-        columns = []
-        for th in nondeg[q]:
-            col: dict[int, int] = {}
-            for i in range(q + 1):
-                r = index.get(th.face(i))
-                if r is not None:
-                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
-            columns.append(col)
-        boundaries.append(columns)
+    index = [{th: r for r, th in enumerate(level)} for level in nondeg[:-1]]
+
+    def column(q, c):
+        th = nondeg[q][c]
+        col = _face_column([index[q - 1].get(th.face(i)) for i in range(q + 1)])
+        col.pop(None, None)  # a degenerate face is zero in normalized chains
+        return col
+
     # the top boundary is unknown here, so the top group is dropped
-    h = chain_homology(counts, boundaries)
+    h = chain_homology(counts, column)
     return counts, HomologyGroups(h.groups[:max_dim])

@@ -6,24 +6,25 @@ for cohomologous pairs, and fundamental classes of closed oriented
 surfaces.  Everything runs on Python integers, so entries may grow freely
 during elimination without overflow.
 
-Homology reduces each boundary operator as a list of sparse columns: it
-eliminates +-1 pivots with unimodular column operations, each of which
-contributes a unit to the Smith diagonal, and runs dense Smith normal
-form only on the small block left when no unit entry remains.  The
-boundaries are reduced from the top dimension down, and each one skips
-the columns whose simplices were unit pivot rows of the boundary above:
-since the boundary squares to zero, those columns lie in the integer span
-of the others.  This is the clearing step of Chen and Kerber,
-*Persistent homology computation with a twist* (EuroCG 2011); over the
-integers it is a reduction pair in the sense of Kaczynski, Mrozek and
-Slusarek, *Homology computation by reduction of chain complexes* (1998).
+Homology reduces each boundary operator as sparse columns, built on
+demand from signed face rows: it eliminates +-1 pivots with unimodular
+column operations, each of which contributes a unit to the Smith
+diagonal, and runs dense Smith normal form only on the small block left
+when no unit entry remains.  The boundaries are reduced from the top
+dimension down, and each one never builds the columns whose simplices
+were unit pivot rows of the boundary above: since the boundary squares
+to zero, those columns lie in the integer span of the others.  This is
+the clearing step of Chen and Kerber, *Persistent homology computation
+with a twist* (EuroCG 2011); over the integers it is a reduction pair in
+the sense of Kaczynski, Mrozek and Slusarek, *Homology computation by
+reduction of chain complexes* (1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import AbstractSet, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._json import json_int
 from .errors import (
@@ -289,11 +290,20 @@ class HomologyGroups:
         )
 
 
+def _face_column(row: Sequence[int]) -> dict[int, int]:
+    """Signed boundary of one simplex from its face row: face i counts
+    (-1)^i, summed where a face repeats."""
+    col: dict[int, int] = {}
+    for i, r in enumerate(row):
+        col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+    return col
+
+
 def _rank_and_torsion(
-    columns: Sequence[Mapping[int, int]], cleared: AbstractSet[int] = frozenset()
+    columns: Iterable[Mapping[int, int]],
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """Rank, invariant factors above 1 and unit pivot rows of a matrix of
-    sparse columns, leaving out the columns numbered in ``cleared``.
+    sparse columns.
 
     A +-1 pivot is taken from the row with the fewest nonzeros, in the
     shortest column holding a unit there; the rest of its row is cleared
@@ -304,8 +314,6 @@ def _rank_and_torsion(
     """
     cols = {}
     for c, col in enumerate(columns):
-        if c in cleared:
-            continue
         nonzero = {r: v for r, v in col.items() if v}
         if nonzero:
             cols[c] = nonzero
@@ -362,34 +370,35 @@ def _rank_and_torsion(
 
 
 def chain_homology(
-    counts: Sequence[int], boundaries: Sequence[Sequence[Mapping[int, int]]]
+    counts: Sequence[int], column: Callable[[int, int], Mapping[int, int]]
 ) -> HomologyGroups:
     """Integral homology of a chain complex of free abelian groups.
 
     ``counts[q]`` is the rank of the chain group in dimension q, and
-    ``boundaries[q - 1]`` lists the columns of the q-th boundary
-    operator, one ``{row: value}`` dict per generator of dimension q;
+    ``column(q, c)`` returns column c of the q-th boundary operator, the
+    boundary of generator c of dimension q, as a ``{row: value}`` dict;
     zero values are ignored.  The top boundary is taken to be zero.
 
     The operators must form a complex: the q-th boundary after the
-    (q + 1)-th is zero.  They are reduced from the top down, and the q-th
-    skips the column of every generator that was a unit pivot row of the
-    (q + 1)-th.  If a reduced column z of the (q + 1)-th boundary has its
-    unit pivot at row r, then z is +-e_r plus later pivot rows plus rows
-    never pivoted, and the q-th boundary of z is zero; so by induction from
-    the last pivot, column r lies in the integer span of the columns kept.
-    Dropping it is a triangular basis change with +-1 on the diagonal,
-    which keeps the rank and the invariant factors.  This is the clearing
-    step of Chen and Kerber (EuroCG 2011), a reduction pair in the sense
-    of Kaczynski, Mrozek and Slusarek (1998).
+    (q + 1)-th is zero.  They are reduced from the top down, and
+    ``column`` is never called for a generator of dimension q that was a
+    unit pivot row of the (q + 1)-th boundary.  If a reduced column z of
+    the (q + 1)-th boundary has its unit pivot at row r, then z is +-e_r
+    plus later pivot rows plus rows never pivoted, and the q-th boundary
+    of z is zero; so by induction from the last pivot, column r lies in
+    the integer span of the columns kept.  Dropping it is a triangular
+    basis change with +-1 on the diagonal, which keeps the rank and the
+    invariant factors.  This is the clearing step of Chen and Kerber
+    (EuroCG 2011), a reduction pair in the sense of Kaczynski, Mrozek and
+    Slusarek (1998).
     """
-    if len(boundaries) != len(counts) - 1:
-        raise ValueError("need one boundary operator per positive dimension")
     ranks = [0] * (len(counts) + 1)
     torsions: list[tuple[int, ...]] = [()] * (len(counts) + 1)
-    cleared: AbstractSet[int] = frozenset()
-    for q in range(len(boundaries), 0, -1):
-        ranks[q], torsions[q], cleared = _rank_and_torsion(boundaries[q - 1], cleared)
+    cleared: set[int] = set()
+    for q in range(len(counts) - 1, 0, -1):
+        ranks[q], torsions[q], cleared = _rank_and_torsion(
+            column(q, c) for c in range(counts[q]) if c not in cleared
+        )
     return HomologyGroups(
         tuple(
             (counts[q] - ranks[q] - ranks[q + 1], torsions[q + 1])
@@ -400,16 +409,7 @@ def chain_homology(
 
 def homology_groups(x: SemiSimplicialSet) -> HomologyGroups:
     """Integral homology in every dimension of the carrier."""
-    boundaries = []
-    for q in range(1, x.top_dim + 1):
-        columns = []
-        for c in x.simplices(q):
-            col: dict[int, int] = {}
-            for i, r in enumerate(x.face_row(q, c)):
-                col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
-            columns.append(col)
-        boundaries.append(columns)
-    return chain_homology(x.counts, boundaries)
+    return chain_homology(x.counts, lambda q, c: _face_column(x.face_row(q, c)))
 
 
 def connected_component_count(x: SemiSimplicialSet) -> int:
@@ -487,13 +487,11 @@ def coboundary(x: SemiSimplicialSet, u: IntCochain) -> IntCochain:
     """(du)(y) = sum of (-1)^i u(face(y, i)) over the faces of y."""
     _check_carrier(x, u)
     q = u.dim + 1
-    out = []
-    for idx in x.simplices(q):
-        total = 0
-        for i, f in enumerate(x.face_row(q, idx)):
-            total += -u.values[f] if i % 2 else u.values[f]
-        out.append(total)
-    return IntCochain(q, tuple(out))
+    values = u.values
+    return IntCochain(q, tuple(
+        sum(v * values[f] for f, v in _face_column(x.face_row(q, idx)).items())
+        for idx in x.simplices(q)
+    ))
 
 
 def is_cocycle(x: SemiSimplicialSet, u: IntCochain) -> bool:
@@ -612,8 +610,8 @@ def fundamental_class(
         raise NotClosedSurface("triangle dual graph is not connected")
     boundary = [0] * x.simplex_count(1)
     for t, a in enumerate(coeff):
-        for i, e in enumerate(x.face_row(2, t)):
-            boundary[e] += -a if i % 2 else a
+        for e, v in _face_column(x.face_row(2, t)).items():
+            boundary[e] += a * v
     if any(boundary):
         raise NonOrientable("orienting cycle has nonzero boundary")
     return FundamentalClass(x, tuple(coeff), seed, sign)

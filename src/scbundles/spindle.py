@@ -134,7 +134,11 @@ def default_selection(system: NecklaceLocalSystem) -> dict[int, int]:
 
 
 def validate_selection(system: NecklaceLocalSystem, selection: ArcSelection) -> None:
-    for v in system.base.simplices(0):
+    vertices = system.base.simplices(0)
+    for v in selection:
+        if v not in vertices:
+            raise DanglingReference(f"selection names vertex {v}, which the base lacks")
+    for v in vertices:
         if v not in selection:
             raise BeadNotFound(f"selection keeps no bead over vertex {v}")
         if not system.stalk(0, v).has_bead(selection[v]):

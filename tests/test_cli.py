@@ -42,6 +42,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+# bytes that are not UTF-8, and an array nested past the parser's recursion
+UNREADABLE_JSON = {
+    "not-utf8": b'\xff\xfe{"dims":[1]}',
+    "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 class TestValidateAndHomology:
     def test_validate_named_base(self, capsys):
         code, out, _ = run(capsys, "validate", "octahedron")
@@ -68,6 +75,14 @@ class TestValidateAndHomology:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+    def test_unreadable_json_exit_3(self, capsys, tmp_path, name):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNREADABLE_JSON[name])
+        code, out, err = run(capsys, "homology", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {bad}: ")
 
     def test_unknown_base_exit_3(self, capsys):
         code, _, err = run(capsys, "homology", "no-such-base")
@@ -219,6 +234,28 @@ class TestPipeline:
         )
         assert code == exit_code
         assert err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("command", ["chern", "minimize"])
+    @pytest.mark.parametrize("vertex", ["99", "-1"])
+    def test_selection_naming_no_vertex_exit_4(self, capsys, tmp_path, command, vertex):
+        bundle = tmp_path / "b.json"
+        code, _, _ = run(
+            capsys, "gen-surface", "--base", "tetra", "--chern", "1",
+            "--out", str(bundle),
+        )
+        assert code == 0
+        keep = tmp_path / "keep.json"
+        write_json(keep, {**{str(v): 0 for v in range(4)}, vertex: 7})
+        out = tmp_path / "min.json"
+        extra = ["--out", str(out)] if command == "minimize" else []
+        code, stdout, err = run(
+            capsys, command, "--bundle", str(bundle), "--selection", str(keep),
+            *extra, "--json",
+        )
+        assert (code, stdout) == (4, "")
+        assert err == f"error: selection names vertex {vertex}, which the base lacks\n"
+        assert not out.exists()
 
 
 class TestGenSurface:
@@ -431,6 +468,15 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
         assert (code, out) == (child.returncode, child.stdout)
         codes.append(code)
     assert codes == [0, 2, 0, 0]
+
+
+def test_unreadable_json_exit_3_without_traceback(tmp_path):
+    for name, content in UNREADABLE_JSON.items():
+        (tmp_path / f"{name}.json").write_bytes(content)
+        proc = run_module(tmp_path, "homology", f"{name}.json")
+        assert proc.returncode == 3, name
+        assert proc.stderr.startswith(f"error: {name}.json: ")
+        assert "Traceback" not in proc.stderr
 
 
 def _wrap_bead_map_target(doc):
