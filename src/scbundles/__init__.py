@@ -14,7 +14,6 @@ from .errors import (
     EnumerationBound,
     IncoherentLocalSystem,
     IncompatibleFamily,
-    InconsistentTriples,
     InvalidComplex,
     LastArc,
     LastColor,
@@ -52,18 +51,14 @@ from .homology import (
     connected_component_count,
     fundamental_class,
     homology_groups,
-    is_cocycle,
     smith_normal_form,
     solve_linear,
-    zero_cochain,
 )
 from .cyclic import (
     CircularPermutation,
     Necklace,
-    TripleOrderFamily,
     c01,
     enumerate_sc,
-    insertion_extend,
     is_classical_necklace,
     kan_lifts,
     kan_survey,
@@ -80,7 +75,6 @@ from .bundle import (
     chern_cocycle,
     chern_number,
     check_projection_naturality,
-    elementary_bundle,
     elementary_system,
     is_classical_bundle,
     minimal_from_cocycle,

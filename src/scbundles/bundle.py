@@ -38,15 +38,12 @@ from ._json import json_int, key_int
 from .cyclic import (
     CircularPermutation,
     Necklace,
-    TripleOrderFamily,
     _cp_face,
     c01,
-    insertion_extend,
 )
 from .errors import (
     DanglingReference,
     IncoherentLocalSystem,
-    InconsistentTriples,
     MalformedFile,
     MismatchedCarriers,
     NotACocycle,
@@ -62,7 +59,6 @@ __all__ = [
     "SingularProjection",
     "assemble",
     "elementary_system",
-    "elementary_bundle",
     "minimal_from_cocycle",
     "chern_cocycle",
     "chern_number",
@@ -508,10 +504,6 @@ def elementary_system(neck: Necklace | CircularPermutation) -> NecklaceLocalSyst
     return NecklaceLocalSystem(base, stalks, bead_maps, check=False)
 
 
-def elementary_bundle(neck: Necklace | CircularPermutation) -> AssembledBundle:
-    return assemble(elementary_system(neck))
-
-
 # -- cocycles and minimal bundles --------------------------------------
 
 
@@ -533,9 +525,12 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
     """The minimal bundle whose triangle stalks realize the parity u.
 
     Stalks over vertices and edges are forced; a triangle gets the even
-    class for u = 0 and the odd class for u = 1; higher stalks are the
-    unique insertion extensions of the parities on their 2-faces, which
-    exist exactly because u is a cocycle.
+    class for u = 0 and the odd class for u = 1.  Above dimension 2 the
+    stalk is the unique horn filler over its faces: the stalk over face q
+    with color q inserted at the one gap where deleting each color i < q
+    gives the stalk over face i.  That gap exists exactly because u is a
+    cocycle, the binary form of Huntington's transitivity axiom for
+    cyclic orders, and it is unique because the faces fix every triple.
     """
     _require_binary_cocycle(base, u)
     stalks: dict[SimplexKey, CircularPermutation] = {}
@@ -549,17 +544,18 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
         stalks[(2, idx)] = parities[u.values[idx]]
     for q in range(3, base.top_dim + 1):
         for idx in base.simplices(q):
-            bits = {}
-            for triple in combinations(range(q + 1), 3):
-                bits[triple] = u.values[base.face_walk(q, idx, triple)[0]]
-            family = TripleOrderFamily.from_mapping(q, bits)
-            try:
-                stalks[(q, idx)] = insertion_extend(family)
-            except InconsistentTriples as exc:
+            faces = [stalks[(q - 1, f)].word for f in base.face_row(q, idx)]
+            below = faces[q]
+            for gap in range(1, q + 1):
+                word = below[:gap] + (q,) + below[gap:]
+                if all(_cp_face(word, i) == faces[i] for i in range(q)):
+                    break
+            else:
                 raise AssertionError(
-                    "cocycle condition held but insertion failed; "
-                    f"simplex {q}/{idx}: {exc}"
-                ) from exc
+                    f"no gap fits the faces of simplex {q}/{idx}, "
+                    "though u is a cocycle"
+                )
+            stalks[(q, idx)] = CircularPermutation(word)
     return MinimalBundle(base, stalks, check=False)
 
 

@@ -1,4 +1,5 @@
-"""Circular permutations, necklaces, and the cyclic order engine.
+"""Circular permutations, necklaces, horn lifting and the complex SC of
+circular permutations.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -19,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from .errors import (
     EnumerationBound,
     IncompatibleFamily,
-    InconsistentTriples,
     LastColor,
     MismatchedCarriers,
 )
@@ -36,8 +36,6 @@ __all__ = [
     "c01",
     "enumerate_sc",
     "MAX_SC_K",
-    "TripleOrderFamily",
-    "insertion_extend",
     "kan_lifts",
     "kan_survey",
     "is_classical_necklace",
@@ -120,25 +118,12 @@ class CircularPermutation:
         w = self.word
         return any(a + 1 == b for a, b in zip(w, w[1:]))
 
-    def triple_bit(self, a: int, b: int, c: int) -> int:
-        """Induced cyclic order of a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
-        if not a < b < c:
-            raise ValueError("triple must be strictly increasing")
-        return _induced_bit(self.word, a, b, c)
-
     def _check_color(self, i: int) -> None:
         if not 0 <= i <= self.top:
             raise ValueError(f"color {i} outside 0..{self.top}")
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.word) + ">"
-
-
-def _induced_bit(word: Iterable[int], a: int, b: int, c: int) -> int:
-    """Cyclic order a word induces on a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
-    sub = tuple(v for v in word if v in (a, b, c))
-    j = sub.index(a)
-    return 0 if sub[j:] + sub[:j] == (a, b, c) else 1
 
 
 def c01(theta: CircularPermutation) -> int:
@@ -164,85 +149,6 @@ def enumerate_sc(k: int) -> tuple[CircularPermutation, ...]:
     """All circular permutations of 0..k in lexicographic order of the
     canonical word; there are k! of them, for k at most ``MAX_SC_K``."""
     return tuple(CircularPermutation(w) for w in _sc_words(k))
-
-
-# -- triple orders and insertion --------------------------------------
-
-
-@dataclass(frozen=True)
-class TripleOrderFamily:
-    """A cyclic order bit for every triple of the ground set 0..top.
-
-    Bit 0 orders a < b < c as (a,b,c), bit 1 as (a,c,b).  Bits are stored
-    by lexicographic rank of the triple.
-    """
-
-    top: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        expected = len(list(combinations(range(self.top + 1), 3)))
-        if len(self.bits) != expected:
-            raise ValueError(
-                f"need {expected} bits for ground set 0..{self.top}, "
-                f"got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("triple order bits must be 0 or 1")
-
-    @classmethod
-    def from_mapping(cls, top: int, bits: Mapping[tuple[int, int, int], int]):
-        ordered = [bits[t] for t in combinations(range(top + 1), 3)]
-        return cls(top, tuple(ordered))
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
-        return zip(combinations(range(self.top + 1), 3), self.bits)
-
-
-def _violating_quadruple(
-    top: int, bits: Mapping[tuple[int, int, int], int]
-) -> tuple[int, ...] | None:
-    for a, b, c, d in combinations(range(top + 1), 4):
-        if bits[(b, c, d)] - bits[(a, c, d)] + bits[(a, b, d)] - bits[(a, b, c)]:
-            return (a, b, c, d)
-    return None
-
-
-def insertion_extend(fam: TripleOrderFamily) -> CircularPermutation:
-    """The unique circular permutation inducing a transitive triple family.
-
-    Elements 3..top are inserted one at a time into the single gap
-    consistent with every triple they join; afterwards all triples are
-    re-verified.  An inconsistent family raises with a quadruple
-    witnessing the transitivity failure.
-    """
-    if fam.top < 2:
-        raise ValueError("triple orders need a ground set of at least three")
-    bits = dict(fam.items())
-    word = [0, 1, 2] if bits[(0, 1, 2)] == 0 else [0, 2, 1]
-    for m in range(3, fam.top + 1):
-        spot = None
-        for gap in range(len(word)):
-            candidate = word[: gap + 1] + [m] + word[gap + 1 :]
-            if all(
-                _induced_bit(candidate, a, b, m) == bits[(a, b, m)]
-                for a, b in combinations(range(m), 2)
-            ):
-                spot = candidate
-                break
-        if spot is None:
-            quad = _violating_quadruple(fam.top, bits)
-            if quad is None:
-                raise AssertionError("insertion failed on a transitive family")
-            raise InconsistentTriples(quad)
-        word = spot
-    for (a, b, c), bit in bits.items():
-        if _induced_bit(word, a, b, c) != bit:
-            quad = _violating_quadruple(fam.top, bits)
-            if quad is None:
-                raise AssertionError("verification failed on a transitive family")
-            raise InconsistentTriples(quad)
-    return CircularPermutation(tuple(word))
 
 
 # -- horn lifting ------------------------------------------------------

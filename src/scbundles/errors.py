@@ -63,22 +63,6 @@ class BoundExceeded(ScbError):
     exit_code = 7
 
 
-class InconsistentTriples(ScbError):
-    """Triplewise cyclic orders that no circular permutation induces.
-
-    ``quadruple`` names four elements witnessing the transitivity failure.
-    """
-
-    exit_code = 8
-
-    def __init__(self, quadruple, message=None):
-        self.quadruple = tuple(quadruple)
-        super().__init__(
-            message
-            or f"intransitive cyclic orders witnessed by quadruple {self.quadruple}"
-        )
-
-
 class IncompatibleFamily(ScbError):
     """Facet data that fails the face-exchange precheck for lifting."""
 

@@ -46,11 +46,9 @@ __all__ = [
     "chain_homology",
     "homology_groups",
     "IntCochain",
-    "zero_cochain",
     "cochain_to_json_dict",
     "cochain_from_json_dict",
     "coboundary",
-    "is_cocycle",
     "cohomologous",
     "solve_linear",
     "FundamentalClass",
@@ -453,10 +451,6 @@ class IntCochain:
         )
 
 
-def zero_cochain(x: SemiSimplicialSet, q: int) -> IntCochain:
-    return IntCochain(q, (0,) * x.simplex_count(q))
-
-
 def cochain_to_json_dict(u: IntCochain) -> dict:
     return {"dim": u.dim, "values": list(u.values)}
 
@@ -494,10 +488,6 @@ def coboundary(x: SemiSimplicialSet, u: IntCochain) -> IntCochain:
     ))
 
 
-def is_cocycle(x: SemiSimplicialSet, u: IntCochain) -> bool:
-    return coboundary(x, u).is_zero()
-
-
 def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> list[int] | None:
     """One integer solution of m @ x = rhs, or None if there is none."""
     if len(rhs) != m.rows:
@@ -531,7 +521,7 @@ def cohomologous(
     if u1.dim != 2 or u2.dim != 2:
         raise MismatchedCarriers("cohomologous compares 2-cochains")
     for u in (u1, u2):
-        if not is_cocycle(x, u):
+        if not coboundary(x, u).is_zero():
             raise NotACocycle("input to cohomologous has nonzero coboundary")
     d = boundary_matrix(x, 2).transpose()
     sol = solve_linear(d, list((u1 - u2).values))

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping
 
 from ._json import json_int, key_int
-from .errors import EnumerationBound, InvalidComplex, MalformedFile
+from .errors import DanglingReference, EnumerationBound, InvalidComplex, MalformedFile
 
 __all__ = [
     "SemiSimplicialSet",
@@ -229,15 +229,28 @@ class SemiSimplicialSet:
                 raise MalformedFile(f"bad faces key {q_str!r}") from exc
             if not 1 <= q < len(dims):
                 raise MalformedFile(f"faces table for dimension {q} not matching 'dims'")
+        raw_labels = doc.get("labels", {})
+        if not isinstance(raw_labels, Mapping):
+            raise MalformedFile("'labels' must map dimension strings to name lists")
         labels = {}
-        try:
-            for q_str, names in (doc.get("labels") or {}).items():
+        for q_str, names in raw_labels.items():
+            try:
                 q = key_int(q_str)
-                for i, name in enumerate(names):
-                    if name is not None:
-                        labels[(q, i)] = str(name)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise MalformedFile("'labels' must map dimension strings to name lists") from exc
+            except ValueError as exc:
+                raise MalformedFile(f"bad labels key {q_str!r}") from exc
+            if not isinstance(names, list) or not all(
+                name is None or isinstance(name, str) for name in names
+            ):
+                raise MalformedFile(
+                    f"labels for dimension {q} must list names (strings or null)"
+                )
+            if not 0 <= q < len(dims) or len(names) > dims[q]:
+                raise DanglingReference(
+                    f"labels for dimension {q} name simplices the complex lacks"
+                )
+            for i, name in enumerate(names):
+                if name is not None:
+                    labels[(q, i)] = name
         return cls(dims[0], faces, labels=labels)
 
     # -- comparisons ---------------------------------------------------

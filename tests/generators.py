@@ -50,6 +50,25 @@ def random_binary_cocycle(base: SemiSimplicialSet, rng: random.Random) -> IntCoc
             return u
 
 
+def vertex_order_cocycle(base: SemiSimplicialSet, rng: random.Random) -> IntCochain:
+    """The parities a random cyclic order of the vertices induces on the
+    triangles: 0 where a triangle's vertices, in face order, run around
+    the circle, else 1.
+
+    It is the pullback of Huntington's cyclic order, so it is a cocycle
+    over any dimension, on bases whose simplices have distinct vertices;
+    ``random_binary_cocycle`` samples the whole cube and cannot reach
+    beyond ``simplex:4``.
+    """
+    place = list(range(base.simplex_count(0)))
+    rng.shuffle(place)
+    values = []
+    for idx in base.simplices(2):
+        a, b, c = (place[v] for v in base.vertices_of(2, idx))
+        values.append(0 if a < b < c or b < c < a or c < a < b else 1)
+    return IntCochain(2, tuple(values))
+
+
 BUNDLE_BASES = (
     standard_simplex(1),
     standard_simplex(2),

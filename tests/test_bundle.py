@@ -28,7 +28,6 @@ from scbundles import (
     chern_number,
     check_projection_naturality,
     delta_torus,
-    elementary_bundle,
     elementary_system,
     fundamental_class,
     homology_groups,
@@ -184,7 +183,7 @@ class TestAssembly:
         assert_assembly_clean(elementary_system(Necklace.from_colors(word)))
 
     def test_fiber_over_point(self):
-        asm = elementary_bundle(Necklace.from_colors((0, 0, 0)))
+        asm = assemble(elementary_system(Necklace.from_colors((0, 0, 0))))
         assert asm.total.counts == (3, 3)
         h = homology_groups(asm.total)
         assert str(h) == "H0=Z, H1=Z"

@@ -8,24 +8,26 @@ from scbundles import (
     CircularPermutation,
     EnumerationBound,
     IncompatibleFamily,
-    InconsistentTriples,
+    IntCochain,
     LastColor,
     MismatchedCarriers,
     Necklace,
-    TripleOrderFamily,
+    NotACocycle,
+    boundary_sphere,
     c01,
     elementary_system,
     enumerate_sc,
-    insertion_extend,
     is_classical_necklace,
     kan_lifts,
     kan_survey,
+    minimal_from_cocycle,
     sc_normalized_homology,
+    standard_simplex,
 )
 from scbundles.bundle import _arc_table
 from scbundles.cyclic import MAX_SC_K
 
-from generators import Budget
+from generators import Budget, vertex_order_cocycle
 
 
 class TestCircularWords:
@@ -159,57 +161,63 @@ class TestParity:
             c01(CircularPermutation((0, 1)))
 
     def test_triple_bits_reconstruct(self):
+        # a circular permutation is the top stalk of its own triple parities
         for k in range(2, 6):
+            base = standard_simplex(k)
+            triples = list(itertools.combinations(range(k + 1), 3))
             for th in enumerate_sc(k):
-                triples = itertools.combinations(range(k + 1), 3)
-                fam = TripleOrderFamily.from_mapping(
-                    k, {t: th.triple_bit(*t) for t in triples}
-                )
-                assert insertion_extend(fam) == th
-
-    def test_triple_bit_matches_restriction(self):
-        th = CircularPermutation((0, 3, 1, 4, 2))
-        for a, b, c in [(0, 1, 2), (1, 3, 4), (0, 2, 4)]:
-            keep = {a: 0, b: 1, c: 2}
-            word = tuple(keep[v] for v in th.word if v in keep)
-            assert th.triple_bit(a, b, c) == c01(CircularPermutation(word))
-
-    def test_inconsistent_family(self):
-        bits = {t: 0 for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]}
-        bits[(0, 1, 2)] = 1
-        fam = TripleOrderFamily.from_mapping(3, bits)
-        with pytest.raises(InconsistentTriples) as exc:
-            insertion_extend(fam)
-        assert exc.value.quadruple == (0, 1, 2, 3)
+                u = IntCochain(2, tuple(_induced(th.word, t) for t in triples))
+                assert minimal_from_cocycle(base, u).stalk(k, 0) == th
 
     @pytest.mark.parametrize("top", [3, 4])
     def test_insertion_succeeds_exactly_on_cocycles(self, top):
-        # Huntington's transitivity axiom is the cocycle law on 0/1 bits
-        def induced(word, t):
-            sub = [v for v in word if v in t]
-            j = sub.index(t[0])
-            return 0 if tuple(sub[j:] + sub[:j]) == t else 1
-
+        # Huntington's transitivity axiom is the cocycle law on 0/1 bits;
+        # the triangles of simplex:top are its triples in this order
+        base = standard_simplex(top)
         triples = list(itertools.combinations(range(top + 1), 3))
         quadruples = list(itertools.combinations(range(top + 1), 4))
         successes = 0
         for code in range(2 ** len(triples)):
             bits = {t: (code >> r) & 1 for r, t in enumerate(triples)}
-            violating = [
-                (a, b, c, d)
+            u = IntCochain(2, tuple(bits[t] for t in triples))
+            if any(
+                bits[(b, c, d)] - bits[(a, c, d)] + bits[(a, b, d)] - bits[(a, b, c)]
                 for a, b, c, d in quadruples
-                if bits[(b, c, d)] - bits[(a, c, d)] + bits[(a, b, d)] - bits[(a, b, c)]
-            ]
-            family = TripleOrderFamily.from_mapping(top, bits)
-            if violating:
-                with pytest.raises(InconsistentTriples) as exc:
-                    insertion_extend(family)
-                assert exc.value.quadruple == min(violating)
+            ):
+                with pytest.raises(NotACocycle):
+                    minimal_from_cocycle(base, u)
             else:
-                th = insertion_extend(family)
-                assert {t: induced(th.word, t) for t in triples} == bits
+                th = minimal_from_cocycle(base, u).stalk(top, 0)
+                assert {t: _induced(th.word, t) for t in triples} == bits
                 successes += 1
         assert successes == math.factorial(top)
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_every_stalk_induces_its_triangles(self, k):
+        rng = random.Random(k)
+        for base in (standard_simplex(k), boundary_sphere(k)):
+            u = vertex_order_cocycle(base, rng)
+            bundle = minimal_from_cocycle(base, u)
+            for q in range(2, base.top_dim + 1):
+                for idx in base.simplices(q):
+                    word = bundle.stalk(q, idx).word
+                    for t in itertools.combinations(range(q + 1), 3):
+                        triangle = base.face_walk(q, idx, t)[0]
+                        assert _induced(word, t) == u.values[triangle]
+
+    def test_lift_budget(self):
+        base = standard_simplex(12)
+        u = vertex_order_cocycle(base, random.Random(12))
+        with Budget(1.5):
+            minimal_from_cocycle(base, u)
+
+
+def _induced(word, t):
+    """The cyclic order a word induces on the triple t = (a, b, c) with
+    a < b < c: 0 for (a,b,c), 1 for (a,c,b)."""
+    sub = [v for v in word if v in t]
+    j = sub.index(t[0])
+    return 0 if tuple(sub[j:] + sub[:j]) == t else 1
 
 
 def _lifts_oracle(facets):

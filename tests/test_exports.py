@@ -1,7 +1,60 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import scbundles
+
+SRC = Path(scbundles.__file__).resolve().parent
+
+# exported names no library module uses, each with the reason it is public
+UNREFERENCED_EXPORTS = {
+    "subdivide": "README quick start",
+    "kan_lifts": "traced by name by the benchmark",
+    "contract": "traced by name by the benchmark",
+    "build_surface_bundle": "called by the benchmark's workloads",
+    "cohomologous": "backs README's coboundary claim (ROADMAP item 3)",
+    "systems_equivalent": "test oracle waiting on ROADMAP item 8",
+    "is_classical_bundle": "test oracle waiting on ROADMAP item 8",
+    "is_classical_necklace": "test oracle waiting on ROADMAP item 8",
+    "elementary_system": "test oracle waiting on ROADMAP item 8",
+}
+
+
+def library_modules():
+    """(name, syntax tree) of every module but the package's ``__init__``."""
+    return [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+
+
+def exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def referenced_names():
+    """Names and attributes the library reads, outside the function or
+    class that defines them, so a name used only inside its own definition
+    counts as unused."""
+    refs = set()
+    for _, tree in library_modules():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name) and node.id != own:
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    refs.add(node.attr)
+    return refs
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +64,28 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"scbundles.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], info.name
+
+
+def test_every_exported_name_is_used_or_allowed():
+    refs = referenced_names()
+    exports = {n for _, tree in library_modules() for n in exported(tree)}
+    unused = sorted(n for n in exports - refs if n not in UNREFERENCED_EXPORTS)
+    assert unused == [], "exported but used nowhere in the library"
+    stale = sorted(n for n in UNREFERENCED_EXPORTS if n in refs or n not in exports)
+    assert stale == [], "allowed as unused but used or no longer exported"
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in library_modules():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []

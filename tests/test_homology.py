@@ -29,13 +29,11 @@ from scbundles import (
     delta_torus,
     fundamental_class,
     homology_groups,
-    is_cocycle,
     minimal_from_cocycle,
     octahedron_sphere,
     smith_normal_form,
     solve_linear,
     standard_simplex,
-    zero_cochain,
 )
 
 from scbundles import cyclic as cyclic_module
@@ -432,7 +430,9 @@ class TestCochains:
         good = [
             code
             for code in range(16)
-            if is_cocycle(x, IntCochain(2, tuple((code >> i) & 1 for i in range(4))))
+            if coboundary(
+                x, IntCochain(2, tuple((code >> i) & 1 for i in range(4)))
+            ).is_zero()
         ]
         assert len(good) == 6
 
@@ -441,7 +441,10 @@ class TestCochains:
             IntCochain(2, (0, 1)) - IntCochain(2, (0, 1, 1))
 
     def test_zero_cochain(self):
-        assert zero_cochain(delta_torus(), 2).values == (0, 0)
+        x = delta_torus()
+        zero = IntCochain(2, (0,) * x.simplex_count(2))
+        eq, witness = cohomologous(x, zero, zero)
+        assert eq and coboundary(x, witness) == zero
 
     def test_json_round_trip(self):
         u = IntCochain(2, (0, 1, 1, 0))
@@ -457,13 +460,14 @@ class TestCochains:
 class TestCohomologous:
     def test_zero_rows_bound(self):
         x = boundary_sphere(3)
+        zero = IntCochain(2, (0,) * x.simplex_count(2))
         for values, same_class in [
             ((0, 0, 0, 0), True),
             ((1, 0, 0, 1), True),
             ((0, 0, 0, 1), False),
             ((0, 1, 0, 1), False),
         ]:
-            eq, witness = cohomologous(x, IntCochain(2, values), zero_cochain(x, 2))
+            eq, witness = cohomologous(x, IntCochain(2, values), zero)
             assert eq is same_class
             if eq:
                 d = coboundary(x, witness)
@@ -473,7 +477,7 @@ class TestCohomologous:
         x = standard_simplex(3)
         bad = IntCochain(2, (1, 0, 0, 0))
         with pytest.raises(NotACocycle):
-            cohomologous(x, bad, zero_cochain(x, 2))
+            cohomologous(x, bad, IntCochain(2, (0,) * x.simplex_count(2)))
 
     def test_dimension_guard(self):
         x = boundary_sphere(3)

@@ -137,6 +137,33 @@ def test_readers_reject_non_canonical_keys(tmp_path, reader, doc, corrupt):
     assert info.value.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "labels, code",
+    [
+        ({"1": "abc"}, 3),
+        ({"1": ["a", "b", "c", "d", "e"]}, 4),
+        ({"9": ["a"]}, 4),
+        ({"-1": ["a"]}, 4),
+        ({"1": [1, None, None]}, 3),
+        ({"1": [True, None, None]}, 3),
+        ({"1": [{"a": 1}, None, None]}, 3),
+        (["a", "b", "c"], 3),
+    ],
+    ids=[
+        "string-of-names", "more-names-than-edges", "dimension-above-top",
+        "negative-dimension", "int-name", "bool-name", "object-name", "not-an-object",
+    ],
+)
+def test_complex_labels_are_name_lists_on_existing_simplices(labels, code):
+    # each of these loaded, a string iterated as names and any value turned
+    # into text by str()
+    doc = copy.deepcopy(COMPLEX_DOC)
+    doc["labels"] = labels
+    with pytest.raises(ScbError) as info:
+        SemiSimplicialSet.from_json_dict(doc)
+    assert info.value.exit_code == code
+
+
 @pytest.mark.parametrize("doc", [MINIMAL_DOC, GENERAL_DOC], ids=["minimal", "general"])
 @pytest.mark.parametrize(
     "token", ["+1", "01", "\N{FULLWIDTH DIGIT ONE}", "1_0", "1.0"],
