@@ -49,25 +49,30 @@ MAX_SC_K = 7
 
 # -- core word operations (plain tuples, cached) -----------------------
 
+# Each word cache keeps at most this many words, so that a large base
+# does not pin every word it met for the life of the process.  The horn
+# census and the hexagram reuse a few hundred at most.
+_WORD_CACHE_SIZE = 4096
+
 
 def _validate_perm_word(word: tuple[int, ...]) -> None:
     if sorted(word) != list(range(len(word))):
         raise ValueError(f"{word} is not a permutation word of 0..{len(word) - 1}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _canon_cp(word: tuple[int, ...]) -> tuple[int, ...]:
     j = word.index(0)
     return word[j:] + word[:j]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _cp_face(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     # delete the letter i, pull higher letters down
     return _canon_cp(tuple(v if v < i else v - 1 for v in word if v != i))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _cp_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     out: list[int] = []
     for v in word:
@@ -254,8 +259,8 @@ class Necklace:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        colors = tuple(int(c) for c in self.colors)
-        ids = tuple(int(b) for b in self.ids)
+        colors = tuple(map(int, self.colors))
+        ids = tuple(map(int, self.ids))
         if not colors:
             raise ValueError("a necklace needs at least one bead")
         if len(colors) != len(ids):
@@ -266,10 +271,13 @@ class Necklace:
         if min(colors) < 0 or set(colors) != set(range(top + 1)):
             raise ValueError("every color 0..top must appear at least once")
         # the least turning starts at a bead of color 0
-        best = min(
-            (r for r, c in enumerate(colors) if c == 0),
-            key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
-        )
+        if colors.count(0) == 1:
+            best = colors.index(0)
+        else:
+            best = min(
+                (r for r, c in enumerate(colors) if c == 0),
+                key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
+            )
         object.__setattr__(self, "colors", colors[best:] + colors[:best])
         object.__setattr__(self, "ids", ids[best:] + ids[:best])
 

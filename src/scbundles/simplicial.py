@@ -5,6 +5,8 @@ A complex stores, for each dimension q >= 1, a face table
 down.  Vertex order is implicit in the face indices, which is all the
 structure a semi-simplicial set carries; degeneracies are never stored.
 Indices are dense: the q-simplices are exactly ``0 .. n_q - 1``.
+The inverse table, the cofaces of each simplex, is built from the face
+tables on first use.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class SemiSimplicialSet:
         that build tables known to be coherent may pass ``False``.
     """
 
-    __slots__ = ("_num_vertices", "_faces", "labels")
+    __slots__ = ("_num_vertices", "_faces", "_cofaces", "labels")
 
     def __init__(self, num_vertices, faces, labels=None, check=True):
         self._num_vertices = int(num_vertices)
@@ -68,6 +70,7 @@ class SemiSimplicialSet:
         while levels and not levels[-1]:
             levels.pop()
         self._faces = tuple(levels)
+        self._cofaces = None
         self.labels = dict(labels) if labels else {}
         if check:
             problems = self.validate()
@@ -104,6 +107,22 @@ class SemiSimplicialSet:
 
     def face_row(self, q: int, index: int) -> tuple[int, ...]:
         return self._faces[q - 1][index]
+
+    def cofaces(self, q: int, index: int) -> tuple[int, ...]:
+        """The (q+1)-simplices having the q-simplex as a face, ascending,
+        each once however many of its faces it is.
+
+        The table for every dimension is built in one pass over the face
+        rows on the first call.
+        """
+        if self._cofaces is None:
+            table = tuple([[] for _ in range(n)] for n in self.counts)
+            for level, up in zip(self._faces, table):
+                for idx, row in enumerate(level):
+                    for f in set(row):
+                        up[f].append(idx)
+            self._cofaces = tuple(tuple(map(tuple, level)) for level in table)
+        return self._cofaces[q][index]
 
     def face_walk(
         self, q: int, index: int, keep

@@ -2,17 +2,22 @@
 
 Contracting a bead of a vertex circle removes its trace from every stalk
 over the vertex's star; splitting a bead is the inverse move.  Either
-move shares every other stalk and bead map with its input.  Iterating
-contractions until each vertex circle has a single bead reduces any
-bundle to a minimal one, and the result depends only on which bead is
-kept over each vertex, not on the order of removals.  So ``minimize``
-computes it in one pass: over a simplex, the bead kept at color p is the
-image of the kept bead of the vertex at position p.
+move shares every other stalk and bead map with its input.  A move reads
+only the star: it walks up from the vertex through the base's coface
+table and takes the bead's image over each star simplex from one face of
+it.  Its one cost in proportion to the base is a single copy of the two
+outer dicts, of stalks and of bead maps.
+
+Iterating contractions until each vertex circle has a single bead
+reduces any bundle to a minimal one, and the result depends only on
+which bead is kept over each vertex, not on the order of removals.  So
+``minimize`` computes it in one pass: over a simplex, the bead kept at
+color p is the image of the kept bead of the vertex at position p.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .bundle import MinimalBundle, NecklaceLocalSystem
 from .cyclic import CircularPermutation, Necklace, c01
@@ -30,34 +35,59 @@ __all__ = [
 ]
 
 ArcSelection = Mapping[int, int]
+_KeptBeads = Callable[[int, int], tuple[int, ...]]
 
 
 def _star(
     system: NecklaceLocalSystem, v: int, bead: int
 ) -> dict[tuple[int, int], dict[int, int]]:
-    """Each simplex of v's star, dimension by dimension, with the image of
-    bead at every position where v sits.  A simplex of dimension at least
-    1 contains v exactly when one of its faces does, so the star is found
-    from the face rows, and vertices and embeddings are read on it alone.
+    """Each simplex of v's star, dimension by dimension and ascending in
+    each, with the image of bead at every position where v sits.
+
+    A simplex of dimension q >= 1 contains v exactly when one of its
+    faces does, so the star is walked up through the cofaces.  v sits at
+    position p < q exactly when it sits at p in face q, and at q exactly
+    when it sits at q - 1 in face q - 1; the image there is the face's
+    image pushed along that face's bead map.  This is the face chain
+    that ``vertex_embedding`` composes, taken one step at a time.
     """
     base = system.base
     if not 0 <= v < base.simplex_count(0):
         raise DanglingReference(f"no vertex {v} in the base")
     if not system.stalk(0, v).has_bead(bead):
         raise BeadNotFound(f"vertex {v} has no bead {bead}")
-    star = {(0, v): {0: bead}}
-    level = {v}
+    maps = system.bead_maps
+    level = {v: {0: bead}}
+    star = {(0, v): level[v]}
     for q in range(1, base.top_dim + 1):
-        level = {
-            idx for idx in base.simplices(q)
-            if not level.isdisjoint(base.face_row(q, idx))
-        }
-        for idx in sorted(level):
-            star[(q, idx)] = {
-                p: system.vertex_embedding(q, idx, p)[bead]
-                for p, u in enumerate(base.vertices_of(q, idx)) if u == v
+        above = {}
+        for idx in sorted({x for y in level for x in base.cofaces(q - 1, y)}):
+            row = base.face_row(q, idx)
+            images = {
+                p: maps[(q, idx, q)][b] for p, b in level.get(row[q], {}).items()
             }
+            last = level.get(row[q - 1], {}).get(q - 1)
+            if last is not None:
+                images[q] = maps[(q, idx, q - 1)][last]
+            above[idx] = star[(q, idx)] = images
+        level = above
     return star
+
+
+def _replaced(
+    system: NecklaceLocalSystem,
+    stalks: dict[tuple[int, int], Necklace],
+    bead_maps: dict[tuple[int, int, int], dict[int, int]],
+    check: bool,
+) -> NecklaceLocalSystem:
+    """system with the given stalks and bead maps in place of its own.
+    The two outer dicts are copied once; every other entry is shared."""
+    moved = NecklaceLocalSystem(system.base, system.stalks, system.bead_maps, check=False)
+    moved.stalks.update(stalks)
+    moved.bead_maps.update(bead_maps)
+    if check and (problems := moved.validate()):
+        raise IncoherentLocalSystem("; ".join(problems))
+    return moved
 
 
 def contract(
@@ -75,14 +105,14 @@ def contract(
     if system.stalk(0, v).size == 1:
         raise LastArc(f"bead {bead} is the only bead over vertex {v}")
     base = system.base
-    stalks = dict(system.stalks)
-    bead_maps = dict(system.bead_maps)
+    stalks = {}
+    bead_maps = {}
     for (q, idx), gone in removed.items():
-        picked = [(c, b) for b, c in stalks[(q, idx)].beads() if b not in gone]
+        picked = [(c, b) for b, c in system.stalks[(q, idx)].beads() if b not in gone]
         stalks[(q, idx)] = Necklace(*zip(*picked))
         for i, f in enumerate(base.face_row(q, idx) if q else ()):
             gone_small = removed.get((q - 1, f), ())
-            m = bead_maps[(q, idx, i)]
+            m = system.bead_maps[(q, idx, i)]
             kept = {s: t for s, t in m.items() if s not in gone_small}
             if any(t in gone for t in kept.values()):
                 raise IncoherentLocalSystem(
@@ -90,7 +120,7 @@ def contract(
                     f"a surviving bead along face {i} of {q}/{idx}"
                 )
             bead_maps[(q, idx, i)] = kept
-    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+    return _replaced(system, stalks, bead_maps, check)
 
 
 def subdivide(
@@ -102,11 +132,11 @@ def subdivide(
     contracting the new vertex bead restores the original verbatim."""
     star = _star(system, v, bead)
     base = system.base
-    stalks = dict(system.stalks)
-    bead_maps = dict(system.bead_maps)
+    stalks = {}
+    bead_maps = {}
     fresh: dict[tuple[int, int], dict[int, int]] = {}
     for (q, idx), images in star.items():
-        neck = stalks[(q, idx)]
+        neck = system.stalks[(q, idx)]
         first = max(neck.ids) + 1
         minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
         split_after = {images[p]: b for p, b in minted.items()}
@@ -117,12 +147,12 @@ def subdivide(
                 seq.append((c, split_after[b]))
         stalks[(q, idx)] = Necklace(*zip(*seq))
         for i, f in enumerate(base.face_row(q, idx) if q else ()):
-            extended = dict(bead_maps[(q, idx, i)])
+            extended = dict(system.bead_maps[(q, idx, i)])
             for p_small, new_small in fresh.get((q - 1, f), {}).items():
                 p_big = p_small if p_small < i else p_small + 1
                 extended[new_small] = minted[p_big]
             bead_maps[(q, idx, i)] = extended
-    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+    return _replaced(system, stalks, bead_maps, check)
 
 
 def default_selection(system: NecklaceLocalSystem) -> dict[int, int]:
@@ -157,25 +187,45 @@ def _checked_selection(
     return selection
 
 
+def _kept_beads(system: NecklaceLocalSystem, selection: ArcSelection) -> _KeptBeads:
+    """kept(q, idx): the bead kept at each vertex position of (q, idx),
+    the embedded image of the bead selected over the vertex there.  It
+    is read one face step at a time, as in ``_star``, and memoized per
+    simplex, so each face is asked once."""
+    base, maps = system.base, system.bead_maps
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def kept(q: int, idx: int) -> tuple[int, ...]:
+        beads = memo.get((q, idx))
+        if beads is None:
+            if q == 0:
+                beads = (selection[idx],)
+            else:
+                row = base.face_row(q, idx)
+                m = maps[(q, idx, q)]
+                top = maps[(q, idx, q - 1)][kept(q - 1, row[q - 1])[q - 1]]
+                beads = (*(m[b] for b in kept(q - 1, row[q])), top)
+            memo[(q, idx)] = beads
+        return beads
+
+    return kept
+
+
 def _kept_word(
-    system: NecklaceLocalSystem, selection: ArcSelection, q: int, idx: int
+    system: NecklaceLocalSystem, kept: _KeptBeads, q: int, idx: int
 ) -> CircularPermutation:
     """The circular permutation left over simplex (q, idx) once every
     non-selected bead is contracted.
 
     A stalk with one bead per color keeps it; any other stalk keeps, at
-    each vertex position p, the embedded image of the bead selected over
-    the vertex at p, and the kept beads in circular order give the word.
+    each vertex position, the bead ``kept`` names there, and the kept
+    beads in circular order give the word.
     """
     neck = system.stalks[(q, idx)]
     if neck.size == q + 1:
         return neck.to_circular()
-    base = system.base
-    kept = {
-        system.vertex_embedding(q, idx, p)[selection[base.vertex_at(q, idx, p)]]
-        for p in range(q + 1)
-    }
-    return CircularPermutation(tuple(c for b, c in neck.beads() if b in kept))
+    chosen = set(kept(q, idx))
+    return CircularPermutation(tuple(c for b, c in neck.beads() if b in chosen))
 
 
 def minimize(
@@ -186,8 +236,8 @@ def minimize(
     It is computed in one pass, stalk by stalk, rather than by a chain of
     contractions.
     """
-    selection = _checked_selection(system, selection)
-    words = {key: _kept_word(system, selection, *key) for key in system.stalks}
+    kept = _kept_beads(system, _checked_selection(system, selection))
+    words = {key: _kept_word(system, kept, *key) for key in system.stalks}
     return MinimalBundle(system.base, words, check=False)
 
 
@@ -197,8 +247,8 @@ def chern_cocycle_general(
     """Triangle parities after reduction; selection-dependent as a
     cochain but always in one cohomology class.  Only the triangle words
     of the minimal bundle are built."""
-    selection = _checked_selection(system, selection)
+    kept = _kept_beads(system, _checked_selection(system, selection))
     return IntCochain(2, tuple(
-        c01(_kept_word(system, selection, 2, idx))
+        c01(_kept_word(system, kept, 2, idx))
         for idx in system.base.simplices(2)
     ))

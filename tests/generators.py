@@ -22,7 +22,7 @@ from scbundles import (
     octahedron_sphere,
     standard_simplex,
 )
-from scbundles.spindle import subdivide
+from scbundles.spindle import contract, subdivide
 
 KLEIN_FACES = [[0, 0, 0], [[0, 0], [0, 0], [0, 0]], [[1, 2, 0], [2, 1, 0]]]
 
@@ -78,6 +78,13 @@ BUNDLE_BASES = (
 )
 
 
+# one or more of each named base family, the edge cases included
+NAMED_EXAMPLES = (
+    "tetra", "octahedron", "delta-torus", "simplex:0", "simplex:3",
+    "simplex:6", "sphere:1", "sphere:4", "torus:3", "torus:5",
+)
+
+
 def random_system(
     rng: random.Random,
     bases=BUNDLE_BASES,
@@ -91,6 +98,20 @@ def random_system(
         v = rng.randrange(base.simplex_count(0))
         bead = rng.choice(system.stalk(0, v).ids)
         system = subdivide(system, v, bead, check=False)
+    return system
+
+
+def random_moves(
+    system: NecklaceLocalSystem, rng: random.Random, count: int
+) -> NecklaceLocalSystem:
+    """count seeded moves, each a subdivide or, where the vertex circle
+    has two beads or more, a contraction, by a coin; unchecked."""
+    vertices = system.base.simplices(0)
+    for _ in range(count):
+        v = rng.choice(vertices)
+        ids = system.stalk(0, v).ids
+        move = contract if len(ids) > 1 and rng.randrange(2) else subdivide
+        system = move(system, v, rng.choice(ids), check=False)
     return system
 
 

@@ -21,11 +21,18 @@ from scbundles import (
     kan_lifts,
     kan_survey,
     minimal_from_cocycle,
+    named_base,
     sc_normalized_homology,
     standard_simplex,
 )
 from scbundles.bundle import _arc_table
-from scbundles.cyclic import MAX_SC_K
+from scbundles.cyclic import (
+    _WORD_CACHE_SIZE,
+    MAX_SC_K,
+    _canon_cp,
+    _cp_degeneracy,
+    _cp_face,
+)
 
 from generators import Budget, vertex_order_cocycle
 
@@ -123,6 +130,14 @@ class TestSimplicialIdentities:
             for i in range(k + 1):
                 assert CircularPermutation(face(word, i)) == coset.face(i)
                 assert CircularPermutation(degeneracy(word, i)) == coset.degeneracy(i)
+
+
+def test_word_caches_stay_bounded():
+    # simplex:14 meets tens of thousands of distinct words
+    base = named_base("simplex:14")
+    minimal_from_cocycle(base, vertex_order_cocycle(base, random.Random(14)))
+    for cache in (_canon_cp, _cp_face, _cp_degeneracy):
+        assert cache.cache_info().currsize <= _WORD_CACHE_SIZE
 
 
 class TestEnumeration:

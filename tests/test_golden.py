@@ -6,13 +6,15 @@ subdivided one), then runs `verify --json`, plain `verify` and
 and the written total-space file with the table below.  `assemble`'s
 stdout names its `--out` path, so only its file is digested.  A second
 table pins the spindle moves: the digest of the bundle file written
-after a seeded chain of subdivides and contractions.  A third table
-pins outputs the first two do not reach: `gen-surface --json` reports,
-which carry the whole cocycle list, the `kan-check 2`, `kan-check 3`,
-`kan-check 4` and `hexagram` reports, and the total-space file of a
-Chern-3 bundle over `torus:16`, the largest face and projection tables
-in the suite.  The `kan-check 2` and `kan-check 4` digests were taken
-before the census ran on cached face tables.
+after a seeded chain of subdivides and contractions.  A third pins a
+walk of 1 000 mixed moves: the stalks and bead maps it ends at, and the
+minimal bundles and Chern cocycles reduced from them.  A fourth table
+pins outputs the first three do not reach: `gen-surface --json`
+reports, which carry the whole cocycle list, the `kan-check 2`,
+`kan-check 3`, `kan-check 4` and `hexagram` reports, and the total-space
+file of a Chern-3 bundle over `torus:16`, the largest face and
+projection tables in the suite.  The `kan-check 2` and `kan-check 4`
+digests were taken before the census ran on cached face tables.
 
 A change meant to keep outputs identical (a performance change, say)
 must pass unchanged.  To print the table for the current code, run
@@ -31,11 +33,18 @@ from pathlib import Path
 
 import pytest
 
-from scbundles import bundle_from_json_dict, bundle_to_json_dict, contract, subdivide
+from scbundles import (
+    bundle_from_json_dict,
+    bundle_to_json_dict,
+    chern_cocycle_general,
+    contract,
+    minimize,
+    subdivide,
+)
 from scbundles._json import read_json, write_json
 from scbundles.cli import main
 
-from generators import grid_torus
+from generators import grid_torus, random_moves
 
 CHERNS = (-2, 0, 1, 3)
 BASES = ("tetra", "octahedron", "delta-torus", "torus6")
@@ -115,6 +124,25 @@ def move_digest(base: str, tmp: Path) -> str:
     path = tmp / "moved.json"
     write_json(path, bundle_to_json_dict(system))
     return _digest(path.read_bytes())
+
+
+def walk_digest(base: str, tmp: Path) -> str:
+    """Digest of the Chern-1 bundle over base after 1 000 seeded mixed
+    moves: its stalks and bead maps in dict order, the words of both its
+    minimal bundles (the default and a seeded selection) and both Chern
+    cocycles."""
+    system = bundle_from_json_dict(read_json(_make_bundle(f"{base}/1", tmp)))
+    rng = random.Random(1000)
+    system = random_moves(system, rng, 1000)
+    assert not system.validate()
+    selection = {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
+    parts = (
+        list(system.stalks.items()),
+        [(key, list(m.items())) for key, m in system.bead_maps.items()],
+        *(list(minimize(system, s).stalks.items()) for s in (None, selection)),
+        *(chern_cocycle_general(system, s).values for s in (None, selection)),
+    )
+    return _digest(repr(parts))
 
 
 GEN_SURFACE = (("tetra", "-2"), ("octahedron", "3"), ("torus:16", "3"))
@@ -246,6 +274,13 @@ MOVES: dict[str, str] = {
 }
 
 
+# digests of the walks before the moves read only the star's face rows
+WALKS: dict[str, str] = {
+    'torus6': '70d0383af4b1b08767d89bbe42e2c8e8f8ca011829c43fc1d6e554e5537f1f34',
+    'delta-torus': '4716dd984a6d26a2391213882ff15cf244577acc77c77a44741de25afc9382a5',
+}
+
+
 # digests of the reports and the large total space before the table writer
 OUTPUTS: dict[str, str] = {
     'gen-surface/tetra/-2': 'ac2f3a6971c67e24db493c6acb1f6a63197333e5c6ddc62d1f9e75208570740d',
@@ -276,6 +311,11 @@ def test_spindle_moves_match_golden_digests(base, tmp_path):
     assert move_digest(base, tmp_path) == MOVES[base]
 
 
+@pytest.mark.parametrize("base", list(WALKS))
+def test_move_walks_match_golden_digests(base, tmp_path):
+    assert walk_digest(base, tmp_path) == WALKS[base]
+
+
 def test_reports_and_large_total_space_match_golden_digests(tmp_path):
     assert output_digests(tmp_path) == OUTPUTS
 
@@ -299,6 +339,11 @@ if __name__ == "__main__":
     for base in MOVE_BASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {base!r}: {move_digest(base, Path(tmp))!r},")
+    print("}")
+    print("WALKS: dict[str, str] = {")
+    for base in MOVE_BASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {base!r}: {walk_digest(base, Path(tmp))!r},")
     print("}")
     print("OUTPUTS: dict[str, str] = {")
     with tempfile.TemporaryDirectory() as tmp:

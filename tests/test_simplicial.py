@@ -17,7 +17,7 @@ from scbundles import (
     standard_simplex,
 )
 
-from generators import klein_bottle
+from generators import NAMED_EXAMPLES, klein_bottle
 from scbundles.simplicial import MAX_TORUS_N
 
 
@@ -169,6 +169,19 @@ class TestAccessors:
         t = delta_torus()
         bare = SemiSimplicialSet(1, [t.to_json_dict()["faces"]["1"], t.to_json_dict()["faces"]["2"]])
         assert bare == t
+
+
+class TestCofaces:
+    @pytest.mark.parametrize("name", NAMED_EXAMPLES)
+    def test_cofaces_invert_the_face_rows(self, name):
+        # each upper simplex once, also where faces repeat (delta-torus)
+        x = named_base(name)
+        for q in range(x.top_dim + 1):
+            for idx in x.simplices(q):
+                above = tuple(
+                    up for up in x.simplices(q + 1) if idx in x.face_row(q + 1, up)
+                )
+                assert x.cofaces(q, idx) == above, (q, idx)
 
 
 class TestJson:

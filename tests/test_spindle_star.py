@@ -6,6 +6,11 @@ below walk every stalk and every bead map of the system instead.  On
 random systems both must give equal stalks and bead maps in the same
 order, raise the same errors, and the library moves must share every
 stalk and bead map outside the star with their input.
+
+The library finds the star by walking up the base's coface table; the
+scan below tests every face row of the base instead, and reads each
+image through ``vertex_embedding``.  Both must agree, and a move must
+read as many face rows on a large torus as on a small one.
 """
 
 import random
@@ -18,13 +23,25 @@ from scbundles import (
     Necklace,
     NecklaceLocalSystem,
     ScbError,
+    SemiSimplicialSet,
     contract,
     elementary_system,
+    minimal_from_cocycle,
+    named_base,
     octahedron_sphere,
     subdivide,
 )
+from scbundles.spindle import _star
 
-from generators import BUNDLE_BASES, grid_torus, random_system
+from generators import (
+    BUNDLE_BASES,
+    NAMED_EXAMPLES,
+    grid_torus,
+    random_binary_cocycle,
+    random_moves,
+    random_system,
+    vertex_order_cocycle,
+)
 
 BASES = BUNDLE_BASES + (octahedron_sphere(), grid_torus(3))
 CASES = 200
@@ -118,6 +135,29 @@ def reference_subdivide(system, v, bead, check=True):
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
 
+def scan_star(system, v, bead):
+    """The star of v with the image of bead at each position of v, found
+    by testing every face row of every dimension: a simplex of dimension
+    at least 1 contains v exactly when one of its faces does."""
+    base = system.base
+    _check_vertex(system, v)
+    if not system.stalk(0, v).has_bead(bead):
+        raise BeadNotFound(f"vertex {v} has no bead {bead}")
+    found = {(0, v): {0: bead}}
+    level = {v}
+    for q in range(1, base.top_dim + 1):
+        level = {
+            idx for idx in base.simplices(q)
+            if not level.isdisjoint(base.face_row(q, idx))
+        }
+        for idx in sorted(level):
+            found[(q, idx)] = {
+                p: system.vertex_embedding(q, idx, p)[bead]
+                for p, u in enumerate(base.vertices_of(q, idx)) if u == v
+            }
+    return found
+
+
 def star(system, v):
     base = system.base
     return {
@@ -191,3 +231,55 @@ def test_errors_match_the_whole_walk():
         assert got == _outcome(references[move], *args)
         assert got[0] is error
 
+
+def _named_system(name, rng):
+    base = named_base(name)
+    if base.top_dim < 3:
+        u = random_binary_cocycle(base, rng)
+    else:
+        u = vertex_order_cocycle(base, rng)
+    return minimal_from_cocycle(base, u).as_local_system()
+
+
+def assert_stars_match_the_scan(system, rng):
+    for v in system.base.simplices(0):
+        bead = rng.choice(system.stalk(0, v).ids)
+        got = list(_star(system, v, bead).items())
+        assert got == list(scan_star(system, v, bead).items()), (v, bead)
+
+
+def test_star_matches_the_scan_on_named_bases():
+    rng = random.Random(83)
+    for name in NAMED_EXAMPLES:
+        system = _named_system(name, rng)
+        assert_stars_match_the_scan(system, rng)
+        assert_stars_match_the_scan(random_moves(system, rng, 12), rng)
+
+
+def test_star_matches_the_scan_on_random_systems():
+    rng = random.Random(84)
+    for _ in range(CASES // 4):
+        system = random_system(rng, BASES)
+        assert_stars_match_the_scan(system, rng)
+        assert_stars_match_the_scan(random_moves(system, rng, 6), rng)
+
+
+def test_a_move_reads_as_many_face_rows_on_a_larger_torus(monkeypatch):
+    """Once the coface table is built, a move reads the face rows of the
+    star alone: as many on torus:32 as on torus:8."""
+    rng = random.Random(85)
+    systems = [_named_system(f"torus:{n}", rng) for n in (8, 32)]
+    for system in systems:
+        system.base.cofaces(0, 0)
+    reads = []
+    face_row = SemiSimplicialSet.face_row
+
+    def counted(self, q, index):
+        reads[-1] += 1
+        return face_row(self, q, index)
+
+    monkeypatch.setattr(SemiSimplicialSet, "face_row", counted)
+    for system in systems:
+        reads.append(0)
+        subdivide(system, 0, system.stalk(0, 0).ids[0], check=False)
+    assert reads[0] == reads[1] > 0
