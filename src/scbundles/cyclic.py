@@ -271,13 +271,10 @@ class Necklace:
         if min(colors) < 0 or set(colors) != set(range(top + 1)):
             raise ValueError("every color 0..top must appear at least once")
         # the least turning starts at a bead of color 0
-        if colors.count(0) == 1:
-            best = colors.index(0)
-        else:
-            best = min(
-                (r for r, c in enumerate(colors) if c == 0),
-                key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
-            )
+        best = min(
+            (r for r, c in enumerate(colors) if c == 0),
+            key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
+        )
         object.__setattr__(self, "colors", colors[best:] + colors[:best])
         object.__setattr__(self, "ids", ids[best:] + ids[:best])
 

@@ -17,7 +17,7 @@ color p is the image of the kept bead of the vertex at position p.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .bundle import MinimalBundle, NecklaceLocalSystem
 from .cyclic import CircularPermutation, Necklace, c01
@@ -35,7 +35,25 @@ __all__ = [
 ]
 
 ArcSelection = Mapping[int, int]
-_KeptBeads = Callable[[int, int], tuple[int, ...]]
+
+
+def _lifted(
+    maps: Mapping[tuple[int, int, int], Mapping[int, int]],
+    q: int,
+    idx: int,
+    low: Mapping[int, int],
+    high: Mapping[int, int],
+) -> dict[int, int]:
+    """Beads over (q, idx), by vertex position, lifted one face step from
+    beads over two of its faces.  A vertex at position p < q of (q, idx)
+    sits at p in face q, and one at q sits at q - 1 in face q - 1; so
+    ``high`` (over face q) and ``low`` (over face q - 1) are pushed along
+    those faces' bead maps.  This is the face chain that
+    ``vertex_embedding`` composes, taken one step at a time."""
+    lifted = {p: maps[(q, idx, q)][b] for p, b in high.items()}
+    if (b := low.get(q - 1)) is not None:
+        lifted[q] = maps[(q, idx, q - 1)][b]
+    return lifted
 
 
 def _star(
@@ -45,31 +63,24 @@ def _star(
     each, with the image of bead at every position where v sits.
 
     A simplex of dimension q >= 1 contains v exactly when one of its
-    faces does, so the star is walked up through the cofaces.  v sits at
-    position p < q exactly when it sits at p in face q, and at q exactly
-    when it sits at q - 1 in face q - 1; the image there is the face's
-    image pushed along that face's bead map.  This is the face chain
-    that ``vertex_embedding`` composes, taken one step at a time.
+    faces does, so the star is walked up through the cofaces, and the
+    images over each simplex are ``_lifted`` from those over its faces.
     """
     base = system.base
     if not 0 <= v < base.simplex_count(0):
         raise DanglingReference(f"no vertex {v} in the base")
     if not system.stalk(0, v).has_bead(bead):
         raise BeadNotFound(f"vertex {v} has no bead {bead}")
-    maps = system.bead_maps
     level = {v: {0: bead}}
     star = {(0, v): level[v]}
     for q in range(1, base.top_dim + 1):
         above = {}
         for idx in sorted({x for y in level for x in base.cofaces(q - 1, y)}):
             row = base.face_row(q, idx)
-            images = {
-                p: maps[(q, idx, q)][b] for p, b in level.get(row[q], {}).items()
-            }
-            last = level.get(row[q - 1], {}).get(q - 1)
-            if last is not None:
-                images[q] = maps[(q, idx, q - 1)][last]
-            above[idx] = star[(q, idx)] = images
+            above[idx] = star[(q, idx)] = _lifted(
+                system.bead_maps, q, idx,
+                level.get(row[q - 1], {}), level.get(row[q], {}),
+            )
         level = above
     return star
 
@@ -178,53 +189,55 @@ def validate_selection(system: NecklaceLocalSystem, selection: ArcSelection) -> 
             )
 
 
-def _checked_selection(
+def _kept_at_vertices(
     system: NecklaceLocalSystem, selection: ArcSelection | None
-) -> ArcSelection:
+) -> dict[tuple[int, int], dict[int, int]]:
+    """{(0, v): {0: bead}} for the bead selection keeps over each vertex v,
+    after checking it: the memo that ``_kept_beads`` starts from."""
     if selection is None:
         selection = default_selection(system)
     validate_selection(system, selection)
-    return selection
+    return {(0, v): {0: b} for v, b in selection.items()}
 
 
-def _kept_beads(system: NecklaceLocalSystem, selection: ArcSelection) -> _KeptBeads:
-    """kept(q, idx): the bead kept at each vertex position of (q, idx),
-    the embedded image of the bead selected over the vertex there.  It
-    is read one face step at a time, as in ``_star``, and memoized per
-    simplex, so each face is asked once."""
-    base, maps = system.base, system.bead_maps
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def kept(q: int, idx: int) -> tuple[int, ...]:
-        beads = memo.get((q, idx))
-        if beads is None:
-            if q == 0:
-                beads = (selection[idx],)
-            else:
-                row = base.face_row(q, idx)
-                m = maps[(q, idx, q)]
-                top = maps[(q, idx, q - 1)][kept(q - 1, row[q - 1])[q - 1]]
-                beads = (*(m[b] for b in kept(q - 1, row[q])), top)
-            memo[(q, idx)] = beads
-        return beads
-
-    return kept
+def _kept_beads(
+    system: NecklaceLocalSystem,
+    kept: dict[tuple[int, int], dict[int, int]],
+    q: int,
+    idx: int,
+) -> dict[int, int]:
+    """The bead kept at each vertex position of (q, idx): the image of the
+    bead selected over the vertex there.  ``kept`` memoizes it per simplex
+    and starts out holding {0: selected bead} for each vertex; every
+    other entry is ``_lifted`` from its faces, each face read once."""
+    beads = kept.get((q, idx))
+    if beads is None:
+        row = system.base.face_row(q, idx)
+        beads = kept[(q, idx)] = _lifted(
+            system.bead_maps, q, idx,
+            _kept_beads(system, kept, q - 1, row[q - 1]),
+            _kept_beads(system, kept, q - 1, row[q]),
+        )
+    return beads
 
 
 def _kept_word(
-    system: NecklaceLocalSystem, kept: _KeptBeads, q: int, idx: int
+    system: NecklaceLocalSystem,
+    kept: dict[tuple[int, int], dict[int, int]],
+    q: int,
+    idx: int,
 ) -> CircularPermutation:
     """The circular permutation left over simplex (q, idx) once every
     non-selected bead is contracted.
 
-    A stalk with one bead per color keeps it; any other stalk keeps, at
-    each vertex position, the bead ``kept`` names there, and the kept
-    beads in circular order give the word.
+    A stalk with one bead per color keeps it; any other stalk keeps the
+    beads ``_kept_beads`` names over it, and the kept beads in circular
+    order give the word.
     """
     neck = system.stalks[(q, idx)]
     if neck.size == q + 1:
         return neck.to_circular()
-    chosen = set(kept(q, idx))
+    chosen = set(_kept_beads(system, kept, q, idx).values())
     return CircularPermutation(tuple(c for b, c in neck.beads() if b in chosen))
 
 
@@ -236,7 +249,7 @@ def minimize(
     It is computed in one pass, stalk by stalk, rather than by a chain of
     contractions.
     """
-    kept = _kept_beads(system, _checked_selection(system, selection))
+    kept = _kept_at_vertices(system, selection)
     words = {key: _kept_word(system, kept, *key) for key in system.stalks}
     return MinimalBundle(system.base, words, check=False)
 
@@ -247,7 +260,7 @@ def chern_cocycle_general(
     """Triangle parities after reduction; selection-dependent as a
     cochain but always in one cohomology class.  Only the triangle words
     of the minimal bundle are built."""
-    kept = _kept_beads(system, _checked_selection(system, selection))
+    kept = _kept_at_vertices(system, selection)
     return IntCochain(2, tuple(
         c01(_kept_word(system, kept, 2, idx))
         for idx in system.base.simplices(2)
