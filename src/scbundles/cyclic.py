@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     EnumerationBound,
@@ -246,6 +246,36 @@ def kan_survey(k: int) -> dict:
 # -- necklaces ---------------------------------------------------------
 
 
+def _least_turning(
+    colors: tuple[int, ...], ids: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rotation of the circle of beads (colors, ids) whose pair
+    (color word, id word) is least.
+
+    Color 0 is the least letter, so the least color word opens with the
+    longest run of 0s on the circle, and only the starts of such runs are
+    compared.  The runs are found with bytes operations on a mask of the
+    nonzero colors, written twice so that a run wrapping past the end of
+    the word shows whole.  An all-zero circle turns at its least id.
+    """
+    zeros = bytes(map(bool, colors))
+    if 1 not in zeros:
+        r = ids.index(min(ids))
+        return colors[r:] + colors[:r], ids[r:] + ids[:r]
+    twice = zeros + zeros
+    # runs of 0s differ only in length, and bytes order puts the longest last
+    run = max(twice.split(b"\x01"))
+    # searches stop here, so each run is found once, by its start in the
+    # first copy
+    end = len(zeros) - 1 + len(run)
+    starts = []
+    at = twice.find(run, 0, end)
+    while at >= 0:
+        starts.append(at)
+        at = twice.find(run, at + len(run), end)
+    return min((colors[s:] + colors[:s], ids[s:] + ids[:s]) for s in starts)
+
+
 @dataclass(frozen=True)
 class Necklace:
     """Oriented circular word of colored beads with stable bead ids.
@@ -253,6 +283,10 @@ class Necklace:
     Bead ids are local to the necklace; they survive color deletion and
     let descent data refer to beads without fixing a turning.  Arcs (the
     gaps between consecutive beads) are keyed by the bead they follow.
+
+    The stored turning is the canonical one: the rotation with the least
+    color word, ties broken by the id word.  It is found by comparing only
+    the rotations that open with a longest run of color 0.
     """
 
     colors: tuple[int, ...]
@@ -270,13 +304,9 @@ class Necklace:
         top = max(colors)
         if min(colors) < 0 or set(colors) != set(range(top + 1)):
             raise ValueError("every color 0..top must appear at least once")
-        # the least turning starts at a bead of color 0
-        best = min(
-            (r for r, c in enumerate(colors) if c == 0),
-            key=lambda r: (colors[r:] + colors[:r], ids[r:] + ids[:r]),
-        )
-        object.__setattr__(self, "colors", colors[best:] + colors[:best])
-        object.__setattr__(self, "ids", ids[best:] + ids[:best])
+        colors, ids = _least_turning(colors, ids)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def from_colors(cls, colors: Iterable[int], ids: Iterable[int] | None = None):
@@ -313,6 +343,37 @@ class Necklace:
         if len(self.colors) != self.top + 1:
             raise ValueError("not one bead per color")
         return CircularPermutation(self.colors)
+
+    def split(self, after: Mapping[int, int]) -> "Necklace":
+        """This necklace with a new bead right after each parent bead, in
+        the parent's color; ``after`` maps parent id to new id.
+
+        Only what a split can break is checked: every parent is a bead
+        here, and the new ids are distinct and not on the necklace.  The
+        result equals the ``Necklace`` built from the spliced beads.
+        """
+        fresh = set(after.values())
+        if len(fresh) != len(after):
+            raise ValueError("new bead ids must be distinct")
+        if not fresh.isdisjoint(self.ids):
+            raise ValueError("a new bead id is already on the necklace")
+        cuts = []
+        for parent, new in after.items():
+            try:
+                cuts.append((self.ids.index(parent) + 1, new))
+            except ValueError:
+                raise ValueError(f"no bead {parent} to split") from None
+        colors, ids = list(self.colors), list(self.ids)
+        # from the back, so that each cut still indexes the old turning
+        for cut, new in sorted(cuts, reverse=True):
+            colors.insert(cut, colors[cut - 1])
+            ids.insert(cut, new)
+        colors, ids = _least_turning(tuple(colors), tuple(ids))
+        neck = object.__new__(type(self))
+        object.__setattr__(neck, "colors", colors)
+        object.__setattr__(neck, "ids", ids)
+        return neck
+
 
 def is_classical_necklace(neck: Necklace) -> tuple[bool, str | None]:
     """Whether the elementary bundle on this necklace is a classical

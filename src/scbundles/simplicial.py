@@ -178,12 +178,12 @@ class SemiSimplicialSet:
         if problems:
             return problems
         for q in range(2, self.top_dim + 1):
-            for idx in self.simplices(q):
-                row = self._faces[q - 1][idx]
+            lower = self._faces[q - 2]
+            for idx, row in enumerate(self._faces[q - 1]):
                 for j in range(1, q + 1):
                     for i in range(j):
-                        left = self.face_index(q - 1, row[j], i)
-                        right = self.face_index(q - 1, row[i], j - 1)
+                        left = lower[row[j]][i]
+                        right = lower[row[i]][j - 1]
                         if left != right:
                             problems.append(
                                 f"face identity violated at ({q}/{idx}, {i}, {j}): "

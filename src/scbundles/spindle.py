@@ -150,13 +150,7 @@ def subdivide(
         neck = system.stalks[(q, idx)]
         first = max(neck.ids) + 1
         minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
-        split_after = {images[p]: b for p, b in minted.items()}
-        seq = []
-        for b, c in neck.beads():
-            seq.append((c, b))
-            if b in split_after:
-                seq.append((c, split_after[b]))
-        stalks[(q, idx)] = Necklace(*zip(*seq))
+        stalks[(q, idx)] = neck.split({images[p]: b for p, b in minted.items()})
         for i, f in enumerate(base.face_row(q, idx) if q else ()):
             extended = dict(system.bead_maps[(q, idx, i)])
             for p_small, new_small in fresh.get((q - 1, f), {}).items():

@@ -355,23 +355,65 @@ class TestNecklace:
         assert n.colors == (0, 1, 0, 1)
         assert n.ids == (1, 0, 3, 2)
 
-    def test_canonical_turning_is_least_of_all_rotations(self):
-        # oracle: the least (colors, ids) pair over every rotation
-        rng = random.Random(9)
+    @staticmethod
+    def turning_cases(rng):
+        """(colors, ids) circles: random words, then periodic words, all-zero
+        circles and longest zero runs wrapping past the end of the word, each
+        under a few id orders, and one word with colors above 255."""
         for _ in range(500):
             top = rng.randrange(4)
             colors = list(range(top + 1)) + [
                 rng.randrange(top + 1) for _ in range(rng.randrange(8))
             ]
             rng.shuffle(colors)
-            ids = rng.sample(range(100), len(colors))
-            n = len(colors)
+            yield colors, rng.sample(range(100), len(colors))
+        words = []
+        for k in range(1, 5):
+            words += [[0, 0, 1, 1] * k, [0, 1, 0, 2] * k, [0] * k]
+        for lead in range(3):
+            for tail in range(1, 4):
+                # the wrapped run ties with the inner run of the same length
+                words.append([0] * lead + [1] + [0] * (lead + tail) + [2] + [0] * tail)
+                words.append([0] * lead + [2, 1] + [0] * tail)
+        for colors in words:
+            for _ in range(4):
+                yield colors, rng.sample(range(100), len(colors))
+        colors = list(range(300)) + [0, 0, 299]
+        rng.shuffle(colors)
+        yield colors, rng.sample(range(1000), len(colors))
+
+    def test_canonical_turning_is_least_of_all_rotations(self):
+        # oracle: the least (colors, ids) pair over every rotation
+        for colors, ids in self.turning_cases(random.Random(9)):
             want = min(
                 (tuple(colors[r:] + colors[:r]), tuple(ids[r:] + ids[:r]))
-                for r in range(n)
+                for r in range(len(colors))
             )
             got = Necklace(tuple(colors), tuple(ids))
             assert (got.colors, got.ids) == want
+
+    def test_split_equals_the_necklace_of_the_spliced_beads(self):
+        rng = random.Random(10)
+        for colors, ids in self.turning_cases(rng):
+            neck = Necklace(tuple(colors), tuple(ids))
+            parents = rng.sample(neck.ids, rng.randint(0, min(3, neck.size)))
+            after = dict(zip(parents, rng.sample(range(1000, 1100), len(parents))))
+            beads = []
+            for b, c in neck.beads():
+                beads.append((c, b))
+                if b in after:
+                    beads.append((c, after[b]))
+            assert neck.split(after) == Necklace(*zip(*beads))
+
+    def test_split_rejects_what_it_could_break(self):
+        neck = Necklace((0, 1, 0, 2), (4, 5, 6, 7))
+        with pytest.raises(ValueError, match="already on the necklace"):
+            neck.split({4: 5})
+        with pytest.raises(ValueError, match="distinct"):
+            neck.split({4: 8, 6: 8})
+        with pytest.raises(ValueError, match="no bead 9"):
+            neck.split({4: 8, 9: 10})
+        assert neck.split({4: 8, 6: 9}) == Necklace((0, 0, 1, 0, 0, 2), (4, 8, 5, 6, 9, 7))
 
     def test_invariants(self):
         with pytest.raises(ValueError):

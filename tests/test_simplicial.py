@@ -141,6 +141,56 @@ class TestValidation:
     def test_klein_bottle_is_valid(self):
         assert klein_bottle().validate() == []
 
+    @staticmethod
+    def corrupted():
+        def rows(x):
+            return [[list(x.face_row(q, i)) for i in x.simplices(q)]
+                    for q in range(1, x.top_dim + 1)]
+
+        tetra = rows(standard_simplex(3))
+        tetra[1][0][:2] = tetra[1][0][1::-1]
+        torus = rows(grid_torus(3))
+        torus[0][4].reverse()
+        return {
+            "square": (3, [[[0, 1], [1, 2], [2, 0]], [[0, 1, 2]]]),
+            "tetrahedron": (4, tetra),
+            "shape": (-1, [[[0, 5], [0]], [[0, 1, 2]]]),
+            "torus": (9, torus),
+        }
+
+    # every problem, in order and word for word
+    PROBLEMS = {
+        "square": [
+            "face identity violated at (2/0, 0, 1): face(face(x,1),0) = 1 but face(face(x,0),0) = 0",
+            "face identity violated at (2/0, 0, 2): face(face(x,2),0) = 2 but face(face(x,0),1) = 1",
+            "face identity violated at (2/0, 1, 2): face(face(x,2),1) = 0 but face(face(x,1),1) = 2",
+        ],
+        "tetrahedron": [
+            "face identity violated at (2/0, 0, 2): face(face(x,2),0) = 1 but face(face(x,0),1) = 0",
+            "face identity violated at (2/0, 1, 2): face(face(x,2),1) = 0 but face(face(x,1),1) = 1",
+            "face identity violated at (3/0, 0, 3): face(face(x,3),0) = 1 but face(face(x,0),2) = 3",
+            "face identity violated at (3/0, 1, 3): face(face(x,3),1) = 3 but face(face(x,1),2) = 1",
+        ],
+        "shape": [
+            "negative vertex count",
+            "face 0 of 1/0 references 0/0 but dimension 0 has -1 simplices",
+            "face 1 of 1/0 references 0/5 but dimension 0 has -1 simplices",
+            "simplex 1/1 has 1 faces, expected 2",
+            "face 2 of 2/0 references 1/2 but dimension 1 has 2 simplices",
+        ],
+        "torus": [
+            "face identity violated at (2/1, 0, 2): face(face(x,2),0) = 0 but face(face(x,0),1) = 1",
+            "face identity violated at (2/1, 1, 2): face(face(x,2),1) = 1 but face(face(x,1),1) = 0",
+            "face identity violated at (2/12, 0, 2): face(face(x,2),0) = 0 but face(face(x,0),1) = 1",
+            "face identity violated at (2/12, 1, 2): face(face(x,2),1) = 1 but face(face(x,1),1) = 0",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_problem_list_is_pinned(self, name):
+        n, faces = self.corrupted()[name]
+        assert SemiSimplicialSet(n, faces, check=False).validate() == self.PROBLEMS[name]
+
 
 class TestAccessors:
     def test_face_ref(self):
