@@ -59,7 +59,6 @@ from .cyclic import (
     Necklace,
     c01,
     enumerate_sc,
-    is_classical_necklace,
     kan_lifts,
     kan_survey,
     sc_normalized_homology,
@@ -75,10 +74,7 @@ from .bundle import (
     chern_cocycle,
     chern_number,
     check_projection_naturality,
-    elementary_system,
-    is_classical_bundle,
     minimal_from_cocycle,
-    systems_equivalent,
     total_to_json_dict,
 )
 from .spindle import (

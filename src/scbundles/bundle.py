@@ -50,7 +50,7 @@ from .errors import (
     NotBinary,
 )
 from .homology import FundamentalClass, IntCochain, coboundary
-from .simplicial import SemiSimplicialSet, SimplexRef, standard_simplex
+from .simplicial import SemiSimplicialSet, SimplexRef
 
 __all__ = [
     "NecklaceLocalSystem",
@@ -58,12 +58,9 @@ __all__ = [
     "AssembledBundle",
     "SingularProjection",
     "assemble",
-    "elementary_system",
     "minimal_from_cocycle",
     "chern_cocycle",
     "chern_number",
-    "is_classical_bundle",
-    "systems_equivalent",
     "check_projection_naturality",
     "bundle_to_json_dict",
     "bundle_from_json_dict",
@@ -86,13 +83,12 @@ class NecklaceLocalSystem:
     never mutated; spindle moves share every map they leave unchanged.
     """
 
-    __slots__ = ("base", "stalks", "bead_maps", "_embeddings")
+    __slots__ = ("base", "stalks", "bead_maps")
 
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
         self.stalks: dict[SimplexKey, Necklace] = dict(stalks)
         self.bead_maps: dict[tuple[int, int, int], dict[int, int]] = dict(bead_maps)
-        self._embeddings: dict[tuple[int, int, int], dict[int, int]] = {}
         if check:
             problems = self.validate()
             if problems:
@@ -108,21 +104,6 @@ class NecklaceLocalSystem:
 
     def bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
         return self.bead_maps[(q, index, i)]
-
-    def vertex_embedding(self, q: int, index: int, p: int) -> dict[int, int]:
-        """Composite bead embedding from the circle over vertex position p
-        into the stalk; independent of the face chain by coherence."""
-        key = (q, index, p)
-        cached = self._embeddings.get(key)
-        if cached is not None:
-            return cached
-        vertex, chain = self.base.face_walk(q, index, (p,))
-        emb = {b: b for b in self.stalk(0, vertex).ids}
-        for dq, di, fi in reversed(chain):
-            bm = self.bead_map(dq, di, fi)
-            emb = {vb: bm[sb] for vb, sb in emb.items()}
-        self._embeddings[key] = emb
-        return emb
 
     def is_minimal(self) -> bool:
         return all(n.size == q + 1 for (q, _), n in self.stalks.items())
@@ -471,39 +452,6 @@ def _face_rules(
     return rules
 
 
-# -- elementary bundles ------------------------------------------------
-
-
-def elementary_system(neck: Necklace | CircularPermutation) -> NecklaceLocalSystem:
-    """The local system of one necklace over the standard simplex on its
-    colors: stalks restrict by deleting absent colors, bead ids persist."""
-    if isinstance(neck, CircularPermutation):
-        neck = Necklace.from_circular(neck)
-    k = neck.top
-    base = standard_simplex(k)
-    subsets = {
-        q: list(combinations(range(k + 1), q + 1)) for q in range(k + 1)
-    }
-    stalks: dict[SimplexKey, Necklace] = {}
-    restricted: dict[tuple, Necklace] = {}
-    for q, level in subsets.items():
-        for idx, sub in enumerate(level):
-            rank = {c: r for r, c in enumerate(sub)}
-            picked = [(b, rank[c]) for b, c in neck.beads() if c in rank]
-            stalk = Necklace(
-                tuple(c for _, c in picked), tuple(b for b, _ in picked)
-            )
-            stalks[(q, idx)] = stalk
-            restricted[sub] = stalk
-    bead_maps = {}
-    for q in range(1, k + 1):
-        for idx, sub in enumerate(subsets[q]):
-            for i in range(q + 1):
-                small = restricted[sub[:i] + sub[i + 1 :]]
-                bead_maps[(q, idx, i)] = {b: b for b in small.ids}
-    return NecklaceLocalSystem(base, stalks, bead_maps, check=False)
-
-
 # -- cocycles and minimal bundles --------------------------------------
 
 
@@ -572,86 +520,6 @@ def chern_number(u: IntCochain, fm: FundamentalClass) -> int:
     """Pairing of a binary 2-cocycle with the fundamental class."""
     _require_binary_cocycle(fm.carrier, u)
     return sum(c * v for c, v in zip(fm.coefficients, u.values))
-
-
-def systems_equivalent(
-    first: NecklaceLocalSystem, second: NecklaceLocalSystem
-) -> bool:
-    """Whether a bead renaming carries one system to the other.
-
-    A renaming is determined by one rotation of each vertex circle, since
-    every stalk's color class is the embedded image of a vertex circle.
-    The rotations are searched with backtracking, checking each stalk as
-    soon as all of its vertices are assigned; the search is a loop, so
-    bases with thousands of vertices do not hit the recursion limit.
-    """
-    if first.base != second.base:
-        return False
-    base = first.base
-    nv = base.simplex_count(0)
-    for v in range(nv):
-        if first.stalk(0, v).size != second.stalk(0, v).size:
-            return False
-    by_last: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {
-        v: [] for v in range(nv)
-    }
-    for q in range(base.top_dim + 1):
-        for idx in base.simplices(q):
-            vs = base.vertices_of(q, idx)
-            by_last[max(vs)].append((q, idx, vs))
-
-    def stalk_matches(q, idx, vs, rotations):
-        n1 = first.stalk(q, idx)
-        n2 = second.stalk(q, idx)
-        if n1.size != n2.size:
-            return False
-        f = {}
-        for p, v in enumerate(vs):
-            e1 = first.vertex_embedding(q, idx, p)
-            e2 = second.vertex_embedding(q, idx, p)
-            ids1 = first.stalk(0, v).ids
-            ids2 = second.stalk(0, v).ids
-            r = rotations[v]
-            n = len(ids1)
-            for t, vb in enumerate(ids1):
-                f[e1[vb]] = e2[ids2[(t + r) % n]]
-        seq = tuple(f[b] for b in n1.ids)
-        ids2t = n2.ids
-        j = ids2t.index(seq[0])
-        return ids2t[j:] + ids2t[:j] == seq
-
-    # depth-first over the vertices; rotations[v] is the one being tried
-    rotations = [-1] * nv
-    v = 0
-    while 0 <= v < nv:
-        rotations[v] += 1
-        if rotations[v] == first.stalk(0, v).size:
-            rotations[v] = -1
-            v -= 1
-        elif all(
-            stalk_matches(q, idx, vs, rotations) for q, idx, vs in by_last[v]
-        ):
-            v += 1
-    return v == nv
-
-
-def is_classical_bundle(system: NecklaceLocalSystem) -> tuple[bool, str | None]:
-    """Whether the total space is a classical simplicial complex in
-    dimension one: no loops and no repeated edges."""
-    asm = assemble(system)
-    total = asm.total
-    seen: dict[tuple[int, int], int] = {}
-    for e in total.simplices(1):
-        f0, f1 = total.face_row(1, e)
-        if f0 == f1:
-            return False, f"total edge 1/{e} is a loop"
-        pair = (f0, f1) if f0 < f1 else (f1, f0)
-        if pair in seen:
-            return False, (
-                f"total edges 1/{seen[pair]} and 1/{e} join the same vertices"
-            )
-        seen[pair] = e
-    return True, None
 
 
 # -- serialization -----------------------------------------------------

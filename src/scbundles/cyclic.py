@@ -38,7 +38,6 @@ __all__ = [
     "MAX_SC_K",
     "kan_lifts",
     "kan_survey",
-    "is_classical_necklace",
     "sc_normalized_homology",
 ]
 
@@ -72,17 +71,6 @@ def _cp_face(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return _canon_cp(tuple(v if v < i else v - 1 for v in word if v != i))
 
 
-@lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _cp_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
-    out: list[int] = []
-    for v in word:
-        shifted = v if v <= i else v + 1
-        out.append(shifted)
-        if v == i:
-            out.append(i + 1)
-    return _canon_cp(tuple(out))
-
-
 @dataclass(frozen=True)
 class CircularPermutation:
     """A cyclic order on the colors 0..top, stored starting at color 0."""
@@ -104,11 +92,6 @@ class CircularPermutation:
         if self.top == 0:
             raise LastColor("cannot delete the only color of <0>")
         return CircularPermutation(_cp_face(self.word, i))
-
-    def degeneracy(self, i: int) -> "CircularPermutation":
-        """Insert a duplicate right after color i; higher colors move up."""
-        self._check_color(i)
-        return CircularPermutation(_cp_degeneracy(self.word, i))
 
     def is_degenerate(self) -> bool:
         """True when some degeneracy of a smaller circular permutation
@@ -373,26 +356,6 @@ class Necklace:
         object.__setattr__(neck, "colors", colors)
         object.__setattr__(neck, "ids", ids)
         return neck
-
-
-def is_classical_necklace(neck: Necklace) -> tuple[bool, str | None]:
-    """Whether the elementary bundle on this necklace is a classical
-    simplicial complex: every color at least three beads, every color
-    pair mixed (not two solid blocks around the circle)."""
-    counts = [0] * (neck.top + 1)
-    for c in neck.colors:
-        counts[c] += 1
-    for color, n in enumerate(counts):
-        if n < 3:
-            return False, f"color {color} has only {n} bead(s), needs 3"
-    for i, j in combinations(range(neck.top + 1), 2):
-        sub = [c for c in neck.colors if c in (i, j)]
-        changes = sum(
-            1 for p in range(len(sub)) if sub[p] != sub[p - 1]
-        )
-        if changes == 2:
-            return False, f"colors {i} and {j} sit in two solid blocks"
-    return True, None
 
 
 # -- normalized chains of the circular-permutation family -------------

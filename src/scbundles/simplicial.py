@@ -124,32 +124,6 @@ class SemiSimplicialSet:
             self._cofaces = tuple(tuple(map(tuple, level)) for level in table)
         return self._cofaces[q][index]
 
-    def face_walk(
-        self, q: int, index: int, keep
-    ) -> tuple[int, list[tuple[int, int, int]]]:
-        """Face of a q-simplex spanned by the vertex positions in ``keep``.
-
-        Every other position is deleted from the top down, which keeps each
-        lower position at its original index.  Returns the index of the
-        face and the steps ``(dim, index, position)`` taken, in order.
-        """
-        steps = []
-        for t in range(q, -1, -1):
-            if t not in keep:
-                steps.append((q, index, t))
-                index = self._faces[q - 1][index][t]
-                q -= 1
-        return index, steps
-
-    def vertex_at(self, q: int, index: int, p: int) -> int:
-        """Vertex index at position ``p`` of a q-simplex."""
-        if not 0 <= p <= q:
-            raise IndexError(f"position {p} outside 0..{q}")
-        return self.face_walk(q, index, (p,))[0]
-
-    def vertices_of(self, q: int, index: int) -> tuple[int, ...]:
-        return tuple(self.vertex_at(q, index, p) for p in range(q + 1))
-
     # -- validation ----------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -405,7 +379,7 @@ def grid_torus(n: int) -> SemiSimplicialSet:
 def _parse_sized(name: str, prefix: str) -> int | None:
     if name.startswith(prefix + ":"):
         try:
-            return int(name[len(prefix) + 1 :])
+            return key_int(name[len(prefix) + 1 :])
         except ValueError as exc:
             raise MalformedFile(f"bad size in base name {name!r}") from exc
     return None

@@ -48,8 +48,9 @@ def _lifted(
     beads over two of its faces.  A vertex at position p < q of (q, idx)
     sits at p in face q, and one at q sits at q - 1 in face q - 1; so
     ``high`` (over face q) and ``low`` (over face q - 1) are pushed along
-    those faces' bead maps.  This is the face chain that
-    ``vertex_embedding`` composes, taken one step at a time."""
+    those faces' bead maps.  Taken from a vertex up, these steps carry a
+    vertex bead to its image in every stalk of the star; by coherence of
+    the bead maps the image does not depend on the faces passed through."""
     lifted = {p: maps[(q, idx, q)][b] for p, b in high.items()}
     if (b := low.get(q - 1)) is not None:
         lifted[q] = maps[(q, idx, q - 1)][b]

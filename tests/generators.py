@@ -24,6 +24,8 @@ from scbundles import (
 )
 from scbundles.spindle import contract, subdivide
 
+from oracles import vertices_of
+
 KLEIN_FACES = [[0, 0, 0], [[0, 0], [0, 0], [0, 0]], [[1, 2, 0], [2, 1, 0]]]
 
 
@@ -64,7 +66,7 @@ def vertex_order_cocycle(base: SemiSimplicialSet, rng: random.Random) -> IntCoch
     rng.shuffle(place)
     values = []
     for idx in base.simplices(2):
-        a, b, c = (place[v] for v in base.vertices_of(2, idx))
+        a, b, c = (place[v] for v in vertices_of(base, 2, idx))
         values.append(0 if a < b < c or b < c < a or c < a < b else 1)
     return IntCochain(2, tuple(values))
 

@@ -1,0 +1,224 @@
+"""Independent references that the suites share.
+
+None of these is on a path the library takes.  Each answers a question
+the library answers another way, or one the tests ask about its
+output: the iterated face chain of a simplex against ``spindle._lifted``'s
+one face step, equivalence of local systems up to bead renaming, the
+local system of one necklace, whether a total space is a classical
+complex, and the degeneracy operators of circular permutations.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from scbundles import (
+    CircularPermutation,
+    Necklace,
+    NecklaceLocalSystem,
+    SemiSimplicialSet,
+    assemble,
+    standard_simplex,
+)
+
+# -- the iterated face chain -------------------------------------------
+
+
+def face_walk(
+    base: SemiSimplicialSet, q: int, index: int, keep
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Face of a q-simplex spanned by the vertex positions in ``keep``.
+
+    Every other position is deleted from the top down, which keeps each
+    lower position at its original index.  Returns the index of the
+    face and the steps ``(dim, index, position)`` taken, in order.
+    """
+    steps = []
+    for t in range(q, -1, -1):
+        if t not in keep:
+            steps.append((q, index, t))
+            index = base.face_index(q, index, t)
+            q -= 1
+    return index, steps
+
+
+def vertex_at(base: SemiSimplicialSet, q: int, index: int, p: int) -> int:
+    """Vertex index at position ``p`` of a q-simplex."""
+    if not 0 <= p <= q:
+        raise IndexError(f"position {p} outside 0..{q}")
+    return face_walk(base, q, index, (p,))[0]
+
+
+def vertices_of(base: SemiSimplicialSet, q: int, index: int) -> tuple[int, ...]:
+    return tuple(vertex_at(base, q, index, p) for p in range(q + 1))
+
+
+def vertex_embedding(
+    system: NecklaceLocalSystem, q: int, index: int, p: int
+) -> dict[int, int]:
+    """Composite bead embedding from the circle over vertex position p
+    into the stalk; independent of the face chain by coherence."""
+    vertex, chain = face_walk(system.base, q, index, (p,))
+    emb = {b: b for b in system.stalk(0, vertex).ids}
+    for dq, di, fi in reversed(chain):
+        bm = system.bead_map(dq, di, fi)
+        emb = {vb: bm[sb] for vb, sb in emb.items()}
+    return emb
+
+
+# -- local systems -----------------------------------------------------
+
+
+def elementary_system(neck: Necklace | CircularPermutation) -> NecklaceLocalSystem:
+    """The local system of one necklace over the standard simplex on its
+    colors: stalks restrict by deleting absent colors, bead ids persist."""
+    if isinstance(neck, CircularPermutation):
+        neck = Necklace.from_circular(neck)
+    k = neck.top
+    base = standard_simplex(k)
+    subsets = {
+        q: list(combinations(range(k + 1), q + 1)) for q in range(k + 1)
+    }
+    stalks: dict[tuple[int, int], Necklace] = {}
+    restricted: dict[tuple, Necklace] = {}
+    for q, level in subsets.items():
+        for idx, sub in enumerate(level):
+            rank = {c: r for r, c in enumerate(sub)}
+            picked = [(b, rank[c]) for b, c in neck.beads() if c in rank]
+            stalk = Necklace(
+                tuple(c for _, c in picked), tuple(b for b, _ in picked)
+            )
+            stalks[(q, idx)] = stalk
+            restricted[sub] = stalk
+    bead_maps = {}
+    for q in range(1, k + 1):
+        for idx, sub in enumerate(subsets[q]):
+            for i in range(q + 1):
+                small = restricted[sub[:i] + sub[i + 1 :]]
+                bead_maps[(q, idx, i)] = {b: b for b in small.ids}
+    return NecklaceLocalSystem(base, stalks, bead_maps, check=False)
+
+
+def systems_equivalent(
+    first: NecklaceLocalSystem, second: NecklaceLocalSystem
+) -> bool:
+    """Whether a bead renaming carries one system to the other.
+
+    A renaming is determined by one rotation of each vertex circle, since
+    every stalk's color class is the embedded image of a vertex circle.
+    The rotations are searched with backtracking, checking each stalk as
+    soon as all of its vertices are assigned; the search is a loop, so
+    bases with thousands of vertices do not hit the recursion limit.
+    """
+    if first.base != second.base:
+        return False
+    base = first.base
+    nv = base.simplex_count(0)
+    for v in range(nv):
+        if first.stalk(0, v).size != second.stalk(0, v).size:
+            return False
+    # each simplex is checked once its last vertex is assigned, and the
+    # embeddings of its vertex circles are walked once for the search
+    by_last: dict[int, list[tuple[int, int, tuple[int, ...], list]]] = {
+        v: [] for v in range(nv)
+    }
+    for q in range(base.top_dim + 1):
+        for idx in base.simplices(q):
+            vs = vertices_of(base, q, idx)
+            embeddings = [
+                (vertex_embedding(first, q, idx, p), vertex_embedding(second, q, idx, p))
+                for p in range(q + 1)
+            ]
+            by_last[max(vs)].append((q, idx, vs, embeddings))
+
+    def stalk_matches(q, idx, vs, embeddings, rotations):
+        n1 = first.stalk(q, idx)
+        n2 = second.stalk(q, idx)
+        if n1.size != n2.size:
+            return False
+        f = {}
+        for v, (e1, e2) in zip(vs, embeddings):
+            ids1 = first.stalk(0, v).ids
+            ids2 = second.stalk(0, v).ids
+            r = rotations[v]
+            n = len(ids1)
+            for t, vb in enumerate(ids1):
+                f[e1[vb]] = e2[ids2[(t + r) % n]]
+        seq = tuple(f[b] for b in n1.ids)
+        ids2t = n2.ids
+        j = ids2t.index(seq[0])
+        return ids2t[j:] + ids2t[:j] == seq
+
+    # depth-first over the vertices; rotations[v] is the one being tried
+    rotations = [-1] * nv
+    v = 0
+    while 0 <= v < nv:
+        rotations[v] += 1
+        if rotations[v] == first.stalk(0, v).size:
+            rotations[v] = -1
+            v -= 1
+        elif all(stalk_matches(*entry, rotations) for entry in by_last[v]):
+            v += 1
+    return v == nv
+
+
+# -- classical complexes -----------------------------------------------
+
+
+def is_classical_bundle(system: NecklaceLocalSystem) -> tuple[bool, str | None]:
+    """Whether the total space is a classical simplicial complex in
+    dimension one: no loops and no repeated edges."""
+    total = assemble(system).total
+    seen: dict[tuple[int, int], int] = {}
+    for e in total.simplices(1):
+        f0, f1 = total.face_row(1, e)
+        if f0 == f1:
+            return False, f"total edge 1/{e} is a loop"
+        pair = (f0, f1) if f0 < f1 else (f1, f0)
+        if pair in seen:
+            return False, (
+                f"total edges 1/{seen[pair]} and 1/{e} join the same vertices"
+            )
+        seen[pair] = e
+    return True, None
+
+
+def is_classical_necklace(neck: Necklace) -> tuple[bool, str | None]:
+    """Whether the elementary bundle on this necklace is a classical
+    simplicial complex: every color at least three beads, every color
+    pair mixed (not two solid blocks around the circle)."""
+    counts = [0] * (neck.top + 1)
+    for c in neck.colors:
+        counts[c] += 1
+    for color, n in enumerate(counts):
+        if n < 3:
+            return False, f"color {color} has only {n} bead(s), needs 3"
+    for i, j in combinations(range(neck.top + 1), 2):
+        sub = [c for c in neck.colors if c in (i, j)]
+        changes = sum(
+            1 for p in range(len(sub)) if sub[p] != sub[p - 1]
+        )
+        if changes == 2:
+            return False, f"colors {i} and {j} sit in two solid blocks"
+    return True, None
+
+
+# -- degeneracies ------------------------------------------------------
+
+
+def word_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Degeneracy i of a linear word: a duplicate right after the letter
+    i, with the higher letters moved up."""
+    out = []
+    for v in word:
+        out.append(v if v <= i else v + 1)
+        if v == i:
+            out.append(i + 1)
+    return tuple(out)
+
+
+def degeneracy(theta: CircularPermutation, i: int) -> CircularPermutation:
+    """Insert a duplicate right after color i; higher colors move up."""
+    if not 0 <= i <= theta.top:
+        raise ValueError(f"color {i} outside 0..{theta.top}")
+    return CircularPermutation(word_degeneracy(theta.word, i))

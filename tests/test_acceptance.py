@@ -26,12 +26,9 @@ from scbundles import (
     cohomologous,
     contract,
     delta_torus,
-    elementary_system,
     enumerate_sc,
     fundamental_class,
     homology_groups,
-    is_classical_bundle,
-    is_classical_necklace,
     kan_lifts,
     kan_survey,
     minimal_from_cocycle,
@@ -41,10 +38,15 @@ from scbundles import (
     sc_normalized_homology,
     standard_simplex,
     subdivide,
-    systems_equivalent,
 )
 from scbundles._json import canonical_dumps
 from generators import Budget, random_binary_cocycle, random_necklace, random_system
+from oracles import (
+    elementary_system,
+    is_classical_bundle,
+    is_classical_necklace,
+    systems_equivalent,
+)
 
 
 # (f0, f1, f2, f3) -> (chern number, extension word over the solid

@@ -28,15 +28,11 @@ from scbundles import (
     chern_number,
     check_projection_naturality,
     delta_torus,
-    elementary_system,
     fundamental_class,
     homology_groups,
-    is_classical_bundle,
-    is_classical_necklace,
     minimal_from_cocycle,
     octahedron_sphere,
     standard_simplex,
-    systems_equivalent,
     total_to_json_dict,
 )
 from scbundles._json import canonical_dumps
@@ -45,6 +41,14 @@ from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
 from generators import grid_torus, random_binary_cocycle, random_necklace, random_system
+from oracles import (
+    elementary_system,
+    is_classical_bundle,
+    is_classical_necklace,
+    systems_equivalent,
+    vertex_at,
+    vertex_embedding,
+)
 
 
 def catalog(system):
@@ -114,8 +118,8 @@ class TestLocalSystem:
                 for idx in base.simplices(q):
                     neck = system.stalk(q, idx)
                     for p in range(q + 1):
-                        emb = system.vertex_embedding(q, idx, p)
-                        v = base.vertex_at(q, idx, p)
+                        emb = vertex_embedding(system, q, idx, p)
+                        v = vertex_at(base, q, idx, p)
                         assert set(emb) == set(system.stalk(0, v).ids)
                         image = sorted(emb.values())
                         cls = sorted(

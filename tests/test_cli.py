@@ -540,6 +540,7 @@ def test_unwritable_out_exit_3_without_traceback(tmp_path, command, out):
         ("simplex:-1", 3), ("sphere:0", 3), ("sphere:-2", 3),
         (f"simplex:{MAX_NAMED_K + 1}", 11), ("sphere:25", 11),
         ("torus:2", 3), ("torus:3", 0), (f"torus:{MAX_TORUS_N + 1}", 11),
+        ("torus:+4", 3), ("torus:04", 3), ("sphere: 2", 3),
     ],
 )
 def test_named_base_size_bounds(capsys, name, code):

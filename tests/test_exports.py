@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -14,15 +15,17 @@ UNREFERENCED_EXPORTS = {
     "contract": "traced by name by the benchmark",
     "build_surface_bundle": "called by the benchmark's workloads",
     "cohomologous": "backs README's coboundary claim (ROADMAP item 3)",
-    "systems_equivalent": "test oracle waiting on ROADMAP item 8",
-    "is_classical_bundle": "test oracle waiting on ROADMAP item 8",
-    "is_classical_necklace": "test oracle waiting on ROADMAP item 8",
-    "elementary_system": "test oracle waiting on ROADMAP item 8",
 }
 
+# public methods and properties of library classes that no library module
+# reads outside the class, each with the reason it is public
+UNREAD_METHODS: dict[str, str] = {}
 
+
+@functools.cache
 def library_modules():
-    """(name, syntax tree) of every module but the package's ``__init__``."""
+    """(name, syntax tree) of every module but the package's ``__init__``,
+    parsed once, so that its statements can be told apart by identity."""
     return [
         (path.stem, ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(SRC.glob("*.py"))
@@ -39,13 +42,15 @@ def exported(tree):
     return []
 
 
-def referenced_names():
+def referenced_names(skip=None):
     """Names and attributes the library reads, outside the function or
     class that defines them, so a name used only inside its own definition
-    counts as unused."""
+    counts as unused.  The top-level statement ``skip`` is not read."""
     refs = set()
     for _, tree in library_modules():
         for stmt in tree.body:
+            if stmt is skip:
+                continue
             own = getattr(stmt, "name", None)
             for node in ast.walk(stmt):
                 if not isinstance(getattr(node, "ctx", None), ast.Load):
@@ -73,6 +78,28 @@ def test_every_exported_name_is_used_or_allowed():
     assert unused == [], "exported but used nowhere in the library"
     stale = sorted(n for n in UNREFERENCED_EXPORTS if n in refs or n not in exports)
     assert stale == [], "allowed as unused but used or no longer exported"
+
+
+def test_every_public_method_is_read_outside_its_class():
+    # attributes are matched by name alone, so a read of another class's
+    # attribute of the same name counts as a read of this one
+    unread = []
+    for _, tree in library_modules():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            refs = referenced_names(skip=cls)
+            unread.extend(
+                f"{cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and node.name not in refs
+            )
+    unused = sorted(n for n in unread if n not in UNREAD_METHODS)
+    assert unused == [], "public but read nowhere in the library outside its class"
+    stale = sorted(n for n in UNREAD_METHODS if n not in unread)
+    assert stale == [], "allowed as unread but read or gone"
 
 
 def test_no_unused_imports():

@@ -26,13 +26,14 @@ from scbundles import (
     cochain_from_json_dict,
     cochain_to_json_dict,
     delta_torus,
-    elementary_system,
     minimal_from_cocycle,
     named_base,
     subdivide,
 )
 from scbundles._json import write_json
 from scbundles.cli import _load_selection
+
+from oracles import elementary_system
 
 HOPF = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
 MINIMAL_DOC = bundle_to_json_dict(HOPF.as_local_system())

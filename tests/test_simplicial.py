@@ -18,6 +18,7 @@ from scbundles import (
 )
 
 from generators import NAMED_EXAMPLES, klein_bottle
+from oracles import face_walk, vertex_at, vertices_of
 from scbundles.simplicial import MAX_TORUS_N
 
 
@@ -82,7 +83,7 @@ class TestBuiltins:
         assert o.euler_characteristic() == 2
         # antipodal pairs never share a triangle
         for idx in o.simplices(2):
-            vs = o.vertices_of(2, idx)
+            vs = vertices_of(o, 2, idx)
             for a, b in ((0, 1), (2, 3), (4, 5)):
                 assert not (a in vs and b in vs)
 
@@ -93,7 +94,7 @@ class TestBuiltins:
         for q in range(5):
             subsets = list(combinations(range(5), q + 1))
             for idx in x.simplices(q):
-                assert x.vertices_of(q, idx) == subsets[idx]
+                assert vertices_of(x, q, idx) == subsets[idx]
 
     def test_face_walk_spans_kept_positions(self):
         from itertools import combinations
@@ -101,10 +102,10 @@ class TestBuiltins:
         x = standard_simplex(4)
         for q in range(5):
             for idx in x.simplices(q):
-                vs = x.vertices_of(q, idx)
+                vs = vertices_of(x, q, idx)
                 for r in range(1, q + 2):
                     for keep in combinations(range(q + 1), r):
-                        face, steps = x.face_walk(q, idx, keep)
+                        face, steps = face_walk(x, q, idx, keep)
                         want = tuple(vs[p] for p in keep)
                         assert face == list(combinations(range(5), r)).index(want)
                         deleted = [t for _, _, t in steps]
@@ -115,9 +116,9 @@ class TestBuiltins:
         for x in (standard_simplex(3), boundary_sphere(3), delta_torus(), octahedron_sphere()):
             for q in range(x.top_dim + 1):
                 for idx in x.simplices(q):
-                    vs = x.vertices_of(q, idx)
+                    vs = vertices_of(x, q, idx)
                     assert vs == tuple(
-                        x.vertex_at(q, idx, p) for p in range(q + 1)
+                        vertex_at(x, q, idx, p) for p in range(q + 1)
                     )
 
 
@@ -313,6 +314,14 @@ class TestNamedBases:
     )
     def test_grid_torus_bounds(self, name, error):
         with pytest.raises(error):
+            named_base(name)
+
+    # sizes are canonical decimals, as file keys and necklace tokens are
+    @pytest.mark.parametrize(
+        "name", ["torus:+4", "torus:04", "sphere: 2", "torus:\N{ARABIC-INDIC DIGIT THREE}"]
+    )
+    def test_size_spellings_rejected(self, name):
+        with pytest.raises(MalformedFile, match="bad size in base name"):
             named_base(name)
 
     def test_grid_torus_needs_three_rows(self):

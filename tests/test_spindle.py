@@ -22,17 +22,16 @@ from scbundles import (
     contract,
     default_selection,
     delta_torus,
-    elementary_system,
     fundamental_class,
     homology_groups,
     minimal_from_cocycle,
     minimize,
     standard_simplex,
     subdivide,
-    systems_equivalent,
     validate_selection,
 )
 from generators import random_system
+from oracles import elementary_system, systems_equivalent, vertex_embedding
 
 
 def doubled_interval():
@@ -73,7 +72,7 @@ class TestContract:
         # point the other vertex's bead at the image of the doomed bead
         system = doubled_interval()
         doomed = system.stalk(0, 0).ids[0]
-        target = system.vertex_embedding(1, 0, 0)[doomed]
+        target = vertex_embedding(system, 1, 0, 0)[doomed]
         maps = dict(system.bead_maps)
         (other,) = maps[(1, 0, 0)]
         maps[(1, 0, 0)] = {other: target}

@@ -25,7 +25,6 @@ from scbundles import (
     ScbError,
     SemiSimplicialSet,
     contract,
-    elementary_system,
     minimal_from_cocycle,
     named_base,
     octahedron_sphere,
@@ -42,6 +41,7 @@ from generators import (
     random_system,
     vertex_order_cocycle,
 )
+from oracles import elementary_system, vertex_at, vertex_embedding, vertices_of
 
 BASES = BUNDLE_BASES + (octahedron_sphere(), grid_torus(3))
 CASES = 200
@@ -54,7 +54,7 @@ def _check_vertex(system, v):
 
 
 def _vertex_positions(base, q, idx, v):
-    return [p for p in range(q + 1) if base.vertex_at(q, idx, p) == v]
+    return [p for p in range(q + 1) if vertex_at(base, q, idx, p) == v]
 
 
 def reference_contract(system, v, bead, check=True):
@@ -68,7 +68,7 @@ def reference_contract(system, v, bead, check=True):
     removed = {}
     for (q, idx), neck in system.stalks.items():
         gone = {
-            system.vertex_embedding(q, idx, p)[bead]
+            vertex_embedding(system, q, idx, p)[bead]
             for p in _vertex_positions(base, q, idx, v)
         }
         removed[(q, idx)] = gone
@@ -111,7 +111,7 @@ def reference_subdivide(system, v, bead, check=True):
         minted = {}
         split_after = {}
         for p in positions:
-            target = system.vertex_embedding(q, idx, p)[bead]
+            target = vertex_embedding(system, q, idx, p)[bead]
             minted[p] = next_id
             split_after[target] = next_id
             next_id += 1
@@ -152,8 +152,8 @@ def scan_star(system, v, bead):
         }
         for idx in sorted(level):
             found[(q, idx)] = {
-                p: system.vertex_embedding(q, idx, p)[bead]
-                for p, u in enumerate(base.vertices_of(q, idx)) if u == v
+                p: vertex_embedding(system, q, idx, p)[bead]
+                for p, u in enumerate(vertices_of(base, q, idx)) if u == v
             }
     return found
 
@@ -164,7 +164,7 @@ def star(system, v):
         (q, idx)
         for q in range(base.top_dim + 1)
         for idx in base.simplices(q)
-        if v in base.vertices_of(q, idx)
+        if v in vertices_of(base, q, idx)
     }
 
 
@@ -215,7 +215,7 @@ def test_errors_match_the_whole_walk():
     doomed = system.stalk(0, 0).ids[0]
     maps = dict(system.bead_maps)
     (other,) = maps[(1, 0, 0)]
-    maps[(1, 0, 0)] = {other: system.vertex_embedding(1, 0, 0)[doomed]}
+    maps[(1, 0, 0)] = {other: vertex_embedding(system, 1, 0, 0)[doomed]}
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     cases = [
         (contract, (broken, 0, doomed, False), IncoherentLocalSystem),

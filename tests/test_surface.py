@@ -14,10 +14,11 @@ from scbundles import (
     delta_torus,
     fundamental_class,
     homology_groups,
-    is_classical_bundle,
     octahedron_sphere,
     parity_check,
 )
+
+from oracles import is_classical_bundle
 
 
 class TestParityCheck:
