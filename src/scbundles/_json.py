@@ -10,6 +10,11 @@ from pathlib import Path
 from .errors import MalformedFile
 
 
+# what a document holds as a JSON array: a list, as parsed from text, or
+# a tuple, as the writers hand out stored rows; json.dumps writes both alike
+ARRAY_TYPES = (list, tuple)
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer read from a document; a bool, a fractional number
     or any other value raises MalformedFile rather than being truncated."""
@@ -35,10 +40,11 @@ def canonical_dumps(obj) -> str:
     so this renders the shapes the documents are made of itself: dicts
     with ``str`` keys, flat int lists in one join, and tables (rows of one
     length whose columns hold ints or int lists of one length) by filling
-    one ``%``-template per row.  Any other value (a bool, float,
-    ``None``, tuple, or a dict with other keys) and every subtree under it
-    goes to the stdlib.  The type checks are exact, so ``True`` never
-    prints as ``1``.
+    one ``%``-template per row.  A tuple is written as the array the
+    stdlib writes for it, so it may stand wherever a list does.  Any
+    other value (a bool, float, ``None``, or a dict with other keys) and
+    every subtree under it goes to the stdlib.  The type checks are
+    exact, so ``True`` never prints as ``1``.
     """
     return _render(obj, "\n") + "\n"
 
@@ -52,7 +58,7 @@ def _render(value, nl: str) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     inner = nl + "  "
-    if kind is list and value:
+    if kind in ARRAY_TYPES and value:
         return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"
     if kind is dict and {*map(type, value)} == {str}:
         return "{" + inner + ("," + inner).join(
@@ -67,7 +73,7 @@ def _items(values: list, nl: str):
     kinds = {*map(type, values)}
     if kinds == {int}:
         return map(str, values)
-    if kinds == {list}:
+    if kinds.issubset(ARRAY_TYPES):
         rows = _table(values, nl)
         if rows is not None:
             return rows
@@ -76,7 +82,7 @@ def _items(values: list, nl: str):
 
 def _table(rows: list, nl: str):
     """Rendered rows of a table, or None if some column is neither all
-    ints nor all int lists of one nonzero length.  The int lists are
+    ints nor all int lists or tuples of one nonzero length.  Those are
     split into int columns, so each row is one template filled with its
     ints."""
     widths = {*map(len, rows)}
@@ -92,7 +98,9 @@ def _table(rows: list, nl: str):
             columns.append(column)
             cells.append("%d")
             continue
-        if kinds != {list} or len(lengths := {*map(len, column)}) != 1:
+        if not kinds.issubset(ARRAY_TYPES):
+            return None
+        if len(lengths := {*map(len, column)}) != 1:
             return None
         if {*map(type, chain.from_iterable(column))} != {int}:
             return None

@@ -31,7 +31,8 @@ bundle, which the cocycle construction and ``minimize`` produce and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from ._json import json_int, key_int
@@ -306,70 +307,83 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     Dimension p lists the horizontal simplices over the base p-simplices,
     then the vertical ones over the (p-1)-simplices, stalk by stalk in
     stored bead order; so a simplex's id is the first id of its stalk
-    plus its bead's position, and face rows are read off bead positions.
-    Arc tables are built once per distinct (stalk, face stalk, bead map)
-    triple of objects, which the system keeps alive for the whole call.
+    plus its bead's position, and face rows are read off bead positions,
+    a column per face.  Arc tables are built once per distinct (stalk,
+    face stalk, bead map) triple of objects, which the system keeps alive
+    for the whole call.  Rows are tuples, and each base simplex has one
+    ``SimplexRef`` and one projection pair per operator, shared by its
+    stalk, so the total holds few containers for the collector to scan.
     """
     base = system.base
-    top = base.top_dim
+    stalks, bead_maps = system.stalks, system.bead_maps
     arc_memo: dict[tuple[int, int, int], list[int]] = {}
+    refs: list[SimplexRef] = []  # [idx]: the ref of base simplex p/idx
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
     arcs: list[list[list[int]]] = []  # [idx][m]: arc table along face m of p/idx
-    faces: list[list[list[int]]] = []
+    faces: list[list[tuple[int, ...]]] = []
     proj_table = []
-    for p in range(top + 2):
-        rows: list[list[int]] = []
+    for p in range(base.top_dim + 2):
+        rows: list[tuple[int, ...]] = []
         entries = []
         starts = []
-        below_arcs = arcs
+        below_arcs, below_refs = arcs, refs
         arcs = []
+        refs = [SimplexRef(p, idx) for idx in base.simplices(p)]
         identity = tuple(range(p + 1))
-        for idx in base.simplices(p):
-            neck = system.stalk(p, idx)
+        for idx, ref in enumerate(refs):
+            neck = stalks[(p, idx)]
             starts.append(len(entries))
-            entries.extend([(SimplexRef(p, idx), identity)] * neck.size)
+            entries.extend([(ref, identity)] * neck.size)
             if p:
                 face_row = base.face_row(p, idx)
                 tables = []
                 for m, f in enumerate(face_row):
-                    small, bm = system.stalk(p - 1, f), system.bead_map(p, idx, m)
+                    small, bm = stalks[(p - 1, f)], bead_maps[(p, idx, m)]
                     key = (id(neck), id(small), id(bm))
                     table = arc_memo.get(key)
                     if table is None:
                         table = arc_memo[key] = _arc_table(neck, small, bm)
                     tables.append(table)
                 arcs.append(tables)
-                heads = [first_h[p - 1][f] for f in face_row]
-                rows.extend(
-                    [h + t[pos] for h, t in zip(heads, tables)]
-                    for pos in range(neck.size)
-                )
+                heads = first_h[p - 1]
+                rows.extend(zip(*[
+                    map(heads[f].__add__, table) for f, table in zip(face_row, tables)
+                ]))
         first_h.append(starts)
         if p:
             q = p - 1
             degeneracies = [
                 tuple(t if t <= j else t - 1 for t in identity) for j in range(p)
             ]
+            # a bead of color j picks its row from its cells (arc after,
+            # arc before, the lower faces): faces j and j + 1 are those two
+            # arcs, face m < j lies over face m and m > j + 1 over m - 1
+            slots = [
+                itemgetter(*range(2, j + 2), 0, 1, *range(j + 3, p + 2))
+                for j in range(p)
+            ]
             starts = []
-            for idx in base.simplices(q):
-                neck = system.stalk(q, idx)
-                starts.append(len(entries))
+            for idx, ref in enumerate(below_refs):
+                neck = stalks[(q, idx)]
+                size = neck.size
                 h0 = first_h[q][idx]
-                ref = SimplexRef(q, idx)
-                # faces j and j + 1 are the bead's two horizontal ends; face
-                # m < j lies over face m, and m > j + 1 over face m - 1
-                lower = [
-                    (first_v[q - 1][f], below_arcs[idx][fm])
-                    for fm, f in enumerate(base.face_row(q, idx) if q else ())
+                starts.append(len(entries))
+                pairs = [(ref, op) for op in degeneracies]
+                entries.extend(map(pairs.__getitem__, neck.colors))
+                columns = [
+                    range(h0, h0 + size),
+                    chain((h0 + size - 1,), range(h0, h0 + size - 1)),
                 ]
-                for pos, j in enumerate(neck.colors):
-                    entries.append((ref, degeneracies[j]))
-                    rows.append(
-                        [start + table[pos] for start, table in lower[:j]]
-                        + [h0 + pos, h0 + (pos - 1) % neck.size]
-                        + [start + table[pos] for start, table in lower[j + 1:]]
-                    )
+                if q:
+                    heads = first_v[q - 1]
+                    columns += [
+                        map(heads[f].__add__, table)
+                        for f, table in zip(base.face_row(q, idx), below_arcs[idx])
+                    ]
+                rows.extend([
+                    slots[j](cells) for j, cells in zip(neck.colors, zip(*columns))
+                ])
             first_v.append(starts)
             faces.append(rows)
         proj_table.append(tuple(entries))
@@ -655,12 +669,12 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
 
 
 def total_to_json_dict(asm: AssembledBundle) -> dict:
-    """Total space in complex format plus the projection table."""
+    """Total space in complex format plus the projection table, whose
+    rows are tuples ``(dim, index, op)`` sharing the stored operators;
+    the writer puts them out as arrays."""
     doc = asm.total.to_json_dict()
     doc["projection"] = {
-        str(p): [
-            [ref.dim, ref.index, list(op)] for ref, op in asm.projection.table[p]
-        ]
-        for p in range(len(asm.projection.table))
+        str(p): [(ref.dim, ref.index, op) for ref, op in level]
+        for p, level in enumerate(asm.projection.table)
     }
     return doc

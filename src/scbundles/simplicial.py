@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from ._json import json_int, key_int
+from ._json import ARRAY_TYPES, json_int, key_int
 from .errors import DanglingReference, EnumerationBound, InvalidComplex, MalformedFile
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexRef:
     """Address of one simplex: its dimension and index in that dimension."""
 
@@ -169,12 +169,12 @@ class SemiSimplicialSet:
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The complex document; each face table is the stored tuple of
+        tuple rows, which the writer puts out as arrays, so the document
+        shares them rather than copying them."""
         doc: dict = {
             "dims": list(self.counts),
-            "faces": {
-                str(q): [list(row) for row in self._faces[q - 1]]
-                for q in range(1, self.top_dim + 1)
-            },
+            "faces": {str(q): self._faces[q - 1] for q in range(1, self.top_dim + 1)},
         }
         if self.labels:
             labels: dict[str, list] = {}
@@ -188,9 +188,11 @@ class SemiSimplicialSet:
 
     @classmethod
     def from_json_dict(cls, doc) -> "SemiSimplicialSet":
+        """Read a complex document.  A tuple is taken wherever a JSON
+        array is, so the output of ``to_json_dict`` reads back as it is."""
         if not isinstance(doc, Mapping):
             raise MalformedFile("complex document must be a JSON object")
-        if not isinstance(doc.get("dims"), list):
+        if not isinstance(doc.get("dims"), ARRAY_TYPES):
             raise MalformedFile("complex document needs an integer list 'dims'")
         dims = [json_int(n, "an entry of 'dims'") for n in doc["dims"]]
         if not dims or any(n < 0 for n in dims):
@@ -201,7 +203,7 @@ class SemiSimplicialSet:
         faces = []
         for q in range(1, len(dims)):
             table = raw_faces.get(str(q), [])
-            if not isinstance(table, list):
+            if not isinstance(table, ARRAY_TYPES):
                 raise MalformedFile(f"faces table for dimension {q} must be a list")
             if len(table) != dims[q]:
                 raise MalformedFile(
@@ -210,7 +212,7 @@ class SemiSimplicialSet:
                 )
             what = f"a face id in dimension {q}"
             for row in table:
-                if not isinstance(row, list):
+                if not isinstance(row, ARRAY_TYPES):
                     raise MalformedFile(f"faces table for dimension {q} must list id lists")
                 for v in row:
                     json_int(v, what)
@@ -231,7 +233,7 @@ class SemiSimplicialSet:
                 q = key_int(q_str)
             except ValueError as exc:
                 raise MalformedFile(f"bad labels key {q_str!r}") from exc
-            if not isinstance(names, list) or not all(
+            if not isinstance(names, ARRAY_TYPES) or not all(
                 name is None or isinstance(name, str) for name in names
             ):
                 raise MalformedFile(
@@ -376,10 +378,13 @@ def grid_torus(n: int) -> SemiSimplicialSet:
     return SemiSimplicialSet(n * n, [edge_faces, triangles], check=False)
 
 
-def _parse_sized(name: str, prefix: str) -> int | None:
-    if name.startswith(prefix + ":"):
+def _parse_sized(key: str, prefix: str, name: str) -> int | None:
+    """The size in a normalized base name ``key`` of the form
+    ``prefix:size``, or None for another form; a bad size is reported
+    with the ``name`` as typed."""
+    if key.startswith(prefix + ":"):
         try:
-            return key_int(name[len(prefix) + 1 :])
+            return key_int(key[len(prefix) + 1 :])
         except ValueError as exc:
             raise MalformedFile(f"bad size in base name {name!r}") from exc
     return None
@@ -412,7 +417,7 @@ def named_base(name: str) -> SemiSimplicialSet:
         ("simplex", 0, standard_simplex),
         ("sphere", 1, boundary_sphere),
     ):
-        k = _parse_sized(key, prefix)
+        k = _parse_sized(key, prefix, name)
         if k is None:
             continue
         if k < least:
@@ -423,7 +428,7 @@ def named_base(name: str) -> SemiSimplicialSet:
                 f"since it has about 2^{k + 1} simplices"
             )
         return build(k)
-    n = _parse_sized(key, "torus")
+    n = _parse_sized(key, "torus", name)
     if n is not None:
         if n < 3:
             raise MalformedFile(f"base {name!r} needs n >= 3")

@@ -4,8 +4,10 @@ None of these is on a path the library takes.  Each answers a question
 the library answers another way, or one the tests ask about its
 output: the iterated face chain of a simplex against ``spindle._lifted``'s
 one face step, equivalence of local systems up to bead renaming, the
-local system of one necklace, whether a total space is a classical
-complex, and the degeneracy operators of circular permutations.
+local system of one necklace, the total space's face rows and projection
+by bead id against ``assemble``'s positional tables, whether a total
+space is a classical complex, and the degeneracy operators of circular
+permutations.
 """
 
 from __future__ import annotations
@@ -160,6 +162,91 @@ def systems_equivalent(
         elif all(stalk_matches(*entry, rotations) for entry in by_last[v]):
             v += 1
     return v == nv
+
+
+# -- total spaces ------------------------------------------------------
+
+
+def catalog(system: NecklaceLocalSystem) -> list[list[tuple]]:
+    """Catalog keys of the total simplices in the order ``assemble`` numbers
+    them: in dimension p, ("H", p, idx, bead) over every base p-simplex,
+    then ("V", p - 1, idx, bead) over every (p-1)-simplex, each stalk in
+    stored bead order."""
+    base = system.base
+    levels = []
+    for p in range(base.top_dim + 2):
+        level = [
+            ("H", p, idx, b) for idx in base.simplices(p) for b in system.stalk(p, idx).ids
+        ]
+        if p:
+            level += [
+                ("V", p - 1, idx, b)
+                for idx in base.simplices(p - 1)
+                for b in system.stalk(p - 1, idx).ids
+            ]
+        levels.append(level)
+    return levels
+
+
+def total_rows(
+    system: NecklaceLocalSystem,
+) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, int, tuple[int, ...]]]]]:
+    """Face rows and projection entries of the total space, key by key.
+
+    Returns ``(faces, projection)``: ``faces[p][i]`` is the face row of
+    total p-simplex i (empty for p = 0) and ``projection[p][i]`` its
+    (base dim, base index, op).  The faces of each catalog key follow the
+    rule in bundle.py's module docstring, by bead id: the arc after a
+    bead merges along face m into the arc after the nearest bead at or
+    before it that survives, named by its preimage; the vertical simplex
+    on a bead b of color j has the arcs after and before b as faces j and
+    j + 1, and below j and above j + 1 the vertical simplex on b's
+    preimage along face m, resp. m - 1.
+    """
+    base = system.base
+    levels = catalog(system)
+    ids = {key: i for level in levels for i, key in enumerate(level)}
+
+    def preimages(q, idx, m):
+        return {b: s for s, b in system.bead_map(q, idx, m).items()}
+
+    def faces_of(kind, q, idx, bead):
+        beads = system.stalk(q, idx).ids
+        if kind == "H":
+            row = []
+            for m in range(q + 1):
+                pre = preimages(q, idx, m)
+                k = beads.index(bead)
+                while beads[k] not in pre:
+                    k -= 1  # a negative index wraps around the circle
+                row.append(("H", q - 1, base.face_index(q, idx, m), pre[beads[k]]))
+            return row
+        j = dict(system.stalk(q, idx).beads())[bead]
+        before = beads[beads.index(bead) - 1]
+        row = []
+        for m in range(q + 2):
+            if m == j:
+                row.append(("H", q, idx, bead))
+            elif m == j + 1:
+                row.append(("H", q, idx, before))
+            else:
+                fm = m if m < j else m - 1
+                pre = preimages(q, idx, fm)[bead]
+                row.append(("V", q - 1, base.face_index(q, idx, fm), pre))
+        return row
+
+    def entry(kind, q, idx, bead):
+        if kind == "H":
+            return q, idx, tuple(range(q + 1))
+        j = dict(system.stalk(q, idx).beads())[bead]
+        return q, idx, tuple(t if t <= j else t - 1 for t in range(q + 2))
+
+    faces = [
+        [tuple(ids[key] for key in faces_of(*key)) for key in level] if p else []
+        for p, level in enumerate(levels)
+    ]
+    projection = [[entry(*key) for key in level] for level in levels]
+    return faces, projection
 
 
 # -- classical complexes -----------------------------------------------

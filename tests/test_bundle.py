@@ -40,36 +40,24 @@ from scbundles.bundle import _minimal_system, format_necklace_text, parse_neckla
 from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
-from generators import grid_torus, random_binary_cocycle, random_necklace, random_system
+from generators import (
+    grid_torus,
+    random_binary_cocycle,
+    random_moves,
+    random_necklace,
+    random_system,
+    vertex_order_cocycle,
+)
 from oracles import (
+    catalog,
     elementary_system,
     is_classical_bundle,
     is_classical_necklace,
     systems_equivalent,
+    total_rows,
     vertex_at,
     vertex_embedding,
 )
-
-
-def catalog(system):
-    """Catalog keys of the total simplices in the order ``assemble`` numbers
-    them: in dimension p, ("H", p, idx, bead) over every base p-simplex,
-    then ("V", p - 1, idx, bead) over every (p-1)-simplex, each stalk in
-    stored bead order."""
-    base = system.base
-    levels = []
-    for p in range(base.top_dim + 2):
-        level = [
-            ("H", p, idx, b) for idx in base.simplices(p) for b in system.stalk(p, idx).ids
-        ]
-        if p:
-            level += [
-                ("V", p - 1, idx, b)
-                for idx in base.simplices(p - 1)
-                for b in system.stalk(p - 1, idx).ids
-            ]
-        levels.append(level)
-    return levels
 
 
 def assert_assembly_clean(system):
@@ -246,6 +234,45 @@ class TestAssembly:
         for _ in range(30):
             assert_assembly_clean(random_system(rng))
 
+    @pytest.mark.parametrize(
+        "name", ["random", "torus:6", "delta-torus", "simplex:4", "sphere:5"]
+    )
+    def test_rows_match_oracle(self, name):
+        for system in _oracle_systems(name):
+            asm = assemble(system)
+            faces, projection = total_rows(system)
+            table = asm.projection.table
+            assert list(map(len, table)) == list(map(len, projection))
+            for p, level in enumerate(table):
+                rows = [asm.total.face_row(p, i) for i in range(len(level))] if p else []
+                assert rows == faces[p], p
+                entries = [(ref.dim, ref.index, op) for ref, op in level]
+                assert entries == projection[p], p
+
+    def test_total_shares_its_rows_and_pairs(self):
+        # what keeps a large total cheap to build and write: one tuple per
+        # face row, handed to the writer as it is, and one projection pair
+        # per base simplex and operator rather than one per simplex
+        plain = _surface_system(grid_torus(6), 3)
+        split = random_moves(plain, random.Random(8), 40)
+        assert not split.is_minimal()
+        for system in (plain, split):
+            asm = assemble(system)
+            doc = total_to_json_dict(asm)
+            for p in range(1, asm.total.top_dim + 1):
+                rows = [asm.total.face_row(p, i) for i in asm.total.simplices(p)]
+                assert {type(row) for row in rows} == {tuple}
+                assert {type(row) for row in doc["faces"][str(p)]} == {tuple}
+            refs, pairs = {}, {}
+            for p, level in enumerate(asm.projection.table):
+                for pair, row in zip(level, doc["projection"][str(p)], strict=True):
+                    ref, op = pair
+                    refs.setdefault((ref.dim, ref.index), set()).add(id(ref))
+                    pairs.setdefault((ref.dim, ref.index, op), set()).add(id(pair))
+                    assert row == (ref.dim, ref.index, op) and row[2] is op
+            assert {len(objects) for objects in refs.values()} == {1}
+            assert {len(objects) for objects in pairs.values()} == {1}
+
     def test_arc_tables_do_not_depend_on_sharing(self):
         # assemble keys its arc tables on object identity: a copy with a
         # fresh object for every stalk and bead map must assemble the same
@@ -306,6 +333,21 @@ def naturality_oracle(total, projection):
 
 def _surface_system(base, c):
     return build_surface_bundle(base, fundamental_class(base), c).as_local_system()
+
+
+def _oracle_systems(name):
+    """Random bundles for "random"; otherwise a minimal bundle over the
+    named base and two after seeded moves, whose stalks repeat colors."""
+    rng = random.Random(name)
+    if name == "random":
+        return [random_system(rng) for _ in range(20)]
+    base = named_base(name)
+    if base.top_dim == 2:
+        plain = _surface_system(base, 3 if name == "torus:6" else 1)
+    else:
+        u = vertex_order_cocycle(base, rng)
+        plain = minimal_from_cocycle(base, u).as_local_system()
+    return [plain] + [random_moves(plain, rng, count) for count in (5, 40)]
 
 
 def _naturality_bundles():

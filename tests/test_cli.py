@@ -547,6 +547,15 @@ def test_named_base_size_bounds(capsys, name, code):
     assert run(capsys, "homology", name)[0] == code
 
 
+@pytest.mark.parametrize("name", ["Simplex:1_0", "TORUS:04", " sphere:x"])
+def test_bad_size_error_quotes_the_name_as_typed(capsys, name):
+    # the name is lowercased and its "_" read as "-" before the size is
+    # parsed; the message must not show that normalized key
+    code, _, err = run(capsys, "homology", name)
+    assert code == 3
+    assert err == f"error: bad size in base name {name!r}\n"
+
+
 def project_scripts():
     """``[project.scripts]`` of pyproject.toml, read as text (3.10 has no tomllib)."""
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

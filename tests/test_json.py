@@ -42,20 +42,30 @@ scalars = (
     | st.text()
 )
 # the cells a table column may hold besides its ints
-strays = st.booleans() | st.none() | st.floats() | st.text(max_size=3) | st.just([])
+strays = (
+    st.booleans() | st.none() | st.floats() | st.text(max_size=3)
+    | st.just([]) | st.just(())
+)
+
+
+def arrays(draw, items: list):
+    """The items as a list or, as the writers hand out rows, a tuple."""
+    return tuple(items) if draw(st.booleans()) else items
 
 
 @st.composite
 def tables(draw):
     """Rows of one width whose columns hold ints or int lists of one
     length, with here and there a stray cell, an empty or ragged row,
-    or an int list of another length."""
+    or an int list of another length.  The table, each row and each
+    int list may be a list or a tuple."""
     width = draw(st.integers(0, 4))
     lengths = [draw(st.none() | st.integers(0, 3)) for _ in range(width)]
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         row = [
-            draw(ints) if m is None else draw(st.lists(ints, min_size=m, max_size=m))
+            draw(ints) if m is None
+            else arrays(draw, draw(st.lists(ints, min_size=m, max_size=m)))
             for m in lengths
         ]
         if row and draw(st.integers(0, 7)) == 0:
@@ -64,9 +74,9 @@ def tables(draw):
             row = row[: draw(st.integers(0, len(row)))]
         if row and draw(st.integers(0, 9)) == 0:
             cell = row[-1]
-            row[-1] = (cell + [0]) if type(cell) is list else (cell,)
-        rows.append(row)
-    return rows
+            row[-1] = type(cell)((*cell, 0)) if type(cell) in (list, tuple) else (cell,)
+        rows.append(arrays(draw, row))
+    return arrays(draw, rows)
 
 
 def containers(children):
@@ -100,6 +110,9 @@ def test_exact_types_and_special_values():
         True, [True, 1], [[1, True]], [[1, [2, True]]], [[1, 2.0]], [2.5, 1],
         [[1, 2], [3]], [[]], [[], []], [[1, []], [2, []]], [[1, [2]], [3, [4, 5]]],
         [[1, (2,)]], (1, 2), {1: 2}, {"a": {2: [1]}}, 2**70, [[2**70, -(2**90)]],
+        (), [()], ((),), ((1,), [2]), [(1, 2), [3, 4]], ([1, (2, 3)], (4, [5, 6])),
+        [(1, ())], [(True, 1)], [(1, (2, True))], ((1, [2]), (3, (4, 5))),
+        {"t": ((0, 1, (0, 1)), (0, 0, (0, 0)))},
         [math.nan, math.inf, -math.inf], {"nan": [[1, math.nan]]},
         "café \U0001d11e \"q\" \\ \n\t\x00", {"é\n": [" "]},
         {}, [], "", [{}], [[[]]], {"a": {}}, None, 0, -1,

@@ -6,6 +6,7 @@ Python exception escape.
 """
 
 import copy
+import json
 import re
 from pathlib import Path
 
@@ -35,11 +36,19 @@ from scbundles.cli import _load_selection
 
 from oracles import elementary_system
 
+
+def as_read(doc):
+    """The document as a reader gets it from a file: the writers hand out
+    tuple rows, which JSON text holds as arrays, and the corruptions below
+    edit arrays in place."""
+    return json.loads(json.dumps(doc))
+
+
 HOPF = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
-MINIMAL_DOC = bundle_to_json_dict(HOPF.as_local_system())
-GENERAL_DOC = bundle_to_json_dict(subdivide(HOPF.as_local_system(), 0, 0))
-COMPLEX_DOC = delta_torus().to_json_dict()
-COCHAIN_DOC = cochain_to_json_dict(IntCochain(2, (0, 0, 1, 0)))
+MINIMAL_DOC = as_read(bundle_to_json_dict(HOPF.as_local_system()))
+GENERAL_DOC = as_read(bundle_to_json_dict(subdivide(HOPF.as_local_system(), 0, 0)))
+COMPLEX_DOC = as_read(delta_torus().to_json_dict())
+COCHAIN_DOC = as_read(cochain_to_json_dict(IntCochain(2, (0, 0, 1, 0))))
 
 
 def documented_exit_codes() -> set[int]:
