@@ -40,7 +40,7 @@ def canonical_dumps(obj) -> str:
     so this renders the shapes the documents are made of itself: dicts
     with ``str`` keys, flat int lists in one join, and tables (rows of one
     length whose columns hold ints or int lists of one length) by filling
-    one ``%``-template per row.  A tuple is written as the array the
+    one ``%``-template per table.  A tuple is written as the array the
     stdlib writes for it, so it may stand wherever a list does.  Any
     other value (a bool, float, ``None``, or a dict with other keys) and
     every subtree under it goes to the stdlib.  The type checks are
@@ -81,34 +81,48 @@ def _items(values: list, nl: str):
 
 
 def _table(rows: list, nl: str):
-    """Rendered rows of a table, or None if some column is neither all
-    ints nor all int lists or tuples of one nonzero length.  Those are
-    split into int columns, so each row is one template filled with its
-    ints."""
+    """A table rendered as one item, or None if some column is neither
+    all ints nor all int lists or tuples of one nonzero length.
+
+    One row template, repeated per row, is filled once with the table's
+    cells in row order.  A table of ints alone gives them straight from
+    its rows.  Otherwise each array column is written as text, each
+    distinct array object once, since tables share them (the projection
+    stores a few operators per dimension)."""
     widths = {*map(len, rows)}
     if widths == {0} or len(widths) != 1:
         return None
     inner = nl + "  "
-    deeper = inner + "  "
-    columns = []
-    cells = []
-    for column in zip(*rows):
-        kinds = {*map(type, column)}
-        if kinds == {int}:
-            columns.append(column)
-            cells.append("%d")
-            continue
-        if not kinds.issubset(ARRAY_TYPES):
-            return None
-        if len(lengths := {*map(len, column)}) != 1:
-            return None
-        if {*map(type, chain.from_iterable(column))} != {int}:
-            return None
-        columns.extend(zip(*column))
-        ints = ("%d," + deeper) * (lengths.pop() - 1) + "%d"
-        cells.append("[" + deeper + ints + inner + "]")
+    first = {*map(type, rows[0])}
+    if first == {int} and {*map(type, chain.from_iterable(rows))} == first:
+        cells = ["%d"] * widths.pop()
+        values = chain.from_iterable(rows)
+    else:
+        columns = []
+        cells = []
+        for column in zip(*rows):
+            kinds = {*map(type, column)}
+            if kinds == {int}:
+                columns.append(column)
+                cells.append("%d")
+                continue
+            if not kinds.issubset(ARRAY_TYPES):
+                return None
+            distinct = dict(zip(map(id, column), column))
+            if len({*map(len, distinct.values())}) != 1:
+                return None
+            if {*map(type, chain.from_iterable(distinct.values()))} != {int}:
+                return None
+            deeper = inner + "  "
+            texts = {
+                key: "[" + deeper + ("," + deeper).join(map(str, array)) + inner + "]"
+                for key, array in distinct.items()
+            }
+            columns.append(map(texts.__getitem__, map(id, column)))
+            cells.append("%s")
+        values = chain.from_iterable(zip(*columns))
     row = "[" + inner + ("," + inner).join(cells) + nl + "]"
-    return map(row.__mod__, zip(*columns))
+    return [("," + nl).join([row] * len(rows)) % tuple(values)]
 
 
 def write_json(path, obj) -> None:

@@ -31,8 +31,8 @@ bundle, which the cocycle construction and ``minimize`` produce and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import itemgetter
+from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
+from operator import add, itemgetter, ne
 from typing import Iterable, Mapping
 
 from ._json import json_int, key_int
@@ -147,14 +147,19 @@ class NecklaceLocalSystem:
         return problems
 
 
+def _level(table: Mapping, q: int, n: int) -> list:
+    """The values of table at the keys (q, 0) .. (q, n - 1), in order;
+    a missing key gives None."""
+    return list(map(table.get, zip(repeat(q), range(n))))
+
+
 def _stalk_problems(base: SemiSimplicialSet, stalks: Mapping) -> list[str]:
     """Simplices without a stalk, stalks whose top color is not their
     dimension, and stalks over no simplex; any stalk with a ``top`` will
     do, a necklace or a circular permutation."""
     problems = []
-    for q in range(base.top_dim + 1):
-        for idx in base.simplices(q):
-            stalk = stalks.get((q, idx))
+    for q, n in enumerate(base.counts):
+        for idx, stalk in enumerate(_level(stalks, q, n)):
             if stalk is None:
                 problems.append(f"missing stalk over {q}/{idx}")
             elif stalk.top != q:
@@ -243,15 +248,23 @@ def _minimal_problems(
     problems = _stalk_problems(base, stalks)
     if problems:
         return problems
-    for q in range(1, base.top_dim + 1):
-        for idx in base.simplices(q):
-            word = stalks[(q, idx)].word
-            for i, f in enumerate(base.face_row(q, idx)):
-                if _cp_face(word, i) != stalks[(q - 1, f)].word:
-                    problems.append(
-                        f"bead map along face {i} of {q}/{idx} "
-                        "does not preserve the circular order"
-                    )
+    below: list[tuple[int, ...]] = []  # the words one level down
+    for q, n in enumerate(base.counts):
+        level = [th.word for th in _level(stalks, q, n)]
+        if q:
+            # a simplex is wrong where the faces of its word are not the
+            # words over its faces; few words recur, so faces are per word
+            faces = {w: [_cp_face(w, i) for i in range(q + 1)] for w in set(level)}
+            rows = base.face_rows(q)
+            got = map(list, map(map, repeat(below.__getitem__), rows))
+            for idx in compress(count(), map(ne, map(faces.__getitem__, level), got)):
+                for i, (want, f) in enumerate(zip(faces[level[idx]], rows[idx])):
+                    if want != below[f]:
+                        problems.append(
+                            f"bead map along face {i} of {q}/{idx} "
+                            "does not preserve the circular order"
+                        )
+        below = level
     return problems
 
 
@@ -260,21 +273,21 @@ def _minimal_system(
 ) -> NecklaceLocalSystem:
     """The local system of circular-permutation stalks: each bead id is
     its color, and face i sends color c to c below i and to c + 1 above.
-    Equal stalks share one necklace, since few words recur over a base."""
-    shared: dict[CircularPermutation, Necklace] = {}
-    necklaces = {}
-    for key, th in stalks.items():
-        if th not in shared:
-            shared[th] = Necklace.from_circular(th)
-        necklaces[key] = shared[th]
+    Equal stalks share one necklace, since few words recur over a base,
+    and every q-simplex shares the q + 1 embeddings of its level."""
+    words = [th.word for th in stalks.values()]
+    distinct = dict(zip(words, stalks.values()))
+    shared = {word: Necklace.from_circular(th) for word, th in distinct.items()}
+    necklaces = dict(zip(stalks, map(shared.__getitem__, words)))
     bead_maps = {}
-    for q in range(1, base.top_dim + 1):
+    for q, n in enumerate(base.counts[1:], 1):
         embeddings = [
             {c: (c if c < i else c + 1) for c in range(q)} for i in range(q + 1)
         ]
-        for idx in base.simplices(q):
-            for i in range(q + 1):
-                bead_maps[(q, idx, i)] = embeddings[i]
+        # the keys (q, idx, i), idx-major, each with embedding i
+        indices = chain.from_iterable(map(repeat, range(n), repeat(q + 1)))
+        keys = zip(repeat(q), indices, cycle(range(q + 1)))
+        bead_maps.update(zip(keys, cycle(embeddings)))
     return NecklaceLocalSystem(base, necklaces, bead_maps, check=False)
 
 
@@ -308,87 +321,104 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     then the vertical ones over the (p-1)-simplices, stalk by stalk in
     stored bead order; so a simplex's id is the first id of its stalk
     plus its bead's position, and face rows are read off bead positions,
-    a column per face.  Arc tables are built once per distinct (stalk,
-    face stalk, bead map) triple of objects, which the system keeps alive
-    for the whole call.  Rows are tuples, and each base simplex has one
-    ``SimplexRef`` and one projection pair per operator, shared by its
-    stalk, so the total holds few containers for the collector to scan.
+    a column per face over a whole base level.  Arc tables are built once
+    per distinct (stalk, face stalk, bead map) triple of objects, which
+    the system keeps alive for the whole call.  Rows are tuples, and each
+    base simplex has one ``SimplexRef`` and one projection pair per
+    operator, shared by its stalk, so the total holds few containers for
+    the collector to scan.
     """
     base = system.base
     stalks, bead_maps = system.stalks, system.bead_maps
-    arc_memo: dict[tuple[int, int, int], list[int]] = {}
+    level: list[Necklace] = []  # the stalks over the base p-simplices
+    sizes: list[int] = []  # their sizes
     refs: list[SimplexRef] = []  # [idx]: the ref of base simplex p/idx
+    arcs: list[list[list[int]]] = []  # [m][idx]: arc table along face m of p/idx
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
-    arcs: list[list[list[int]]] = []  # [idx][m]: arc table along face m of p/idx
     faces: list[list[tuple[int, ...]]] = []
     proj_table = []
     for p in range(base.top_dim + 2):
-        rows: list[tuple[int, ...]] = []
-        entries = []
-        starts = []
-        below_arcs, below_refs = arcs, refs
-        arcs = []
-        refs = [SimplexRef(p, idx) for idx in base.simplices(p)]
+        below, below_sizes, below_refs, below_arcs = level, sizes, refs, arcs
+        n = base.simplex_count(p)
+        level = _level(stalks, p, n)
+        sizes = [neck.size for neck in level]
+        refs = [SimplexRef(p, idx) for idx in range(n)]
         identity = tuple(range(p + 1))
-        for idx, ref in enumerate(refs):
-            neck = stalks[(p, idx)]
-            starts.append(len(entries))
-            entries.extend([(ref, identity)] * neck.size)
-            if p:
-                face_row = base.face_row(p, idx)
-                tables = []
-                for m, f in enumerate(face_row):
-                    small, bm = stalks[(p - 1, f)], bead_maps[(p, idx, m)]
-                    key = (id(neck), id(small), id(bm))
-                    table = arc_memo.get(key)
-                    if table is None:
-                        table = arc_memo[key] = _arc_table(neck, small, bm)
-                    tables.append(table)
-                arcs.append(tables)
-                heads = first_h[p - 1]
-                rows.extend(zip(*[
-                    map(heads[f].__add__, table) for f, table in zip(face_row, tables)
-                ]))
-        first_h.append(starts)
-        if p:
-            q = p - 1
-            degeneracies = [
-                tuple(t if t <= j else t - 1 for t in identity) for j in range(p)
-            ]
-            # a bead of color j picks its row from its cells (arc after,
-            # arc before, the lower faces): faces j and j + 1 are those two
-            # arcs, face m < j lies over face m and m > j + 1 over m - 1
-            slots = [
-                itemgetter(*range(2, j + 2), 0, 1, *range(j + 3, p + 2))
-                for j in range(p)
-            ]
-            starts = []
-            for idx, ref in enumerate(below_refs):
-                neck = stalks[(q, idx)]
-                size = neck.size
-                h0 = first_h[q][idx]
-                starts.append(len(entries))
-                pairs = [(ref, op) for op in degeneracies]
-                entries.extend(map(pairs.__getitem__, neck.colors))
-                columns = [
-                    range(h0, h0 + size),
-                    chain((h0 + size - 1,), range(h0, h0 + size - 1)),
-                ]
-                if q:
-                    heads = first_v[q - 1]
-                    columns += [
-                        map(heads[f].__add__, table)
-                        for f, table in zip(base.face_row(q, idx), below_arcs[idx])
-                    ]
-                rows.extend([
-                    slots[j](cells) for j, cells in zip(neck.colors, zip(*columns))
-                ])
-            first_v.append(starts)
-            faces.append(rows)
+        entries = list(chain.from_iterable(
+            map(repeat, [(ref, identity) for ref in refs], sizes)
+        ))
+        # one more than the simplices: the last is the level's bead count
+        first_h.append(list(accumulate(sizes, initial=0)))
+        if not p:
+            proj_table.append(tuple(entries))
+            continue
+        face_rows = base.face_rows(p) if n else ()
+        arcs = []
+        for m in range(p + 1):
+            # face m of every simplex: its stalk, and the bead map along it
+            smalls = list(map(below.__getitem__, map(itemgetter(m), face_rows)))
+            maps = list(map(bead_maps.__getitem__, zip(repeat(p), range(n), repeat(m))))
+            keys = list(zip(map(id, level), map(id, smalls), map(id, maps)))
+            triples = dict(zip(keys, zip(level, smalls, maps)))
+            built = {key: _arc_table(*triple) for key, triple in triples.items()}
+            arcs.append(list(map(built.__getitem__, keys)))
+        rows = list(zip(*_face_columns(face_rows, arcs, sizes, first_h[p - 1])))
+        # the vertical simplices over the base q-simplices: a bead's cells
+        # are the arc after it, the arc before it and its lower faces
+        q = p - 1
+        heads = first_h[q]
+        before = list(range(-1, heads[-1] - 1))
+        for start, end in zip(heads, heads[1:]):
+            before[start] = end - 1
+        columns = [range(heads[-1]), before]
+        if q:
+            columns += _face_columns(
+                base.face_rows(q), below_arcs, below_sizes, first_v[q - 1]
+            )
+        # a bead of color j picks its row from its cells: faces j and
+        # j + 1 are its two arcs, face m < j lies over face m and m > j + 1
+        # over m - 1
+        slots = [
+            itemgetter(*range(2, j + 2), 0, 1, *range(j + 3, p + 2))
+            for j in range(p)
+        ]
+        colors = list(chain.from_iterable(neck.colors for neck in below))
+        rows += map(itemgetter.__call__, map(slots.__getitem__, colors), zip(*columns))
+        degeneracies = [
+            tuple(t if t <= j else t - 1 for t in identity) for j in range(p)
+        ]
+        # pair p * idx + j projects a bead of color j over q/idx
+        pairs = [(ref, op) for ref in below_refs for op in degeneracies]
+        firsts = chain.from_iterable(map(repeat, range(0, len(pairs), p), below_sizes))
+        entries += map(pairs.__getitem__, map(add, firsts, colors))
+        first_v.append(list(accumulate(below_sizes, initial=first_h[p][-1])))
+        faces.append(rows)
         proj_table.append(tuple(entries))
     total = SemiSimplicialSet(len(proj_table[0]), faces, check=False)
     return AssembledBundle(total, SingularProjection(base, tuple(proj_table)))
+
+
+def _face_columns(
+    face_rows: Iterable[tuple[int, ...]],
+    arcs: list[list[list[int]]],
+    sizes: list[int],
+    heads: list[int],
+) -> list:
+    """The face columns of the rows of the simplices stacked over one base
+    level: over each base simplex in turn, with its stalk of the given
+    size, column m adds the first id over its face m to the arc table
+    along that face, ``arcs[m][idx]``."""
+    return [
+        map(
+            add,
+            chain.from_iterable(
+                map(repeat, map(heads.__getitem__, map(itemgetter(m), face_rows)), sizes)
+            ),
+            chain.from_iterable(tables),
+        )
+        for m, tables in enumerate(arcs)
+    ]
 
 
 def _arc_table(big: Necklace, small: Necklace, bead_map: Mapping[int, int]) -> list[int]:
@@ -589,23 +619,30 @@ def bundle_to_json_dict(system: NecklaceLocalSystem | MinimalBundle) -> dict:
 
 
 def _parse_stalk_keys(raw, base: SemiSimplicialSet) -> dict[SimplexKey, tuple[int, ...]]:
+    """The words of the stalks, keyed by simplex in document order.  A
+    key is looked up among the keys "q/idx" the base has, and parsed only
+    to say why it is not one of them."""
     if not isinstance(raw, Mapping):
         raise MalformedFile("'stalks' must map 'dim/index' keys to necklace text")
+    simplices = {
+        f"{q}/{idx}": (q, idx) for q, n in enumerate(base.counts) for idx in range(n)
+    }
     out = {}
     parsed: dict[str, tuple[int, ...]] = {}  # few distinct texts recur
     for key, text in raw.items():
-        try:
-            q, idx = map(key_int, key.split("/"))
-        except ValueError as exc:
-            raise MalformedFile(f"bad stalk key {key!r}, expected 'dim/index'") from exc
-        if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
+        simplex = simplices.get(key)
+        if simplex is None:
+            try:
+                q, idx = map(key_int, key.split("/"))
+            except ValueError as exc:
+                raise MalformedFile(f"bad stalk key {key!r}, expected 'dim/index'") from exc
             raise DanglingReference(f"stalk key {key} names no base simplex")
         if not isinstance(text, str):
             raise MalformedFile(f"stalk {key} must be necklace text like \"(0 1 2)\"")
         word = parsed.get(text)
         if word is None:
             word = parsed[text] = parse_necklace_text(text)
-        out[(q, idx)] = word
+        out[simplex] = word
     return out
 
 
@@ -617,25 +654,25 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
         raise MalformedFile("bundle document needs 'base' and 'stalks'")
     base = SemiSimplicialSet.from_json_dict(doc["base"])
     words = _parse_stalk_keys(doc["stalks"], base)
-    for q in range(base.top_dim + 1):
-        for idx in base.simplices(q):
-            if (q, idx) not in words:
-                raise MalformedFile(f"missing stalk for simplex {q}/{idx}")
+    for q, n in enumerate(base.counts):
+        level = _level(words, q, n)
+        if None in level:
+            raise MalformedFile(f"missing stalk for simplex {q}/{level.index(None)}")
     raw_maps = doc.get("bead_maps")
     if raw_maps is None:
-        stalks = {}
-        perms: dict[tuple[int, ...], CircularPermutation] = {}
-        for key, word in words.items():
-            th = perms.get(word)
-            if th is None:
-                try:
-                    th = perms[word] = CircularPermutation(word)
-                except ValueError as exc:
-                    raise MalformedFile(
-                        f"stalk {key[0]}/{key[1]} is not a circular permutation "
-                        "and no bead_maps are given"
-                    ) from exc
-            stalks[key] = th
+        # distinct words in the order they first occur, so the stalk named
+        # is the first in the document that is not a permutation
+        perms = dict.fromkeys(words.values())
+        for word in perms:
+            try:
+                perms[word] = CircularPermutation(word)
+            except ValueError as exc:
+                q, idx = next(key for key, w in words.items() if w == word)
+                raise MalformedFile(
+                    f"stalk {q}/{idx} is not a circular permutation "
+                    "and no bead_maps are given"
+                ) from exc
+        stalks = dict(zip(words, map(perms.__getitem__, words.values())))
         return MinimalBundle(base, stalks).as_local_system()
     stalks = {}
     for key, word in words.items():

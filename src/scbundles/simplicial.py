@@ -108,6 +108,10 @@ class SemiSimplicialSet:
     def face_row(self, q: int, index: int) -> tuple[int, ...]:
         return self._faces[q - 1][index]
 
+    def face_rows(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """The face row of every q-simplex, q >= 1, in index order."""
+        return self._faces[q - 1]
+
     def cofaces(self, q: int, index: int) -> tuple[int, ...]:
         """The (q+1)-simplices having the q-simplex as a face, ascending,
         each once however many of its faces it is.

@@ -153,8 +153,11 @@ def subdivide(
         minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
         stalks[(q, idx)] = neck.split({images[p]: b for p, b in minted.items()})
         for i, f in enumerate(base.face_row(q, idx) if q else ()):
+            small_minted = fresh.get((q - 1, f))
+            if small_minted is None:
+                continue  # v is not on this face, so its map stays as it is
             extended = dict(system.bead_maps[(q, idx, i)])
-            for p_small, new_small in fresh.get((q - 1, f), {}).items():
+            for p_small, new_small in small_minted.items():
                 p_big = p_small if p_small < i else p_small + 1
                 extended[new_small] = minted[p_big]
             bead_maps[(q, idx, i)] = extended

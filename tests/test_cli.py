@@ -316,6 +316,14 @@ class TestKanCheck:
         code, _, err = run(capsys, "kan-check", "5")
         assert code == 11
 
+    @pytest.mark.parametrize("k", ["1", "0", "-1"])
+    def test_below_two_exit_12(self, capsys, tmp_path, k):
+        # the README's table names this case under exit 12
+        message = "error: the lifting census needs dimension >= 2\n"
+        assert run(capsys, "kan-check", k) == (12, "", message)
+        child = run_module(tmp_path, "kan-check", k)
+        assert (child.returncode, child.stdout, child.stderr) == (12, "", message)
+
 
 class TestVerify:
     def test_hopf_bundle_passes(self, capsys, tmp_path):

@@ -8,8 +8,10 @@ stdout names its `--out` path, so only its file is digested.  A second
 table pins the spindle moves: the digest of the bundle file written
 after a seeded chain of subdivides and contractions.  A third pins a
 walk of 1 000 mixed moves: the stalks and bead maps it ends at, and the
-minimal bundles and Chern cocycles reduced from them.  A fourth table
-pins outputs the first three do not reach: `gen-surface --json`
+minimal bundles and Chern cocycles reduced from them.  A fourth pins
+the total-space file assembled from each walk's end system, whose
+stalks carry each color many times and share no arc table.  A
+fifth table pins outputs the first four do not reach: `gen-surface --json`
 reports, which carry the whole cocycle list, the `kan-check 2`,
 `kan-check 3`, `kan-check 4` and `hexagram` reports, and the total-space
 file of a Chern-3 bundle over `torus:16`, the largest face and
@@ -126,15 +128,22 @@ def move_digest(base: str, tmp: Path) -> str:
     return _digest(path.read_bytes())
 
 
+def _walked(base: str, tmp: Path):
+    """The Chern-1 bundle over base after 1 000 seeded mixed moves, and
+    the generator that made them."""
+    system = bundle_from_json_dict(read_json(_make_bundle(f"{base}/1", tmp)))
+    rng = random.Random(1000)
+    system = random_moves(system, rng, 1000)
+    assert not system.validate()
+    return system, rng
+
+
 def walk_digest(base: str, tmp: Path) -> str:
     """Digest of the Chern-1 bundle over base after 1 000 seeded mixed
     moves: its stalks and bead maps in dict order, the words of both its
     minimal bundles (the default and a seeded selection) and both Chern
     cocycles."""
-    system = bundle_from_json_dict(read_json(_make_bundle(f"{base}/1", tmp)))
-    rng = random.Random(1000)
-    system = random_moves(system, rng, 1000)
-    assert not system.validate()
+    system, rng = _walked(base, tmp)
     selection = {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
     parts = (
         list(system.stalks.items()),
@@ -143,6 +152,17 @@ def walk_digest(base: str, tmp: Path) -> str:
         *(chern_cocycle_general(system, s).values for s in (None, selection)),
     )
     return _digest(repr(parts))
+
+
+def walk_total_digest(base: str, tmp: Path) -> str:
+    """Digest of the total-space file `assemble` writes for the end system
+    of the 1 000-move walk over base."""
+    system, _ = _walked(base, tmp)
+    bundle, total = tmp / "walked.json", tmp / "walked-total.json"
+    write_json(bundle, bundle_to_json_dict(system))
+    code, _ = _run(["assemble", "--bundle", str(bundle), "--out", str(total)])
+    assert code == 0
+    return _digest(total.read_bytes())
 
 
 GEN_SURFACE = (("tetra", "-2"), ("octahedron", "3"), ("torus:16", "3"))
@@ -281,6 +301,14 @@ WALKS: dict[str, str] = {
 }
 
 
+# digests of the walked systems' total spaces before assembly went a level
+# at a time
+WALK_TOTALS: dict[str, str] = {
+    'torus6': '9c1f3cc48a5f6fbf91885d079aadaa8877ad18f252e0c678510100e71508a31d',
+    'delta-torus': '872ab9f80d225ad977062cdcf9972b4e87bfce474c5b9d0674ff6ba98eef5a9d',
+}
+
+
 # digests of the reports and the large total space before the table writer
 OUTPUTS: dict[str, str] = {
     'gen-surface/tetra/-2': 'ac2f3a6971c67e24db493c6acb1f6a63197333e5c6ddc62d1f9e75208570740d',
@@ -316,6 +344,11 @@ def test_move_walks_match_golden_digests(base, tmp_path):
     assert walk_digest(base, tmp_path) == WALKS[base]
 
 
+@pytest.mark.parametrize("base", list(WALK_TOTALS))
+def test_walked_total_spaces_match_golden_digests(base, tmp_path):
+    assert walk_total_digest(base, tmp_path) == WALK_TOTALS[base]
+
+
 def test_reports_and_large_total_space_match_golden_digests(tmp_path):
     assert output_digests(tmp_path) == OUTPUTS
 
@@ -344,6 +377,11 @@ if __name__ == "__main__":
     for base in MOVE_BASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {base!r}: {walk_digest(base, Path(tmp))!r},")
+    print("}")
+    print("WALK_TOTALS: dict[str, str] = {")
+    for base in MOVE_BASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {base!r}: {walk_total_digest(base, Path(tmp))!r},")
     print("}")
     print("OUTPUTS: dict[str, str] = {")
     with tempfile.TemporaryDirectory() as tmp:

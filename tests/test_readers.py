@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scbundles import (
+    DanglingReference,
     IncoherentLocalSystem,
     IntCochain,
     MalformedFile,
@@ -291,4 +292,98 @@ def test_each_bead_map_failure_has_its_message(system, key, row, message):
     assert broken.validate() == [message]
     with pytest.raises(IncoherentLocalSystem) as info:
         NecklaceLocalSystem(system.base, system.stalks, maps)
+    assert str(info.value) == message
+
+
+def drop(table, *keys):
+    for key in keys:
+        del table[key]
+
+
+def set_face_id(q, row, column, value):
+    return lambda d: d["faces"][q][row].__setitem__(column, value)
+
+
+# Each corruption of a bundle's stalks, applied to the minimal and to the
+# general document alike: (id, corruption, error class, full message).
+# Where a document holds two faults, the message names the one that fires
+# first: the stalks are read key by key in document order, each key's name
+# before its range and its range before its text, and the missing stalks
+# are looked for only after every key has been read.
+STALK_FAULTS = [
+    ("key-leading-zero", lambda d: rename_key(d["stalks"], "1/0", "01/0"),
+     MalformedFile, "bad stalk key '01/0', expected 'dim/index'"),
+    ("key-not-a-number", lambda d: rename_key(d["stalks"], "1/0", "1/x"),
+     MalformedFile, "bad stalk key '1/x', expected 'dim/index'"),
+    ("key-three-parts", lambda d: rename_key(d["stalks"], "1/0", "1/2/3"),
+     MalformedFile, "bad stalk key '1/2/3', expected 'dim/index'"),
+    ("key-dim-out-of-range", lambda d: d["stalks"].update({"9/0": "(0)"}),
+     DanglingReference, "stalk key 9/0 names no base simplex"),
+    ("key-index-out-of-range", lambda d: d["stalks"].update({"1/99999": "(0 1)"}),
+     DanglingReference, "stalk key 1/99999 names no base simplex"),
+    ("text-not-a-string", lambda d: d["stalks"].update({"1/0": [0, 1]}),
+     MalformedFile, 'stalk 1/0 must be necklace text like "(0 1 2)"'),
+    ("first-missing-stalk", lambda d: drop(d["stalks"], "1/4", "0/2"),
+     MalformedFile, "missing stalk for simplex 0/2"),
+    ("text-before-bad-key",
+     lambda d: (d["stalks"].update({"0/1": 5}), rename_key(d["stalks"], "2/3", "2/03")),
+     MalformedFile, 'stalk 0/1 must be necklace text like "(0 1 2)"'),
+    ("bad-key-before-missing",
+     lambda d: (drop(d["stalks"], "0/0"), rename_key(d["stalks"], "2/3", "2/03")),
+     MalformedFile, "bad stalk key '2/03', expected 'dim/index'"),
+    ("range-before-text", lambda d: d["stalks"].update({"9/0": 5}),
+     DanglingReference, "stalk key 9/0 names no base simplex"),
+]
+
+# Corruptions that only a document without bead maps meets.
+MINIMAL_FAULTS = [
+    ("not-a-circular-permutation", lambda d: d["stalks"].update({"1/3": "(0 0 1)"}),
+     MalformedFile, "stalk 1/3 is not a circular permutation and no bead_maps are given"),
+    ("wrong-tops", lambda d: d["stalks"].update({"1/3": "(0 2 1)", "2/1": "(0 1)"}),
+     IncoherentLocalSystem,
+     "stalk over 1/3 uses colors 0..2, expected 0..1; "
+     "stalk over 2/1 uses colors 0..1, expected 0..2"),
+]
+
+COMPLEX_FAULTS = [
+    ("bool-first-row", set_face_id("2", 0, 0, True),
+     MalformedFile, "a face id in dimension 2 must be an integer, got True"),
+    ("float-first-row", set_face_id("2", 0, 1, 1.5),
+     MalformedFile, "a face id in dimension 2 must be an integer, got 1.5"),
+    ("string-first-row", set_face_id("1", 0, 1, "0"),
+     MalformedFile, "a face id in dimension 1 must be an integer, got '0'"),
+    ("bool-later-row", set_face_id("1", 2, 0, False),
+     MalformedFile, "a face id in dimension 1 must be an integer, got False"),
+    ("float-later-row", set_face_id("2", 1, 2, 0.0),
+     MalformedFile, "a face id in dimension 2 must be an integer, got 0.0"),
+    ("string-later-row", set_face_id("2", 1, 0, "1"),
+     MalformedFile, "a face id in dimension 2 must be an integer, got '1'"),
+    ("row-not-an-array", lambda d: d["faces"]["2"].__setitem__(1, 7),
+     MalformedFile, "faces table for dimension 2 must list id lists"),
+    ("row-a-string", lambda d: d["faces"]["1"].__setitem__(0, "00"),
+     MalformedFile, "faces table for dimension 1 must list id lists"),
+]
+
+PINNED = (
+    [(bundle_from_json_dict, MINIMAL_DOC, f"minimal/{name}", *rest)
+     for name, *rest in STALK_FAULTS + MINIMAL_FAULTS]
+    + [(bundle_from_json_dict, GENERAL_DOC, f"general/{name}", *rest)
+       for name, *rest in STALK_FAULTS]
+    + [(SemiSimplicialSet.from_json_dict, COMPLEX_DOC, f"complex/{name}", *rest)
+       for name, *rest in COMPLEX_FAULTS]
+)
+
+
+@pytest.mark.parametrize(
+    "reader, doc, corrupt, error, message",
+    [case[:2] + case[3:] for case in PINNED],
+    ids=[case[2] for case in PINNED],
+)
+def test_reader_errors_are_pinned(reader, doc, corrupt, error, message):
+    # the class and the whole message, so that a faster reader keeps both
+    doc = copy.deepcopy(doc)
+    corrupt(doc)
+    with pytest.raises(ScbError) as info:
+        reader(doc)
+    assert type(info.value) is error
     assert str(info.value) == message

@@ -26,6 +26,7 @@ from scbundles import (
     homology_groups,
     minimal_from_cocycle,
     minimize,
+    named_base,
     standard_simplex,
     subdivide,
     validate_selection,
@@ -110,6 +111,28 @@ class TestSubdivide:
             assert split.stalk(1, e).size == 4
         for t in base.simplices(2):
             assert split.stalk(2, t).size == 6
+        assert not split.validate()
+
+    def test_maps_along_faces_without_the_vertex_are_shared(self):
+        # over torus:6 the star of a vertex has 6 edges and 6 triangles,
+        # and each of them has one face without the vertex; the map along
+        # it describes the same beads after the split, so it is not copied
+        base = named_base("torus:6")
+        u = IntCochain(2, (0,) * base.simplex_count(2))
+        system = minimal_from_cocycle(base, u).as_local_system()
+        split = subdivide(system, 7, system.stalk(0, 7).ids[0])
+        shared = []
+        for (q, idx), neck in split.stalks.items():
+            if not q or neck is system.stalks[(q, idx)]:
+                continue
+            for i, f in enumerate(base.face_row(q, idx)):
+                key = (q, idx, i)
+                if split.stalks[(q - 1, f)] is system.stalks[(q - 1, f)]:
+                    assert split.bead_maps[key] is system.bead_maps[key]
+                    shared.append(key)
+                else:
+                    assert split.bead_maps[key] is not system.bead_maps[key]
+        assert len(shared) == 12
         assert not split.validate()
 
     def test_split_beads_adjacent_same_color(self):
