@@ -71,7 +71,6 @@ from .bundle import (
     assemble,
     bundle_from_json_dict,
     bundle_to_json_dict,
-    chern_cocycle,
     chern_number,
     check_projection_naturality,
     minimal_from_cocycle,

@@ -22,26 +22,23 @@ map onto the base.
 A minimal bundle is the local system with one bead per color over every
 simplex: each stalk is a circular permutation and every descent map is
 forced by the colors.  ``NecklaceLocalSystem`` is the one bundle type
-that the reader returns, the writer takes and ``validate`` checks;
-``MinimalBundle`` is only the circular-permutation record of a minimal
-bundle, which the cocycle construction and ``minimize`` produce and
-``chern_cocycle`` reads.
+that the reader returns and the writer takes, and its ``validate`` is
+the one check of every bundle, minimal ones included.  It holds the
+bead maps per simplex, a tuple of one map per face, so a minimal system
+shares one tuple over a whole level.  ``MinimalBundle`` is only the
+circular-permutation record of a minimal bundle, which the cocycle
+construction and ``minimize`` produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
-from operator import add, itemgetter, ne
-from typing import Iterable, Mapping
+from itertools import accumulate, chain, combinations, compress, count, repeat
+from operator import add, itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from ._json import json_int, key_int
-from .cyclic import (
-    CircularPermutation,
-    Necklace,
-    _cp_face,
-    c01,
-)
+from .cyclic import CircularPermutation, Necklace, _cp_face
 from .errors import (
     DanglingReference,
     IncoherentLocalSystem,
@@ -60,7 +57,6 @@ __all__ = [
     "SingularProjection",
     "assemble",
     "minimal_from_cocycle",
-    "chern_cocycle",
     "chern_number",
     "check_projection_naturality",
     "bundle_to_json_dict",
@@ -78,10 +74,12 @@ class NecklaceLocalSystem:
     """Stalk necklaces over a base plus descent maps along every face.
 
     ``stalks`` maps (dim, index) to the necklace over that simplex;
-    ``bead_maps`` maps (dim, index, face_index) to the embedding of the
-    face stalk's beads into the stalk's beads (its image is exactly the
-    set of beads not colored face_index).  Instances and their maps are
-    never mutated; spindle moves share every map they leave unchanged.
+    ``bead_maps`` maps (dim, index), dim >= 1, to the tuple of the
+    simplex's dim + 1 face maps, where map i embeds the beads of the
+    stalk over face i into the stalk's beads (its image is exactly the
+    set of beads not colored i).  Instances, tuples and maps are never
+    mutated: spindle moves share every tuple and map they leave
+    unchanged, and a minimal system shares one tuple over each level.
     """
 
     __slots__ = ("base", "stalks", "bead_maps")
@@ -89,11 +87,9 @@ class NecklaceLocalSystem:
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
         self.stalks: dict[SimplexKey, Necklace] = dict(stalks)
-        self.bead_maps: dict[tuple[int, int, int], dict[int, int]] = dict(bead_maps)
+        self.bead_maps: dict[SimplexKey, tuple[dict[int, int], ...]] = dict(bead_maps)
         if check:
-            problems = self.validate()
-            if problems:
-                raise IncoherentLocalSystem("; ".join(problems))
+            _checked(self)
 
     # -- access --------------------------------------------------------
 
@@ -104,7 +100,7 @@ class NecklaceLocalSystem:
             raise DanglingReference(f"no stalk over simplex {q}/{index}") from None
 
     def bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
-        return self.bead_maps[(q, index, i)]
+        return self.bead_maps[(q, index)][i]
 
     def is_minimal(self) -> bool:
         return all(n.size == q + 1 for (q, _), n in self.stalks.items())
@@ -112,39 +108,46 @@ class NecklaceLocalSystem:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> list[str]:
-        base = self.base
-        problems = _stalk_problems(base, self.stalks)
-        if problems:
+        """The problems of the stalks, else of the bead maps, else the
+        descent maps that do not commute; each check runs once per distinct
+        combination, by identity, of the objects over a simplex it reads."""
+        base, stalks = self.base, self.stalks
+        if problems := _stalk_problems(base, stalks):
             return problems
-        for q in range(1, base.top_dim + 1):
-            for idx in base.simplices(q):
-                big = self.stalks[(q, idx)]
-                for i, f in enumerate(base.face_row(q, idx)):
-                    bm = self.bead_maps.get((q, idx, i))
-                    if bm is None:
-                        problems.append(f"missing bead map along face {i} of {q}/{idx}")
-                    elif what := _bead_map_problem(bm, big, self.stalks[(q - 1, f)], i):
-                        problems.append(f"bead map along face {i} of {q}/{idx} {what}")
-        if problems:
-            return problems
-        for q in range(2, base.top_dim + 1):
-            for idx in base.simplices(q):
-                for i, j in combinations(range(q + 1), 2):
-                    fj = base.face_index(q, idx, j)
-                    fi = base.face_index(q, idx, i)
-                    route_a = {
-                        db: self.bead_map(q, idx, j)[sb]
-                        for db, sb in self.bead_map(q - 1, fj, i).items()
-                    }
-                    route_b = {
-                        db: self.bead_map(q, idx, i)[sb]
-                        for db, sb in self.bead_map(q - 1, fi, j - 1).items()
-                    }
-                    if route_a != route_b:
-                        problems.append(
-                            f"descent maps of {q}/{idx} do not commute for faces ({i}, {j})"
-                        )
-        return problems
+        commute = []
+        below, below_maps = _level(stalks, 0, base.counts[0]), []
+        for q, n in enumerate(base.counts[1:], 1):
+            rows = base.face_rows(q)
+            level, maps = _level(stalks, q, n), _level(self.bead_maps, q, n)
+            keys = zip(map(id, level), map(id, maps), *_face_ids(below, rows))
+            faults = _once_per_key(
+                _face_problems, keys, zip(level, maps, rows, repeat(below))
+            )
+            for idx in compress(count(), faults):
+                for i, what in faults[idx]:
+                    problems.append(
+                        f"missing bead map along face {i} of {q}/{idx}" if what is None
+                        else f"bead map along face {i} of {q}/{idx} {what}"
+                    )
+            if q > 1 and not problems:
+                keys = zip(map(id, maps), *_face_ids(below_maps, rows))
+                pairs = _once_per_key(
+                    _commute_problems, keys, zip(maps, rows, repeat(below_maps))
+                )
+                for idx in compress(count(), pairs):
+                    commute.extend(
+                        f"descent maps of {q}/{idx} do not commute for faces ({i}, {j})"
+                        for i, j in pairs[idx]
+                    )
+            below, below_maps = level, maps
+        return problems or commute
+
+
+def _checked(system: NecklaceLocalSystem) -> NecklaceLocalSystem:
+    """system, once ``validate`` finds nothing wrong with it."""
+    if problems := system.validate():
+        raise IncoherentLocalSystem("; ".join(problems))
+    return system
 
 
 def _level(table: Mapping, q: int, n: int) -> list:
@@ -153,21 +156,36 @@ def _level(table: Mapping, q: int, n: int) -> list:
     return list(map(table.get, zip(repeat(q), range(n))))
 
 
+def _face_ids(below: list, rows: Iterable[tuple[int, ...]]) -> Iterator[Iterator[int]]:
+    """The ids of the objects below that the face rows name, a column per face."""
+    ids = list(map(id, below))
+    return map(map, repeat(ids.__getitem__), zip(*rows))
+
+
+def _once_per_key(check, keys: Iterable, args: Iterable[tuple]) -> list:
+    """[check(*a) for a in args], calling check once per distinct key."""
+    keys = list(keys)
+    done = {key: check(*a) for key, a in dict(zip(keys, args)).items()}
+    return list(map(done.__getitem__, keys))
+
+
 def _stalk_problems(base: SemiSimplicialSet, stalks: Mapping) -> list[str]:
     """Simplices without a stalk, stalks whose top color is not their
-    dimension, and stalks over no simplex; any stalk with a ``top`` will
-    do, a necklace or a circular permutation."""
+    dimension, and stalks over no simplex; a shared stalk is read once."""
     problems = []
-    for q, n in enumerate(base.counts):
-        for idx, stalk in enumerate(_level(stalks, q, n)):
-            if stalk is None:
-                problems.append(f"missing stalk over {q}/{idx}")
-            elif stalk.top != q:
-                problems.append(
-                    f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
-                )
+    counts = base.counts
+    for q, n in enumerate(counts):
+        level = _level(stalks, q, n)
+        if any(s is None or s.top != q for s in dict(zip(map(id, level), level)).values()):
+            for idx, stalk in enumerate(level):
+                if stalk is None:
+                    problems.append(f"missing stalk over {q}/{idx}")
+                elif stalk.top != q:
+                    problems.append(
+                        f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
+                    )
     for q, idx in stalks:
-        if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
+        if not (0 <= q < len(counts) and 0 <= idx < counts[q]):
             problems.append(f"stalk over missing simplex {q}/{idx}")
     return problems
 
@@ -204,14 +222,38 @@ def _bead_map_problem(
     return None
 
 
+def _face_problems(big: Necklace, maps, row, below: list) -> list[tuple[int, str | None]]:
+    """(i, why) for each face i of a simplex with stalk big whose map in
+    maps is missing (why is None) or is not a descent map."""
+    faults = []
+    for i, (f, bm) in enumerate(zip(row, chain(maps or (), repeat(None)))):
+        if bm is None:
+            faults.append((i, None))
+        elif what := _bead_map_problem(bm, big, below[f], i):
+            faults.append((i, what))
+    return faults
+
+
+def _commute_problems(maps: tuple, row, below_maps: list) -> list[tuple[int, int]]:
+    """The faces (i, j), i < j, of a simplex along which descending to
+    face i of face j and to face j - 1 of face i gives different maps."""
+    faces = [below_maps[f] for f in row]
+    return [
+        (i, j)
+        for i, j in combinations(range(len(row)), 2)
+        if {db: maps[j][sb] for db, sb in faces[j][i].items()}
+        != {db: maps[i][sb] for db, sb in faces[i][j - 1].items()}
+    ]
+
+
 class MinimalBundle:
     """The circular-permutation record of a minimal bundle.
 
     ``stalks`` maps (dim, index) to the circular permutation over that
-    simplex.  Construction checks, word by word, that deleting color i
-    from each stalk gives the stalk over face i, unless ``check`` is
-    false; ``minimal_from_cocycle`` and ``minimize`` pass false, since
-    their output is coherent by construction.
+    simplex.  Construction validates the local system these stalks
+    expand to, unless ``check`` is false; ``minimal_from_cocycle`` and
+    ``minimize`` pass false, since their output is coherent by
+    construction.
     """
 
     __slots__ = ("base", "stalks")
@@ -220,9 +262,7 @@ class MinimalBundle:
         self.base = base
         self.stalks: dict[SimplexKey, CircularPermutation] = dict(stalks)
         if check:
-            problems = _minimal_problems(base, self.stalks)
-            if problems:
-                raise IncoherentLocalSystem("; ".join(problems))
+            _checked(_minimal_system(base, self.stalks))
 
     def stalk(self, q: int, index: int) -> CircularPermutation:
         return self.stalks[(q, index)]
@@ -236,58 +276,21 @@ class MinimalBundle:
         return f"MinimalBundle(base={self.base.counts})"
 
 
-def _minimal_problems(
-    base: SemiSimplicialSet, stalks: Mapping[SimplexKey, CircularPermutation]
-) -> list[str]:
-    """The problems ``validate`` finds in the minimal system of these
-    stalks, in its order and words, without building that system.
-
-    The canonical color embeddings always commute and pass every
-    bead-map test but circular order, which holds exactly when deleting
-    color i from the stalk gives the stalk over face i."""
-    problems = _stalk_problems(base, stalks)
-    if problems:
-        return problems
-    below: list[tuple[int, ...]] = []  # the words one level down
-    for q, n in enumerate(base.counts):
-        level = [th.word for th in _level(stalks, q, n)]
-        if q:
-            # a simplex is wrong where the faces of its word are not the
-            # words over its faces; few words recur, so faces are per word
-            faces = {w: [_cp_face(w, i) for i in range(q + 1)] for w in set(level)}
-            rows = base.face_rows(q)
-            got = map(list, map(map, repeat(below.__getitem__), rows))
-            for idx in compress(count(), map(ne, map(faces.__getitem__, level), got)):
-                for i, (want, f) in enumerate(zip(faces[level[idx]], rows[idx])):
-                    if want != below[f]:
-                        problems.append(
-                            f"bead map along face {i} of {q}/{idx} "
-                            "does not preserve the circular order"
-                        )
-        below = level
-    return problems
-
-
 def _minimal_system(
     base: SemiSimplicialSet, stalks: Mapping[SimplexKey, CircularPermutation]
 ) -> NecklaceLocalSystem:
     """The local system of circular-permutation stalks: each bead id is
     its color, and face i sends color c to c below i and to c + 1 above.
     Equal stalks share one necklace, since few words recur over a base,
-    and every q-simplex shares the q + 1 embeddings of its level."""
+    and every q-simplex shares one tuple of the q + 1 embeddings."""
     words = [th.word for th in stalks.values()]
     distinct = dict(zip(words, stalks.values()))
     shared = {word: Necklace.from_circular(th) for word, th in distinct.items()}
     necklaces = dict(zip(stalks, map(shared.__getitem__, words)))
     bead_maps = {}
     for q, n in enumerate(base.counts[1:], 1):
-        embeddings = [
-            {c: (c if c < i else c + 1) for c in range(q)} for i in range(q + 1)
-        ]
-        # the keys (q, idx, i), idx-major, each with embedding i
-        indices = chain.from_iterable(map(repeat, range(n), repeat(q + 1)))
-        keys = zip(repeat(q), indices, cycle(range(q + 1)))
-        bead_maps.update(zip(keys, cycle(embeddings)))
+        embeddings = tuple({c: (c if c < i else c + 1) for c in range(q)} for i in range(q + 1))
+        bead_maps.update(zip(zip(repeat(q), range(n)), repeat(embeddings)))
     return NecklaceLocalSystem(base, necklaces, bead_maps, check=False)
 
 
@@ -354,11 +357,12 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
             proj_table.append(tuple(entries))
             continue
         face_rows = base.face_rows(p) if n else ()
+        level_maps = _level(bead_maps, p, n)
         arcs = []
         for m in range(p + 1):
             # face m of every simplex: its stalk, and the bead map along it
             smalls = list(map(below.__getitem__, map(itemgetter(m), face_rows)))
-            maps = list(map(bead_maps.__getitem__, zip(repeat(p), range(n), repeat(m))))
+            maps = list(map(itemgetter(m), level_maps))
             keys = list(zip(map(id, level), map(id, smalls), map(id, maps)))
             triples = dict(zip(keys, zip(level, smalls, maps)))
             built = {key: _arc_table(*triple) for key, triple in triples.items()}
@@ -551,15 +555,6 @@ def minimal_from_cocycle(base: SemiSimplicialSet, u: IntCochain) -> MinimalBundl
     return MinimalBundle(base, stalks, check=False)
 
 
-def chern_cocycle(bundle: MinimalBundle) -> IntCochain:
-    """Triangle parities of a minimal bundle; inverse to the construction
-    from a cocycle."""
-    values = tuple(
-        c01(bundle.stalk(2, idx)) for idx in bundle.base.simplices(2)
-    )
-    return IntCochain(2, values)
-
-
 def chern_number(u: IntCochain, fm: FundamentalClass) -> int:
     """Pairing of a binary 2-cocycle with the fundamental class."""
     _require_binary_cocycle(fm.carrier, u)
@@ -609,11 +604,10 @@ def bundle_to_json_dict(system: NecklaceLocalSystem | MinimalBundle) -> dict:
     if minimal or system.is_minimal():
         return doc
     maps = {}
-    for (q, idx, i), bm in system.bead_maps.items():
-        fidx = base.face_index(q, idx, i)
-        small = system.stalk(q - 1, fidx)
+    for (q, idx), faces in system.bead_maps.items():
         pos = system.stalk(q, idx).position
-        maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in small.ids]
+        for i, (f, bm) in enumerate(zip(base.face_row(q, idx), faces)):
+            maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in system.stalk(q - 1, f).ids]
     doc["bead_maps"] = maps
     return doc
 
@@ -673,7 +667,7 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
                     "and no bead_maps are given"
                 ) from exc
         stalks = dict(zip(words, map(perms.__getitem__, words.values())))
-        return MinimalBundle(base, stalks).as_local_system()
+        return _checked(_minimal_system(base, stalks))
     stalks = {}
     for key, word in words.items():
         try:
@@ -682,7 +676,7 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
             raise MalformedFile(f"bad stalk over {key[0]}/{key[1]}: {exc}") from exc
     if not isinstance(raw_maps, Mapping):
         raise MalformedFile("'bead_maps' must map 'dim/index/face' keys to rows")
-    bead_maps = {}
+    faces: dict[SimplexKey, list] = {}  # the maps of each simplex, by face
     for key, row in raw_maps.items():
         try:
             q, idx, i = map(key_int, key.split("/"))
@@ -699,9 +693,10 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
         targets = [json_int(t, what) for t in row]
         if any(not 0 <= t < big.size for t in targets):
             raise MalformedFile(f"bead map {key} points outside the stalk")
-        bead_maps[(q, idx, i)] = {
+        faces.setdefault((q, idx), [None] * (q + 1))[i] = {
             small.ids[p]: big.ids[t] for p, t in enumerate(targets)
         }
+    bead_maps = {key: tuple(maps) for key, maps in faces.items()}
     return NecklaceLocalSystem(base, stalks, bead_maps)
 
 

@@ -21,7 +21,6 @@ from .bundle import (
     assemble,
     bundle_from_json_dict,
     bundle_to_json_dict,
-    chern_cocycle,
     chern_number,
     check_projection_naturality,
     minimal_from_cocycle,
@@ -277,9 +276,10 @@ def cmd_gen_surface(args) -> Report:
         data["out"] = args.out
         lines.append(f"bundle written to {args.out}")
     if args.verify:
-        asm = assemble(bundle.as_local_system())
+        system = bundle.as_local_system()
+        asm = assemble(system)
         h = homology_groups(asm.total)
-        achieved = chern_number(chern_cocycle(bundle), fm)
+        achieved = chern_number(chern_cocycle_general(system), fm)
         checks = {
             "chern_achieved": achieved == args.chern,
             "euler_zero": asm.total.euler_characteristic() == 0,

@@ -2,11 +2,11 @@
 
 Contracting a bead of a vertex circle removes its trace from every stalk
 over the vertex's star; splitting a bead is the inverse move.  Either
-move shares every other stalk and bead map with its input.  A move reads
-only the star: it walks up from the vertex through the base's coface
-table and takes the bead's image over each star simplex from one face of
-it.  Its one cost in proportion to the base is a single copy of the two
-outer dicts, of stalks and of bead maps.
+move shares every other stalk and maps tuple with its input.  A move
+reads only the star: it walks up from the vertex through the base's
+coface table and takes the bead's image over each star simplex from one
+face of it.  Its one cost in proportion to the base is a single copy of
+the two outer dicts, of stalks and of bead maps, one entry per simplex.
 
 Iterating contractions until each vertex circle has a single bead
 reduces any bundle to a minimal one, and the result depends only on
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bundle import MinimalBundle, NecklaceLocalSystem
+from .bundle import MinimalBundle, NecklaceLocalSystem, _checked
 from .cyclic import CircularPermutation, Necklace, c01
 from .errors import BeadNotFound, DanglingReference, IncoherentLocalSystem, LastArc
 from .homology import IntCochain
@@ -38,22 +38,21 @@ ArcSelection = Mapping[int, int]
 
 
 def _lifted(
-    maps: Mapping[tuple[int, int, int], Mapping[int, int]],
+    maps: tuple[Mapping[int, int], ...],
     q: int,
-    idx: int,
     low: Mapping[int, int],
     high: Mapping[int, int],
 ) -> dict[int, int]:
-    """Beads over (q, idx), by vertex position, lifted one face step from
-    beads over two of its faces.  A vertex at position p < q of (q, idx)
-    sits at p in face q, and one at q sits at q - 1 in face q - 1; so
-    ``high`` (over face q) and ``low`` (over face q - 1) are pushed along
-    those faces' bead maps.  Taken from a vertex up, these steps carry a
-    vertex bead to its image in every stalk of the star; by coherence of
-    the bead maps the image does not depend on the faces passed through."""
-    lifted = {p: maps[(q, idx, q)][b] for p, b in high.items()}
+    """Beads over a q-simplex with face maps ``maps``, by vertex position,
+    lifted one face step from beads over two of its faces.  A vertex at
+    position p < q sits at p in face q, and one at q at q - 1 in face q - 1;
+    so ``high`` (over face q) and ``low`` (over face q - 1) are pushed along
+    those faces' maps.  Taken from a vertex up, these steps carry a vertex
+    bead to its image in every stalk of the star; by coherence of the bead
+    maps the image does not depend on the faces passed through."""
+    lifted = {p: maps[q][b] for p, b in high.items()}
     if (b := low.get(q - 1)) is not None:
-        lifted[q] = maps[(q, idx, q - 1)][b]
+        lifted[q] = maps[q - 1][b]
     return lifted
 
 
@@ -79,7 +78,7 @@ def _star(
         for idx in sorted({x for y in level for x in base.cofaces(q - 1, y)}):
             row = base.face_row(q, idx)
             above[idx] = star[(q, idx)] = _lifted(
-                system.bead_maps, q, idx,
+                system.bead_maps[(q, idx)], q,
                 level.get(row[q - 1], {}), level.get(row[q], {}),
             )
         level = above
@@ -89,24 +88,22 @@ def _star(
 def _replaced(
     system: NecklaceLocalSystem,
     stalks: dict[tuple[int, int], Necklace],
-    bead_maps: dict[tuple[int, int, int], dict[int, int]],
+    bead_maps: dict[tuple[int, int], tuple[dict[int, int], ...]],
     check: bool,
 ) -> NecklaceLocalSystem:
-    """system with the given stalks and bead maps in place of its own.
+    """system with the given stalks and maps tuples in place of its own.
     The two outer dicts are copied once; every other entry is shared."""
     moved = NecklaceLocalSystem(system.base, system.stalks, system.bead_maps, check=False)
     moved.stalks.update(stalks)
     moved.bead_maps.update(bead_maps)
-    if check and (problems := moved.validate()):
-        raise IncoherentLocalSystem("; ".join(problems))
-    return moved
+    return _checked(moved) if check else moved
 
 
 def contract(
     system: NecklaceLocalSystem, v: int, bead: int, check: bool = True
 ) -> NecklaceLocalSystem:
     """Remove bead from the circle over v and its trace from every stalk
-    over v's star; every other stalk and bead map is shared with system.
+    over v's star; every other stalk and maps tuple is shared with system.
 
     Over a simplex containing v at positions P, the beads removed are the
     embedded images of the bead at each position in P; they have pairwise
@@ -122,16 +119,19 @@ def contract(
     for (q, idx), gone in removed.items():
         picked = [(c, b) for b, c in system.stalks[(q, idx)].beads() if b not in gone]
         stalks[(q, idx)] = Necklace(*zip(*picked))
-        for i, f in enumerate(base.face_row(q, idx) if q else ()):
+        if not q:
+            continue
+        maps = []
+        for i, (f, m) in enumerate(zip(base.face_row(q, idx), system.bead_maps[(q, idx)])):
             gone_small = removed.get((q - 1, f), ())
-            m = system.bead_maps[(q, idx, i)]
             kept = {s: t for s, t in m.items() if s not in gone_small}
             if any(t in gone for t in kept.values()):
                 raise IncoherentLocalSystem(
                     f"contracting bead {bead} over vertex {v} removes the image of "
                     f"a surviving bead along face {i} of {q}/{idx}"
                 )
-            bead_maps[(q, idx, i)] = kept
+            maps.append(kept)
+        bead_maps[(q, idx)] = tuple(maps)
     return _replaced(system, stalks, bead_maps, check)
 
 
@@ -139,9 +139,10 @@ def subdivide(
     system: NecklaceLocalSystem, v: int, bead: int, check: bool = True
 ) -> NecklaceLocalSystem:
     """Split bead into two adjacent beads of its color in every stalk over
-    v's star; every other stalk and bead map is shared with system.  Fresh
-    ids count up from each stalk's maximum, one per position of v, so
-    contracting the new vertex bead restores the original verbatim."""
+    v's star; every other stalk and maps tuple is shared with system, as
+    is each map along a face without v.  Fresh ids count up from each
+    stalk's maximum, one per position of v, so contracting the new vertex
+    bead restores the original verbatim."""
     star = _star(system, v, bead)
     base = system.base
     stalks = {}
@@ -152,15 +153,18 @@ def subdivide(
         first = max(neck.ids) + 1
         minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
         stalks[(q, idx)] = neck.split({images[p]: b for p, b in minted.items()})
-        for i, f in enumerate(base.face_row(q, idx) if q else ()):
+        if not q:
+            continue
+        maps = list(system.bead_maps[(q, idx)])
+        for i, f in enumerate(base.face_row(q, idx)):
             small_minted = fresh.get((q - 1, f))
             if small_minted is None:
                 continue  # v is not on this face, so its map stays as it is
-            extended = dict(system.bead_maps[(q, idx, i)])
+            extended = maps[i] = dict(maps[i])
             for p_small, new_small in small_minted.items():
                 p_big = p_small if p_small < i else p_small + 1
                 extended[new_small] = minted[p_big]
-            bead_maps[(q, idx, i)] = extended
+        bead_maps[(q, idx)] = tuple(maps)
     return _replaced(system, stalks, bead_maps, check)
 
 
@@ -212,7 +216,7 @@ def _kept_beads(
     if beads is None:
         row = system.base.face_row(q, idx)
         beads = kept[(q, idx)] = _lifted(
-            system.bead_maps, q, idx,
+            system.bead_maps[(q, idx)], q,
             _kept_beads(system, kept, q - 1, row[q - 1]),
             _kept_beads(system, kept, q - 1, row[q]),
         )

@@ -4,10 +4,11 @@ None of these is on a path the library takes.  Each answers a question
 the library answers another way, or one the tests ask about its
 output: the iterated face chain of a simplex against ``spindle._lifted``'s
 one face step, equivalence of local systems up to bead renaming, the
-local system of one necklace, the total space's face rows and projection
-by bead id against ``assemble``'s positional tables, whether a total
-space is a classical complex, and the degeneracy operators of circular
-permutations.
+local system of one necklace, the face-by-face validation of a local
+system against ``validate``'s checks once per distinct combination of
+objects, the total space's face rows and projection by bead id against
+``assemble``'s positional tables, whether a total space is a classical
+complex, and the degeneracy operators of circular permutations.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from scbundles import (
     assemble,
     standard_simplex,
 )
+from scbundles.bundle import _bead_map_problem
 
 # -- the iterated face chain -------------------------------------------
 
@@ -95,10 +97,65 @@ def elementary_system(neck: Necklace | CircularPermutation) -> NecklaceLocalSyst
     bead_maps = {}
     for q in range(1, k + 1):
         for idx, sub in enumerate(subsets[q]):
+            maps = []
             for i in range(q + 1):
                 small = restricted[sub[:i] + sub[i + 1 :]]
-                bead_maps[(q, idx, i)] = {b: b for b in small.ids}
+                maps.append({b: b for b in small.ids})
+            bead_maps[(q, idx)] = tuple(maps)
     return NecklaceLocalSystem(base, stalks, bead_maps, check=False)
+
+
+def validate_reference(system: NecklaceLocalSystem) -> list[str]:
+    """``NecklaceLocalSystem.validate`` face by face: every stalk, then
+    every bead map through ``_bead_map_problem``, then, when all of those
+    hold, every pair of routes, with nothing checked once for many
+    simplices.  The same problems in the same order and words."""
+    base = system.base
+    problems = []
+    for q in range(base.top_dim + 1):
+        for idx in base.simplices(q):
+            stalk = system.stalks.get((q, idx))
+            if stalk is None:
+                problems.append(f"missing stalk over {q}/{idx}")
+            elif stalk.top != q:
+                problems.append(
+                    f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
+                )
+    for q, idx in system.stalks:
+        if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
+            problems.append(f"stalk over missing simplex {q}/{idx}")
+    if problems:
+        return problems
+    for q in range(1, base.top_dim + 1):
+        for idx in base.simplices(q):
+            big = system.stalks[(q, idx)]
+            maps = system.bead_maps.get((q, idx)) or ()
+            for i, f in enumerate(base.face_row(q, idx)):
+                bm = maps[i] if i < len(maps) else None
+                if bm is None:
+                    problems.append(f"missing bead map along face {i} of {q}/{idx}")
+                elif what := _bead_map_problem(bm, big, system.stalks[(q - 1, f)], i):
+                    problems.append(f"bead map along face {i} of {q}/{idx} {what}")
+    if problems:
+        return problems
+    for q in range(2, base.top_dim + 1):
+        for idx in base.simplices(q):
+            for i, j in combinations(range(q + 1), 2):
+                fj = base.face_index(q, idx, j)
+                fi = base.face_index(q, idx, i)
+                route_a = {
+                    db: system.bead_map(q, idx, j)[sb]
+                    for db, sb in system.bead_map(q - 1, fj, i).items()
+                }
+                route_b = {
+                    db: system.bead_map(q, idx, i)[sb]
+                    for db, sb in system.bead_map(q - 1, fi, j - 1).items()
+                }
+                if route_a != route_b:
+                    problems.append(
+                        f"descent maps of {q}/{idx} do not commute for faces ({i}, {j})"
+                    )
+    return problems
 
 
 def systems_equivalent(

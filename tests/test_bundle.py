@@ -24,7 +24,7 @@ from scbundles import (
     build_surface_bundle,
     bundle_from_json_dict,
     bundle_to_json_dict,
-    chern_cocycle,
+    chern_cocycle_general,
     chern_number,
     check_projection_naturality,
     delta_torus,
@@ -35,7 +35,7 @@ from scbundles import (
     standard_simplex,
     total_to_json_dict,
 )
-from scbundles._json import canonical_dumps
+from scbundles._json import canonical_dumps, read_json, write_json
 from scbundles.bundle import _minimal_system, format_necklace_text, parse_necklace_text
 from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
@@ -55,6 +55,7 @@ from oracles import (
     is_classical_necklace,
     systems_equivalent,
     total_rows,
+    validate_reference,
     vertex_at,
     vertex_embedding,
 )
@@ -124,9 +125,8 @@ class TestLocalSystem:
 
     def test_bad_bead_map_reported(self):
         system = elementary_system(Necklace.from_colors((0, 1, 0, 2)))
-        maps = {k: dict(v) for k, v in system.bead_maps.items()}
-        key = (1, 0, 0)
-        bm = maps[key]
+        maps = _copied_maps(system)
+        bm = maps[(1, 0)][0]
         small = list(bm)
         # send a face bead to a bead of the deleted color
         deleted_color_beads = [
@@ -139,8 +139,8 @@ class TestLocalSystem:
     def test_order_reversal_reported(self):
         # with three 0-beads, swapping two of the images is not a rotation
         system = elementary_system(Necklace.from_colors((0, 0, 0, 1)))
-        maps = {k: dict(v) for k, v in system.bead_maps.items()}
-        bm = maps[(1, 0, 1)]
+        maps = _copied_maps(system)
+        bm = maps[(1, 0)][1]
         assert len(bm) == 3
         a, b = sorted(bm)[:2]
         bm[a], bm[b] = bm[b], bm[a]
@@ -152,8 +152,8 @@ class TestLocalSystem:
     def test_two_bead_swap_is_a_rotation(self):
         # on a two-bead fiber every bijection is circular, so this stays valid
         system = elementary_system(Necklace.from_colors((0, 1, 0, 1)))
-        maps = {k: dict(v) for k, v in system.bead_maps.items()}
-        bm = maps[(1, 0, 1)]
+        maps = _copied_maps(system)
+        bm = maps[(1, 0)][1]
         a, b = sorted(bm)
         bm[a], bm[b] = bm[b], bm[a]
         assert not type(system)(
@@ -287,7 +287,7 @@ class TestAssembly:
             unshared = NecklaceLocalSystem(
                 system.base,
                 {key: Necklace(n.colors, n.ids) for key, n in system.stalks.items()},
-                {key: dict(bm) for key, bm in system.bead_maps.items()},
+                _copied_maps(system),
                 check=False,
             )
             a, b = assemble(system), assemble(unshared)
@@ -329,6 +329,29 @@ def naturality_oracle(total, projection):
                         f"projection of {p}/{idx} is not a degeneracy operator"
                     )
     return problems
+
+
+def _doubled_trivial(base):
+    """The trivial bundle over base with every fiber doubled: over a
+    q-simplex the word 0..q twice, the second copy's ids after the first,
+    and one stalk and one maps tuple shared over each level.  A vertex
+    circle has two beads, so a turn of it along an edge is still a
+    descent map; only commutation above the edge can see it."""
+    stalks, bead_maps = {}, {}
+    for q, n in enumerate(base.counts):
+        neck = Necklace.from_colors(tuple(range(q + 1)) * 2)
+        stalks.update(((q, idx), neck) for idx in range(n))
+        maps = tuple(
+            {c + k * q: (c if c < i else c + 1) + k * (q + 1) for k in (0, 1) for c in range(q)}
+            for i in range(q + 1)
+        )
+        bead_maps.update(((q, idx), maps) for idx in range(n) if q)
+    return NecklaceLocalSystem(base, stalks, bead_maps)
+
+
+def _copied_maps(system):
+    """The bead maps of system, each tuple and map a fresh copy."""
+    return {key: tuple(map(dict, maps)) for key, maps in system.bead_maps.items()}
 
 
 def _surface_system(base, c):
@@ -476,13 +499,13 @@ class TestCocycleBridge:
         flipped = dict(good.stalks)
         flipped[(2, 0)] = CircularPermutation((0, 2, 1))
         again = MinimalBundle(base, flipped)
-        assert chern_cocycle(again).values == (1, 0)
+        assert chern_cocycle_general(again.as_local_system()).values == (1, 0)
 
 
 class TestMinimalWordCheck:
-    """Corrupted minimal bundles: the word-by-word check raises exactly the
-    problems the generic ``validate`` finds in the expanded local system,
-    in its order, and nothing when it finds none."""
+    """Corrupted minimal bundles: ``MinimalBundle`` and the reader raise
+    exactly the problems the face-by-face reference finds in the expanded
+    local system, in its order, and nothing when it finds none."""
 
     @staticmethod
     def corrupt(base, stalks, rng):
@@ -517,7 +540,7 @@ class TestMinimalWordCheck:
         for _ in range(40):
             stalks = dict(minimal_from_cocycle(base, random_binary_cocycle(base, rng)).stalks)
             kinds = {self.corrupt(base, stalks, rng) for _ in range(rng.randrange(1, 4))}
-            want = "; ".join(_minimal_system(base, stalks).validate())
+            want = "; ".join(validate_reference(_minimal_system(base, stalks)))
             orders += "circular order" in want
             builds = [lambda: MinimalBundle(base, stalks)]
             if kinds <= {"swap", "length"}:
@@ -537,6 +560,77 @@ class TestMinimalWordCheck:
                     build()
                 assert str(info.value) == want
         assert orders >= (5 if base.top_dim >= 3 else 0)
+
+
+class TestValidateOracle:
+    """``validate`` checks each distinct combination of stalk, maps tuple
+    and face objects once; the reference checks every face of every
+    simplex.  Sound and corrupted systems get the same problems from both,
+    in the same order."""
+
+    # which face maps each corruption may pick, by dimension and map
+    PLACES = {
+        "drop": lambda q, bm: True,
+        "swap": lambda q, bm: len(bm) > 1,
+        "commute": lambda q, bm: q == 1 and len(bm) > 1,
+    }
+
+    @classmethod
+    def corrupt(cls, system, rng):
+        base = system.base
+        stalks, maps = dict(system.stalks), dict(system.bead_maps)
+        kind = rng.choice(["drop", "swap", "commute", "top", "shared-stalk"])
+        q = rng.randrange(base.top_dim + 1)
+        idx = rng.randrange(base.simplex_count(q))
+        if kind == "top":
+            stalks[(q, idx)] = Necklace.from_colors(range(q + 2))
+        elif kind == "shared-stalk":
+            # the very stalk of another simplex of the same dimension
+            stalks[(q, idx)] = stalks[(q, rng.randrange(base.simplex_count(q)))]
+        else:
+            wanted = cls.PLACES[kind]
+            places = [
+                (key, i) for key, faces in maps.items()
+                for i, bm in enumerate(faces) if bm is not None and wanted(key[0], bm)
+            ]
+            if places:
+                key, i = rng.choice(places)
+                faces = list(maps[key])
+                bm = faces[i]
+                if kind == "drop":
+                    faces[i] = None
+                elif kind == "swap":
+                    a, b = rng.sample(sorted(bm), 2)
+                    faces[i] = {**bm, a: bm[b], b: bm[a]}
+                else:
+                    # a turn of the vertex circle keeps a descent map one,
+                    # so only the commutation check above the edge sees it
+                    circle = stalks[(0, base.face_index(1, key[1], i))].ids
+                    ids = [s for s in circle if s in bm]
+                    faces[i] = {**bm, **dict(zip(ids, map(bm.get, ids[1:] + ids[:1])))}
+                maps[key] = tuple(faces)
+        return NecklaceLocalSystem(base, stalks, maps, check=False)
+
+    @pytest.mark.parametrize(
+        "name", ["random", "torus:6", "delta-torus", "simplex:4", "sphere:5"]
+    )
+    def test_matches_the_face_by_face_reference(self, name):
+        rng = random.Random(f"validate {name}")
+        found = set()
+        systems = _oracle_systems(name)
+        for system in systems + [_doubled_trivial(systems[0].base)]:
+            assert system.validate() == validate_reference(system) == []
+            for _ in range(12):
+                broken = self.corrupt(system, rng)
+                if rng.randrange(2):
+                    broken = self.corrupt(broken, rng)
+                problems = broken.validate()
+                assert problems == validate_reference(broken)
+                found.update(
+                    what for what in ("uses colors", "missing bead map", "do not commute")
+                    if any(what in problem for problem in problems)
+                )
+        assert found == {"uses colors", "missing bead map", "do not commute"}
 
 
 class TestClassicality:
@@ -627,6 +721,17 @@ class TestSerialization:
             assert isinstance(back, NecklaceLocalSystem)
             assert systems_equivalent(back, system)
             assert canonical_dumps(bundle_to_json_dict(back)) == canonical_dumps(doc)
+
+    def test_minimal_file_shares_one_maps_tuple_per_level(self, tmp_path):
+        base = grid_torus(6)
+        path = tmp_path / "bundle.json"
+        write_json(path, bundle_to_json_dict(_surface_system(base, 3)))
+        system = bundle_from_json_dict(read_json(path))
+        for q, n in enumerate(base.counts[1:], 1):
+            tuples = {id(system.bead_maps[(q, idx)]) for idx in range(n)}
+            assert len(tuples) == 1
+            assert len(system.bead_maps[(q, 0)]) == q + 1
+        assert len(system.bead_maps) == sum(base.counts[1:])
 
     def test_minimal_system_serialized_without_maps(self):
         m = minimal_from_cocycle(delta_torus(), IntCochain(2, (1, 0)))

@@ -147,7 +147,13 @@ def walk_digest(base: str, tmp: Path) -> str:
     selection = {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
     parts = (
         list(system.stalks.items()),
-        [(key, list(m.items())) for key, m in system.bead_maps.items()],
+        # flattened to one ((q, idx, i), items) entry per face, as the
+        # digest was taken when the maps were keyed per face
+        [
+            ((q, idx, i), list(m.items()))
+            for (q, idx), maps in system.bead_maps.items()
+            for i, m in enumerate(maps)
+        ],
         *(list(minimize(system, s).stalks.items()) for s in (None, selection)),
         *(chern_cocycle_general(system, s).values for s in (None, selection)),
     )

@@ -283,11 +283,10 @@ TRIANGLE = elementary_system(Necklace.from_colors((0, 1, 2)))
     ids=["missing", "domain", "not-injective", "survivors", "colors", "circular-order"],
 )
 def test_each_bead_map_failure_has_its_message(system, key, row, message):
-    maps = dict(system.bead_maps)
-    if row is None:
-        del maps[key]
-    else:
-        maps[key] = row
+    q, idx, i = key
+    faces = list(system.bead_maps[(q, idx)])
+    faces[i] = row
+    maps = {**system.bead_maps, (q, idx): tuple(faces)}
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     assert broken.validate() == [message]
     with pytest.raises(IncoherentLocalSystem) as info:

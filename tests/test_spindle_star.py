@@ -5,7 +5,7 @@ the vertex and the bead maps of the star's simplices.  The references
 below walk every stalk and every bead map of the system instead.  On
 random systems both must give equal stalks and bead maps in the same
 order, raise the same errors, and the library moves must share every
-stalk and bead map outside the star with their input.
+stalk and tuple of bead maps outside the star with their input.
 
 The library finds the star by walking up the base's coface table; the
 scan below tests every face row of the base instead, and reads each
@@ -80,17 +80,20 @@ def reference_contract(system, v, bead, check=True):
         else:
             stalks[(q, idx)] = neck
     bead_maps = {}
-    for (q, idx, i), m in system.bead_maps.items():
-        fidx = base.face_index(q, idx, i)
-        gone_small = removed[(q - 1, fidx)]
-        gone_big = removed[(q, idx)]
-        kept = {s: t for s, t in m.items() if s not in gone_small}
-        if any(t in gone_big for t in kept.values()):
-            raise IncoherentLocalSystem(
-                f"contracting bead {bead} over vertex {v} removes the image of "
-                f"a surviving bead along face {i} of {q}/{idx}"
-            )
-        bead_maps[(q, idx, i)] = kept
+    for (q, idx), maps in system.bead_maps.items():
+        faces = []
+        for i, m in enumerate(maps):
+            fidx = base.face_index(q, idx, i)
+            gone_small = removed[(q - 1, fidx)]
+            gone_big = removed[(q, idx)]
+            kept = {s: t for s, t in m.items() if s not in gone_small}
+            if any(t in gone_big for t in kept.values()):
+                raise IncoherentLocalSystem(
+                    f"contracting bead {bead} over vertex {v} removes the image of "
+                    f"a surviving bead along face {i} of {q}/{idx}"
+                )
+            faces.append(kept)
+        bead_maps[(q, idx)] = tuple(faces)
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
 
@@ -125,13 +128,16 @@ def reference_subdivide(system, v, bead, check=True):
         )
         fresh[(q, idx)] = minted
     bead_maps = {}
-    for (q, idx, i), m in system.bead_maps.items():
-        fidx = base.face_index(q, idx, i)
-        extended = dict(m)
-        for p_small, new_small in fresh[(q - 1, fidx)].items():
-            p_big = p_small if p_small < i else p_small + 1
-            extended[new_small] = fresh[(q, idx)][p_big]
-        bead_maps[(q, idx, i)] = extended
+    for (q, idx), maps in system.bead_maps.items():
+        faces = []
+        for i, m in enumerate(maps):
+            fidx = base.face_index(q, idx, i)
+            extended = dict(m)
+            for p_small, new_small in fresh[(q - 1, fidx)].items():
+                p_big = p_small if p_small < i else p_small + 1
+                extended[new_small] = fresh[(q, idx)][p_big]
+            faces.append(extended)
+        bead_maps[(q, idx)] = tuple(faces)
     return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
 
 
@@ -175,9 +181,9 @@ def assert_same_move(moved, reference, system, v):
     for key, neck in system.stalks.items():
         if key not in inside:
             assert moved.stalks[key] is neck, key
-    for (q, idx, i), m in system.bead_maps.items():
-        if (q, idx) not in inside:
-            assert moved.bead_maps[(q, idx, i)] is m, (q, idx, i)
+    for key, maps in system.bead_maps.items():
+        if key not in inside:
+            assert moved.bead_maps[key] is maps, key
 
 
 def test_subdivide_matches_the_whole_walk():
@@ -213,9 +219,9 @@ def _outcome(move, *args):
 def test_errors_match_the_whole_walk():
     system = elementary_system(Necklace.from_colors((0, 0, 1)))
     doomed = system.stalk(0, 0).ids[0]
-    maps = dict(system.bead_maps)
-    (other,) = maps[(1, 0, 0)]
-    maps[(1, 0, 0)] = {other: vertex_embedding(system, 1, 0, 0)[doomed]}
+    (other,) = system.bead_map(1, 0, 0)
+    faces = ({other: vertex_embedding(system, 1, 0, 0)[doomed]}, system.bead_map(1, 0, 1))
+    maps = {**system.bead_maps, (1, 0): faces}
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     cases = [
         (contract, (broken, 0, doomed, False), IncoherentLocalSystem),

@@ -8,7 +8,7 @@ from scbundles import (
     NonOrientable,
     boundary_sphere,
     build_surface_bundle,
-    chern_cocycle,
+    chern_cocycle_general,
     chern_number,
     cocycle_for_chern,
     delta_torus,
@@ -109,7 +109,7 @@ class TestBuiltBundles:
         base = octahedron_sphere()
         fm = fundamental_class(base)
         bundle = build_surface_bundle(base, fm, 3)
-        assert chern_number(chern_cocycle(bundle), fm) == 3
+        assert chern_number(chern_cocycle_general(bundle.as_local_system()), fm) == 3
         from scbundles import assemble
 
         total = assemble(bundle.as_local_system()).total
@@ -119,17 +119,17 @@ class TestBuiltBundles:
         base = delta_torus()
         fm = fundamental_class(base)
         flat = build_surface_bundle(base, fm, 0)
-        assert chern_cocycle(flat).is_zero()
+        assert chern_cocycle_general(flat.as_local_system()).is_zero()
         twisted = build_surface_bundle(base, fm, 1)
-        assert chern_number(chern_cocycle(twisted), fm) == 1
+        assert chern_number(chern_cocycle_general(twisted.as_local_system()), fm) == 1
 
     def test_seed_changes_cochain_not_class(self):
         base = octahedron_sphere()
         fm = fundamental_class(base)
         a = build_surface_bundle(base, fm, 2)
         b = build_surface_bundle(base, fm, 2, seed=1)
-        assert chern_number(chern_cocycle(a), fm) == 2
-        assert chern_number(chern_cocycle(b), fm) == 2
+        assert chern_number(chern_cocycle_general(a.as_local_system()), fm) == 2
+        assert chern_number(chern_cocycle_general(b.as_local_system()), fm) == 2
 
     def test_minimal_bundles_are_never_classical(self):
         # one-bead fibers close up into vertical loops, so the total
