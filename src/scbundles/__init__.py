@@ -30,6 +30,7 @@ from .simplicial import (
     SemiSimplicialSet,
     SimplexRef,
     boundary_sphere,
+    closure,
     delta_torus,
     grid_torus,
     named_base,

@@ -306,7 +306,7 @@ class Necklace:
     def size(self) -> int:
         return len(self.colors)
 
-    @property
+    @cached_property
     def top(self) -> int:
         return max(self.colors)
 

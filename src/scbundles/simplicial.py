@@ -12,7 +12,8 @@ tables on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count
+from operator import itemgetter
 from typing import Mapping
 
 from ._json import ARRAY_TYPES, json_int, key_int
@@ -21,6 +22,7 @@ from .errors import DanglingReference, EnumerationBound, InvalidComplex, Malform
 __all__ = [
     "SemiSimplicialSet",
     "SimplexRef",
+    "closure",
     "standard_simplex",
     "boundary_sphere",
     "delta_torus",
@@ -170,6 +172,37 @@ class SemiSimplicialSet:
                             )
         return problems
 
+    @classmethod
+    def from_simplices(cls, levels) -> "SemiSimplicialSet":
+        """The complex whose q-simplices are the vertex tuples ``levels[q]``
+        in id order, vertex v being the one listed as ``(v,)``.  Face i of a
+        simplex deletes its i-th vertex; ``InvalidComplex`` is raised if the
+        level below does not list it, or if a q-simplex has not q + 1 vertices.
+        """
+        faces = []
+        for q, level in enumerate(levels):
+            if set(map(len, level)) - {q + 1}:
+                raise InvalidComplex([f"a {q}-simplex of length other than {q + 1}"])
+            if not q:
+                continue
+            # an itemgetter of one position gives a bare vertex, not a tuple
+            below = levels[q - 1] if q > 1 else [v for v, in levels[0]]
+            index = dict(zip(below, count()))
+            at = range(q + 1)
+            getters = [itemgetter(*at[:i], *at[i + 1 :]) for i in at]
+            columns = [map(index.__getitem__, map(get, level)) for get in getters]
+            try:
+                faces.append(tuple(zip(*columns)))
+            except KeyError:
+                listed = set(map(tuple, levels[q - 1]))
+                raise InvalidComplex(
+                    f"face {i} {s[:i] + s[i + 1 :]} of {q}/{idx} {s} is not listed"
+                    for idx, s in enumerate(map(tuple, level))
+                    for i in at
+                    if s[:i] + s[i + 1 :] not in listed
+                ) from None
+        return cls(len(levels[0]) if levels else 0, faces, check=False)
+
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -272,42 +305,30 @@ class SemiSimplicialSet:
 # -- constructors ------------------------------------------------------
 
 
-def _simplex_tables(k: int, include_top: bool) -> tuple[int, list]:
-    """Face tables for the full k-simplex, simplices = vertex subsets in
-    lexicographic order."""
-    if k < 0:
-        raise ValueError("dimension must be nonnegative")
-    top = k if include_top else k - 1
-    by_dim = [
-        list(combinations(range(k + 1), q + 1)) for q in range(max(top, 0) + 1)
+def closure(top_simplices) -> list[list[tuple[int, ...]]]:
+    """Every nonempty face of the given simplices, each taken as its set
+    of vertices: ``levels[q]`` lists the q-faces as increasing vertex
+    tuples in lexicographic order, as ``from_simplices`` reads them."""
+    tops = sorted({tuple(sorted(set(top))) for top in top_simplices})
+    # faces of sorted tops come in long sorted runs, which sorting is fast on
+    return [
+        sorted(dict.fromkeys(chain.from_iterable(combinations(t, q + 1) for t in tops)))
+        for q in range(max(map(len, tops), default=0))
     ]
-    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
-    faces = []
-    for q in range(1, len(by_dim)):
-        table = []
-        for simplex in by_dim[q]:
-            table.append(
-                [
-                    index[q - 1][simplex[:i] + simplex[i + 1 :]]
-                    for i in range(q + 1)
-                ]
-            )
-        faces.append(table)
-    return k + 1, faces
 
 
 def standard_simplex(k: int) -> SemiSimplicialSet:
     """The k-simplex with all its faces; C(k+1, q+1) simplices per dimension."""
-    n0, faces = _simplex_tables(k, include_top=True)
-    return SemiSimplicialSet(n0, faces, check=False)
+    if k < 0:
+        raise ValueError("dimension must be nonnegative")
+    return SemiSimplicialSet.from_simplices(closure([range(k + 1)]))
 
 
 def boundary_sphere(k: int) -> SemiSimplicialSet:
     """The boundary of the k-simplex, a triangulated (k-1)-sphere."""
     if k < 1:
         raise ValueError("boundary needs dimension at least 1")
-    n0, faces = _simplex_tables(k, include_top=False)
-    return SemiSimplicialSet(n0, faces, check=False)
+    return SemiSimplicialSet.from_simplices(closure([range(k + 1)])[:-1])
 
 
 def delta_torus() -> SemiSimplicialSet:
@@ -325,40 +346,22 @@ def delta_torus() -> SemiSimplicialSet:
     )
 
 
-_ANTIPODES = ((0, 1), (2, 3), (4, 5))
-
-
 def octahedron_sphere() -> SemiSimplicialSet:
     """The octahedral 2-sphere: 6 vertices, 12 edges, 8 triangles.
 
     Vertices pair into antipodes (0,1), (2,3), (4,5); a subset spans a
     simplex exactly when it contains no antipodal pair.
     """
-    forbidden = set(_ANTIPODES)
-    edges = [
-        e for e in combinations(range(6), 2) if e not in forbidden
-    ]
-    triangles = [
-        t
-        for t in combinations(range(6), 3)
-        if all(p not in forbidden for p in combinations(t, 2))
-    ]
-    edge_index = {e: i for i, e in enumerate(edges)}
-    tri_faces = [
-        [edge_index[t[:i] + t[i + 1 :]] for i in range(3)] for t in triangles
-    ]
-    # face 0 of an edge drops the first vertex, leaving the second
-    edge_faces = [[e[1], e[0]] for e in edges]
-    return SemiSimplicialSet(6, [edge_faces, tri_faces], check=False)
+    triangles = (t for t in combinations(range(6), 3) if len({v // 2 for v in t}) == 3)
+    return SemiSimplicialSet.from_simplices(closure(triangles))
 
 
 def grid_torus(n: int) -> SemiSimplicialSet:
     """The n x n grid torus, an ordered simplicial complex for n >= 3.
 
     Vertex (i, j), taken mod n, has id i * n + j.  Each grid square splits
-    along its diagonal into two triangles; a triangle's vertices are
-    sorted, and its face i deletes the i-th of them.  Edges are numbered
-    in order of first appearance.
+    along its diagonal into two triangles with sorted vertices.  Edges are
+    numbered in order of first appearance as faces of the triangles.
     """
     if n < 3:
         raise ValueError("the grid torus needs n >= 3")
@@ -366,20 +369,15 @@ def grid_torus(n: int) -> SemiSimplicialSet:
     def vertex(i, j):
         return (i % n) * n + j % n
 
-    edges: dict[tuple[int, int], int] = {}
     triangles = []
     for i in range(n):
         for j in range(n):
             a, b = vertex(i, j), vertex(i + 1, j)
             c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            for tri in ((a, b, c), (a, c, d)):
-                x, y, z = sorted(tri)
-                triangles.append(
-                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
-                )
-    # face 0 of an edge drops its first vertex, leaving the second
-    edge_faces = [[v, u] for u, v in edges]
-    return SemiSimplicialSet(n * n, [edge_faces, triangles], check=False)
+            triangles += (tuple(sorted(tri)) for tri in ((a, b, c), (a, c, d)))
+    edges = dict.fromkeys(e for x, y, z in triangles for e in ((y, z), (x, z), (x, y)))
+    vertices = [(v,) for v in range(n * n)]
+    return SemiSimplicialSet.from_simplices([vertices, list(edges), triangles])
 
 
 def _parse_sized(key: str, prefix: str, name: str) -> int | None:

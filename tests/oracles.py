@@ -3,7 +3,8 @@
 None of these is on a path the library takes.  Each answers a question
 the library answers another way, or one the tests ask about its
 output: the iterated face chain of a simplex against ``spindle._lifted``'s
-one face step, equivalence of local systems up to bead renaming, the
+one face step, the named bases' former hand-written face tables against
+``from_simplices``, equivalence of local systems up to bead renaming, the
 local system of one necklace, the face-by-face validation of a local
 system against ``validate``'s checks once per distinct combination of
 objects, the total space's face rows and projection by bead id against
@@ -68,6 +69,102 @@ def vertex_embedding(
         bm = system.bead_map(dq, di, fi)
         emb = {vb: bm[sb] for vb, sb in emb.items()}
     return emb
+
+
+# -- named bases -------------------------------------------------------
+# The hand-written face tables the library built its named bases from
+# before ``SemiSimplicialSet.from_simplices``, kept as they were.
+
+
+def reference_simplex_tables(k: int, include_top: bool) -> tuple[int, list]:
+    """Face tables for the full k-simplex, simplices = vertex subsets in
+    lexicographic order."""
+    if k < 0:
+        raise ValueError("dimension must be nonnegative")
+    top = k if include_top else k - 1
+    by_dim = [
+        list(combinations(range(k + 1), q + 1)) for q in range(max(top, 0) + 1)
+    ]
+    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
+    faces = []
+    for q in range(1, len(by_dim)):
+        table = []
+        for simplex in by_dim[q]:
+            table.append(
+                [
+                    index[q - 1][simplex[:i] + simplex[i + 1 :]]
+                    for i in range(q + 1)
+                ]
+            )
+        faces.append(table)
+    return k + 1, faces
+
+
+ANTIPODES = ((0, 1), (2, 3), (4, 5))
+
+
+def reference_octahedron() -> SemiSimplicialSet:
+    """The octahedral 2-sphere: 6 vertices, 12 edges, 8 triangles.
+
+    Vertices pair into antipodes (0,1), (2,3), (4,5); a subset spans a
+    simplex exactly when it contains no antipodal pair.
+    """
+    forbidden = set(ANTIPODES)
+    edges = [
+        e for e in combinations(range(6), 2) if e not in forbidden
+    ]
+    triangles = [
+        t
+        for t in combinations(range(6), 3)
+        if all(p not in forbidden for p in combinations(t, 2))
+    ]
+    edge_index = {e: i for i, e in enumerate(edges)}
+    tri_faces = [
+        [edge_index[t[:i] + t[i + 1 :]] for i in range(3)] for t in triangles
+    ]
+    # face 0 of an edge drops the first vertex, leaving the second
+    edge_faces = [[e[1], e[0]] for e in edges]
+    return SemiSimplicialSet(6, [edge_faces, tri_faces], check=False)
+
+
+def reference_grid_torus(n):
+    """The grid torus as the test generators built it before the library
+    had ``torus:n``: vertex (i, j) mod n is i * n + j, each square split
+    along its diagonal, each triangle's vertices sorted, and every face
+    found by deleting one vertex."""
+
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    edges = {}
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            for tri in ((a, b, c), (a, c, d)):
+                x, y, z = sorted(tri)
+                triangles.append(
+                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
+                )
+    edge_faces = [[v, u] for u, v in edges]
+    return SemiSimplicialSet(n * n, [edge_faces, triangles])
+
+
+def reference_base(name: str) -> SemiSimplicialSet:
+    """The named base ``name``, in ``named_base``'s canonical spelling,
+    from the references above; ``delta-torus`` from its literal table."""
+    kind, _, size = name.partition(":")
+    if kind == "tetra":
+        kind, size = "sphere", "3"
+    if kind == "octahedron":
+        return reference_octahedron()
+    if kind == "delta-torus":
+        return SemiSimplicialSet(1, [[[0, 0]] * 3, [[1, 2, 0], [0, 2, 1]]])
+    if kind == "torus":
+        return reference_grid_torus(int(size))
+    n0, faces = reference_simplex_tables(int(size), include_top=kind == "simplex")
+    return SemiSimplicialSet(n0, faces)
 
 
 # -- local systems -----------------------------------------------------

@@ -399,7 +399,10 @@ class TestNecklace:
                 beads.append((c, b))
                 if b in after:
                     beads.append((c, after[b]))
-            assert neck.split(after) == Necklace(*zip(*beads))
+            top = neck.top  # cached on the parent before the split
+            split = neck.split(after)
+            assert split == Necklace(*zip(*beads))
+            assert split.top == max(split.colors) == top
 
     def test_split_rejects_what_it_could_break(self):
         neck = Necklace((0, 1, 0, 2), (4, 5, 6, 7))

@@ -38,12 +38,12 @@ def shown_outputs(source, namespace):
 
 
 def test_python_blocks_print_their_comments():
-    assert len(PYTHON_BLOCKS) == 2
+    assert len(PYTHON_BLOCKS) == 3
     namespace = {}
     checked = [
         pair for block in PYTHON_BLOCKS for pair in shown_outputs(block, namespace)
     ]
-    assert len(checked) == 3
+    assert len(checked) == 5
     for expected, actual in checked:
         assert actual == expected
 

@@ -1,6 +1,10 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbundles import (
     EnumerationBound,
@@ -9,6 +13,7 @@ from scbundles import (
     SemiSimplicialSet,
     SimplexRef,
     boundary_sphere,
+    closure,
     delta_torus,
     grid_torus,
     homology_groups,
@@ -17,33 +22,9 @@ from scbundles import (
     standard_simplex,
 )
 
-from generators import NAMED_EXAMPLES, klein_bottle
-from oracles import face_walk, vertex_at, vertices_of
-from scbundles.simplicial import MAX_TORUS_N
-
-
-def reference_grid_torus(n):
-    """The grid torus as the test generators built it before the library
-    had ``torus:n``: vertex (i, j) mod n is i * n + j, each square split
-    along its diagonal, each triangle's vertices sorted, and every face
-    found by deleting one vertex."""
-
-    def vertex(i, j):
-        return (i % n) * n + j % n
-
-    edges = {}
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            for tri in ((a, b, c), (a, c, d)):
-                x, y, z = sorted(tri)
-                triangles.append(
-                    [edges.setdefault(e, len(edges)) for e in ((y, z), (x, z), (x, y))]
-                )
-    edge_faces = [[v, u] for u, v in edges]
-    return SemiSimplicialSet(n * n, [edge_faces, triangles])
+from generators import NAMED_EXAMPLES, Budget, klein_bottle
+from oracles import face_walk, reference_base, reference_grid_torus, vertex_at, vertices_of
+from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
 
 
 def binomial(n, k):
@@ -330,3 +311,84 @@ class TestNamedBases:
 
     def test_grid_torus_cap_is_reachable(self):
         assert named_base(f"torus:{MAX_TORUS_N}").counts[0] == MAX_TORUS_N**2
+
+
+# every named example, and the small sizes of each family the library
+# once built from hand-written face tables
+REBUILT_BASES = list(
+    dict.fromkeys(
+        [
+            *NAMED_EXAMPLES,
+            *(f"simplex:{k}" for k in range(9)),
+            *(f"sphere:{k}" for k in range(1, 9)),
+            *(f"torus:{n}" for n in range(3, 13)),
+        ]
+    )
+)
+
+
+@st.composite
+def vertex_covers(draw):
+    """Top simplices over the vertices 0..m-1, m <= 7, each vertex in one."""
+    m = draw(st.integers(1, 7))
+    tops = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), max_size=6))
+    covered = set().union(*tops)
+    return tops + [{v} for v in range(m) if v not in covered]
+
+
+class TestFromSimplices:
+    @pytest.mark.parametrize("name", REBUILT_BASES)
+    def test_named_base_matches_reference(self, name):
+        built, reference = named_base(name), reference_base(name)
+        assert built.counts == reference.counts
+        for q in range(1, reference.top_dim + 1):
+            assert built.face_rows(q) == reference.face_rows(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vertex_covers())
+    def test_closure_lists_every_face_once(self, tops):
+        levels = closure(tops)
+        x = SemiSimplicialSet.from_simplices(levels)
+        assert x.validate() == []
+        faces = {
+            face
+            for top in tops
+            for r in range(1, len(top) + 1)
+            for face in combinations(sorted(top), r)
+        }
+        listed = Counter(
+            vertices_of(x, q, idx) for q in range(x.top_dim + 1) for idx in x.simplices(q)
+        )
+        assert listed == Counter(faces)
+        for q, level in enumerate(levels):
+            assert level == sorted(level)
+            assert [vertices_of(x, q, idx) for idx in x.simplices(q)] == level
+
+    @pytest.mark.parametrize(
+        "levels, problems",
+        [
+            (
+                [[(0,), (1,)], [(0, 1), (1, 2)]],
+                ["face 0 (2,) of 1/1 (1, 2) is not listed"],
+            ),
+            (
+                [[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]],
+                ["face 1 (0, 2) of 2/0 (0, 1, 2) is not listed"],
+            ),
+            (
+                [[(0,), (1,)], [(0, 1), (1,)]],
+                ["a 1-simplex of length other than 2"],
+            ),
+        ],
+    )
+    def test_unclosed_level_rejected(self, levels, problems):
+        with pytest.raises(InvalidComplex) as caught:
+            SemiSimplicialSet.from_simplices(levels)
+        assert caught.value.exit_code == 4
+        assert list(caught.value.violations) == problems
+
+    @pytest.mark.parametrize("family, missing", [("simplex", 1), ("sphere", 2)])
+    def test_named_cap_builds_in_time(self, family, missing):
+        with Budget(5.0):
+            x = named_base(f"{family}:{MAX_NAMED_K}")
+        assert sum(x.counts) == 2 ** (MAX_NAMED_K + 1) - missing
