@@ -28,7 +28,6 @@ from .errors import (
 from .simplicial import (
     NAMED_BASES,
     SemiSimplicialSet,
-    SimplexRef,
     boundary_sphere,
     closure,
     delta_torus,

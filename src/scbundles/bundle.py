@@ -23,11 +23,12 @@ A minimal bundle is the local system with one bead per color over every
 simplex: each stalk is a circular permutation and every descent map is
 forced by the colors.  ``NecklaceLocalSystem`` is the one bundle type
 that the reader returns and the writer takes, and its ``validate`` is
-the one check of every bundle, minimal ones included.  It holds the
-bead maps per simplex, a tuple of one map per face, so a minimal system
-shares one tuple over a whole level.  ``MinimalBundle`` is only the
-circular-permutation record of a minimal bundle, which the cocycle
-construction and ``minimize`` produce.
+the one check of every bundle, minimal ones included.  Like the base's
+face rows, it holds its stalks and bead maps a level at a time, one list
+per dimension; the bead maps of a simplex are a tuple of one map per
+face, so a minimal system shares one tuple over a whole level.
+``MinimalBundle`` is only the circular-permutation record of a minimal
+bundle, which the cocycle construction and ``minimize`` produce.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     NotBinary,
 )
 from .homology import FundamentalClass, IntCochain, coboundary
-from .simplicial import SemiSimplicialSet, SimplexRef
+from .simplicial import SemiSimplicialSet
 
 __all__ = [
     "NecklaceLocalSystem",
@@ -71,39 +72,38 @@ SimplexKey = tuple[int, int]
 
 
 class NecklaceLocalSystem:
-    """Stalk necklaces over a base plus descent maps along every face.
+    """Stalk necklaces over a base plus descent maps along every face,
+    one list per dimension.
 
-    ``stalks`` maps (dim, index) to the necklace over that simplex;
-    ``bead_maps`` maps (dim, index), dim >= 1, to the tuple of the
-    simplex's dim + 1 face maps, where map i embeds the beads of the
-    stalk over face i into the stalk's beads (its image is exactly the
-    set of beads not colored i).  Instances, tuples and maps are never
-    mutated: spindle moves share every tuple and map they leave
-    unchanged, and a minimal system shares one tuple over each level.
+    ``stalks[q][idx]`` is the necklace over the base simplex q/idx, and
+    ``bead_maps[q][idx]``, q >= 1, the tuple of its q + 1 face maps, where
+    map i embeds the beads of the stalk over face i into the stalk's beads
+    (its image is exactly the set of beads not colored i); level 0 of
+    ``bead_maps`` is empty.  The constructor copies each level list once.
+    Instances, tuples and maps are never mutated: spindle moves share
+    every stalk, tuple and map they leave unchanged, and a minimal system
+    shares one tuple over each level.
     """
 
     __slots__ = ("base", "stalks", "bead_maps")
 
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
-        self.stalks: dict[SimplexKey, Necklace] = dict(stalks)
-        self.bead_maps: dict[SimplexKey, tuple[dict[int, int], ...]] = dict(bead_maps)
+        self.stalks: list[list[Necklace]] = list(map(list, stalks))
+        self.bead_maps: list[list[tuple[dict[int, int], ...]]] = list(map(list, bead_maps))
         if check:
             _checked(self)
 
     # -- access --------------------------------------------------------
 
     def stalk(self, q: int, index: int) -> Necklace:
-        try:
-            return self.stalks[(q, index)]
-        except KeyError:
-            raise DanglingReference(f"no stalk over simplex {q}/{index}") from None
-
-    def bead_map(self, q: int, index: int, i: int) -> dict[int, int]:
-        return self.bead_maps[(q, index)][i]
+        level = self.stalks[q] if 0 <= q < len(self.stalks) else ()
+        if not 0 <= index < len(level):
+            raise DanglingReference(f"no stalk over simplex {q}/{index}")
+        return level[index]
 
     def is_minimal(self) -> bool:
-        return all(n.size == q + 1 for (q, _), n in self.stalks.items())
+        return all(n.size == q + 1 for q, level in enumerate(self.stalks) for n in level)
 
     # -- validation ----------------------------------------------------
 
@@ -115,10 +115,12 @@ class NecklaceLocalSystem:
         if problems := _stalk_problems(base, stalks):
             return problems
         commute = []
-        below, below_maps = _level(stalks, 0, base.counts[0]), []
-        for q, n in enumerate(base.counts[1:], 1):
-            rows = base.face_rows(q)
-            level, maps = _level(stalks, q, n), _level(self.bead_maps, q, n)
+        below_maps = []
+        for q in range(1, base.top_dim + 1):
+            below, level, rows = stalks[q - 1], stalks[q], base.face_rows(q)
+            maps = self.bead_maps[q] if q < len(self.bead_maps) else []
+            if len(maps) < len(level):  # a short level lacks its last maps
+                maps = [*maps, *repeat(None, len(level) - len(maps))]
             keys = zip(map(id, level), map(id, maps), *_face_ids(below, rows))
             faults = _once_per_key(
                 _face_problems, keys, zip(level, maps, rows, repeat(below))
@@ -139,7 +141,7 @@ class NecklaceLocalSystem:
                         f"descent maps of {q}/{idx} do not commute for faces ({i}, {j})"
                         for i, j in pairs[idx]
                     )
-            below, below_maps = level, maps
+            below_maps = maps
         return problems or commute
 
 
@@ -148,12 +150,6 @@ def _checked(system: NecklaceLocalSystem) -> NecklaceLocalSystem:
     if problems := system.validate():
         raise IncoherentLocalSystem("; ".join(problems))
     return system
-
-
-def _level(table: Mapping, q: int, n: int) -> list:
-    """The values of table at the keys (q, 0) .. (q, n - 1), in order;
-    a missing key gives None."""
-    return list(map(table.get, zip(repeat(q), range(n))))
 
 
 def _face_ids(below: list, rows: Iterable[tuple[int, ...]]) -> Iterator[Iterator[int]]:
@@ -169,13 +165,16 @@ def _once_per_key(check, keys: Iterable, args: Iterable[tuple]) -> list:
     return list(map(done.__getitem__, keys))
 
 
-def _stalk_problems(base: SemiSimplicialSet, stalks: Mapping) -> list[str]:
-    """Simplices without a stalk, stalks whose top color is not their
-    dimension, and stalks over no simplex; a shared stalk is read once."""
+def _stalk_problems(base: SemiSimplicialSet, stalks: list) -> list[str]:
+    """Simplices without a stalk (a None entry, or a level too short),
+    stalks whose top color is not their dimension, and entries past the
+    simplices of a level or past the base's levels; a shared stalk is read
+    once.  So a system without problems has one stalk per simplex."""
     problems = []
     counts = base.counts
     for q, n in enumerate(counts):
-        level = _level(stalks, q, n)
+        level = stalks[q][:n] if q < len(stalks) else []
+        level += repeat(None, n - len(level))
         if any(s is None or s.top != q for s in dict(zip(map(id, level), level)).values()):
             for idx, stalk in enumerate(level):
                 if stalk is None:
@@ -184,9 +183,11 @@ def _stalk_problems(base: SemiSimplicialSet, stalks: Mapping) -> list[str]:
                     problems.append(
                         f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
                     )
-    for q, idx in stalks:
-        if not (0 <= q < len(counts) and 0 <= idx < counts[q]):
-            problems.append(f"stalk over missing simplex {q}/{idx}")
+    problems.extend(
+        f"stalk over missing simplex {q}/{idx}"
+        for q, level in enumerate(stalks)
+        for idx in range(counts[q] if q < len(counts) else 0, len(level))
+    )
     return problems
 
 
@@ -262,7 +263,7 @@ class MinimalBundle:
         self.base = base
         self.stalks: dict[SimplexKey, CircularPermutation] = dict(stalks)
         if check:
-            _checked(_minimal_system(base, self.stalks))
+            _checked(self.as_local_system())
 
     def stalk(self, q: int, index: int) -> CircularPermutation:
         return self.stalks[(q, index)]
@@ -270,27 +271,45 @@ class MinimalBundle:
     def as_local_system(self) -> NecklaceLocalSystem:
         """Expand to the general representation: bead ids equal colors and
         descent maps are the canonical color embeddings."""
-        return _minimal_system(self.base, self.stalks)
+        return _minimal_system(self.base, _by_level(self.base.counts, self.stalks))
 
     def __repr__(self):
         return f"MinimalBundle(base={self.base.counts})"
 
 
+def _by_level(counts: tuple[int, ...], table: Mapping[SimplexKey, object]) -> list[list]:
+    """The values of a table keyed (q, idx) as one list per dimension, each
+    at least counts[q] long, with None where a key is absent; a key past
+    the counts lengthens its level, or adds levels, to hold its value."""
+    levels: list[list] = [[None] * n for n in counts]
+    for (q, idx), value in table.items():
+        if q < 0 or idx < 0:
+            raise DanglingReference(f"stalk key {q}/{idx} names no base simplex")
+        try:
+            levels[q][idx] = value
+        except IndexError:
+            levels.extend([] for _ in range(q + 1 - len(levels)))
+            levels[q].extend(repeat(None, idx + 1 - len(levels[q])))
+            levels[q][idx] = value
+    return levels
+
+
 def _minimal_system(
-    base: SemiSimplicialSet, stalks: Mapping[SimplexKey, CircularPermutation]
+    base: SemiSimplicialSet, stalks: list[list[CircularPermutation | None]]
 ) -> NecklaceLocalSystem:
-    """The local system of circular-permutation stalks: each bead id is
-    its color, and face i sends color c to c below i and to c + 1 above.
-    Equal stalks share one necklace, since few words recur over a base,
-    and every q-simplex shares one tuple of the q + 1 embeddings."""
-    words = [th.word for th in stalks.values()]
-    distinct = dict(zip(words, stalks.values()))
-    shared = {word: Necklace.from_circular(th) for word, th in distinct.items()}
-    necklaces = dict(zip(stalks, map(shared.__getitem__, words)))
-    bead_maps = {}
+    """The local system of circular-permutation stalks, given a level at a
+    time: each bead id is its color, and face i sends color c to c below i
+    and to c + 1 above.  Equal stalks share one necklace, since few words
+    recur over a base, and every q-simplex shares one tuple of the q + 1
+    embeddings.  A None entry stays None, for ``validate`` to report."""
+    words = [[th.word if th else None for th in level] for level in stalks]
+    distinct = dict(zip(chain.from_iterable(words), chain.from_iterable(stalks)))
+    shared = {word: Necklace.from_circular(th) if th else None for word, th in distinct.items()}
+    necklaces = [list(map(shared.__getitem__, level)) for level in words]
+    bead_maps = [[]]
     for q, n in enumerate(base.counts[1:], 1):
         embeddings = tuple({c: (c if c < i else c + 1) for c in range(q)} for i in range(q + 1))
-        bead_maps.update(zip(zip(repeat(q), range(n)), repeat(embeddings)))
+        bead_maps.append([embeddings] * n)
     return NecklaceLocalSystem(base, necklaces, bead_maps, check=False)
 
 
@@ -301,14 +320,15 @@ def _minimal_system(
 class SingularProjection:
     """Projection of each total simplex to its base simplex.
 
-    ``table[p][i]`` is a pair (base ref, op) where op lists the values of
-    the monotone surjection from vertex positions of the total simplex to
-    those of the base simplex: the identity for horizontal entries and
-    the degeneracy collapsing positions j, j+1 for a bead of color j.
+    ``table[p][i]`` is the row (dim, index, op) that the writer puts out:
+    the base simplex dim/index, and op, the values of the monotone
+    surjection from vertex positions of the total simplex to those of the
+    base simplex: the identity for horizontal entries and the degeneracy
+    collapsing positions j, j+1 for a bead of color j.
     """
 
     base: SemiSimplicialSet
-    table: tuple[tuple[tuple[SimplexRef, tuple[int, ...]], ...], ...]
+    table: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -327,29 +347,25 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     a column per face over a whole base level.  Arc tables are built once
     per distinct (stalk, face stalk, bead map) triple of objects, which
     the system keeps alive for the whole call.  Rows are tuples, and each
-    base simplex has one ``SimplexRef`` and one projection pair per
-    operator, shared by its stalk, so the total holds few containers for
-    the collector to scan.
+    base simplex has one projection row per operator, shared by its stalk,
+    so the total holds few containers for the collector to scan.
     """
     base = system.base
-    stalks, bead_maps = system.stalks, system.bead_maps
     level: list[Necklace] = []  # the stalks over the base p-simplices
     sizes: list[int] = []  # their sizes
-    refs: list[SimplexRef] = []  # [idx]: the ref of base simplex p/idx
     arcs: list[list[list[int]]] = []  # [m][idx]: arc table along face m of p/idx
     first_h: list[list[int]] = []  # [q][idx]: first horizontal id over q/idx
     first_v: list[list[int]] = []  # [q][idx]: first vertical id over q/idx
     faces: list[list[tuple[int, ...]]] = []
     proj_table = []
-    for p in range(base.top_dim + 2):
-        below, below_sizes, below_refs, below_arcs = level, sizes, refs, arcs
-        n = base.simplex_count(p)
-        level = _level(stalks, p, n)
+    # above the top dimension there are only vertical simplices
+    for p, above in enumerate([*system.stalks, []]):
+        below, below_sizes, below_arcs, level = level, sizes, arcs, above
+        n = len(level)
         sizes = [neck.size for neck in level]
-        refs = [SimplexRef(p, idx) for idx in range(n)]
         identity = tuple(range(p + 1))
         entries = list(chain.from_iterable(
-            map(repeat, [(ref, identity) for ref in refs], sizes)
+            map(repeat, [(p, idx, identity) for idx in range(n)], sizes)
         ))
         # one more than the simplices: the last is the level's bead count
         first_h.append(list(accumulate(sizes, initial=0)))
@@ -357,7 +373,7 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
             proj_table.append(tuple(entries))
             continue
         face_rows = base.face_rows(p) if n else ()
-        level_maps = _level(bead_maps, p, n)
+        level_maps = system.bead_maps[p][:n] if n else ()
         arcs = []
         for m in range(p + 1):
             # face m of every simplex: its stalk, and the bead map along it
@@ -392,8 +408,8 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
         degeneracies = [
             tuple(t if t <= j else t - 1 for t in identity) for j in range(p)
         ]
-        # pair p * idx + j projects a bead of color j over q/idx
-        pairs = [(ref, op) for ref in below_refs for op in degeneracies]
+        # row p * idx + j projects a bead of color j over q/idx
+        pairs = [(q, idx, op) for idx in range(len(below)) for op in degeneracies]
         firsts = chain.from_iterable(map(repeat, range(0, len(pairs), p), below_sizes))
         entries += map(pairs.__getitem__, map(add, firsts, colors))
         first_v.append(list(accumulate(below_sizes, initial=first_h[p][-1])))
@@ -456,24 +472,24 @@ def check_projection_naturality(
     problems = []
     for p in range(1, total.top_dim + 1):
         level, below = projection.table[p], projection.table[p - 1]
-        for idx, (x, s) in enumerate(level):
-            rule = rules.get((s, x.dim))
+        for idx, (dim, index, s) in enumerate(level):
+            rule = rules.get((s, dim))
             if rule is None:
-                rule = rules[(s, x.dim)] = _face_rules(s, x.dim)
+                rule = rules[(s, dim)] = _face_rules(s, dim)
             for m, (f, (v, want_op)) in enumerate(zip(total.face_row(p, idx), rule)):
-                fx, fs = below[f]
+                f_dim, f_index, fs = below[f]
                 if want_op is None:
                     problems.append(
                         f"projection of {p}/{idx} is not a degeneracy operator"
                     )
                     continue
                 if v < 0:
-                    want_dim, want_index = x.dim, x.index
+                    want_dim, want_index = dim, index
                 else:
-                    want_dim, want_index = x.dim - 1, base.face_index(x.dim, x.index, v)
-                if fx.index != want_index or fx.dim != want_dim or fs != want_op:
+                    want_dim, want_index = dim - 1, base.face_index(dim, index, v)
+                if f_index != want_index or f_dim != want_dim or fs != want_op:
                     problems.append(
-                        f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
+                        f"face {m} of {p}/{idx} projects to ({f_dim}/{f_index}, {fs}), "
                         f"expected ({want_dim}/{want_index}, {want_op})"
                     )
     return problems
@@ -592,22 +608,27 @@ def bundle_to_json_dict(system: NecklaceLocalSystem | MinimalBundle) -> dict:
     """
     base = system.base
     minimal = isinstance(system, MinimalBundle)
+    levels = _by_level(base.counts, system.stalks) if minimal else system.stalks
     texts: dict[tuple[int, ...], str] = {}  # few distinct words recur
     stalks = {}
-    for (q, idx), n in system.stalks.items():
-        colors = n.word if minimal else n.colors
-        text = texts.get(colors)
-        if text is None:
-            text = texts[colors] = format_necklace_text(colors)
-        stalks[f"{q}/{idx}"] = text
+    for q, level in enumerate(levels):
+        for idx, n in enumerate(level):
+            colors = n.word if minimal else n.colors
+            text = texts.get(colors)
+            if text is None:
+                text = texts[colors] = format_necklace_text(colors)
+            stalks[f"{q}/{idx}"] = text
     doc: dict = {"base": base.to_json_dict(), "stalks": stalks}
     if minimal or system.is_minimal():
         return doc
     maps = {}
-    for (q, idx), faces in system.bead_maps.items():
-        pos = system.stalk(q, idx).position
-        for i, (f, bm) in enumerate(zip(base.face_row(q, idx), faces)):
-            maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in system.stalk(q - 1, f).ids]
+    for q in range(1, base.top_dim + 1):
+        below = system.stalks[q - 1]
+        level = zip(system.stalks[q], system.bead_maps[q], base.face_rows(q))
+        for idx, (neck, faces, row) in enumerate(level):
+            pos = neck.position
+            for i, (f, bm) in enumerate(zip(row, faces)):
+                maps[f"{q}/{idx}/{i}"] = [pos[bm[b]] for b in below[f].ids]
     doc["bead_maps"] = maps
     return doc
 
@@ -648,8 +669,8 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
         raise MalformedFile("bundle document needs 'base' and 'stalks'")
     base = SemiSimplicialSet.from_json_dict(doc["base"])
     words = _parse_stalk_keys(doc["stalks"], base)
-    for q, n in enumerate(base.counts):
-        level = _level(words, q, n)
+    levels = _by_level(base.counts, words)
+    for q, level in enumerate(levels):
         if None in level:
             raise MalformedFile(f"missing stalk for simplex {q}/{level.index(None)}")
     raw_maps = doc.get("bead_maps")
@@ -666,17 +687,19 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
                     f"stalk {q}/{idx} is not a circular permutation "
                     "and no bead_maps are given"
                 ) from exc
-        stalks = dict(zip(words, map(perms.__getitem__, words.values())))
+        stalks = [list(map(perms.__getitem__, level)) for level in levels]
         return _checked(_minimal_system(base, stalks))
-    stalks = {}
+    necklaces = {}
     for key, word in words.items():
         try:
-            stalks[key] = Necklace.from_colors(word)
+            necklaces[key] = Necklace.from_colors(word)
         except ValueError as exc:
             raise MalformedFile(f"bad stalk over {key[0]}/{key[1]}: {exc}") from exc
+    stalks = _by_level(base.counts, necklaces)
     if not isinstance(raw_maps, Mapping):
         raise MalformedFile("'bead_maps' must map 'dim/index/face' keys to rows")
-    faces: dict[SimplexKey, list] = {}  # the maps of each simplex, by face
+    # the maps of each simplex, by face
+    faces = [[[None] * (q + 1) for _ in range(n)] if q else [] for q, n in enumerate(base.counts)]
     for key, row in raw_maps.items():
         try:
             q, idx, i = map(key_int, key.split("/"))
@@ -684,29 +707,21 @@ def bundle_from_json_dict(doc) -> NecklaceLocalSystem:
             raise MalformedFile(f"bad bead map key {key!r}") from exc
         if not (1 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q) and 0 <= i <= q):
             raise DanglingReference(f"bead map key {key} names no face")
-        fidx = base.face_index(q, idx, i)
-        small = stalks[(q - 1, fidx)]
-        big = stalks[(q, idx)]
+        small = stalks[q - 1][base.face_index(q, idx, i)]
+        big = stalks[q][idx]
         if not isinstance(row, list) or len(row) != small.size:
             raise MalformedFile(f"bead map {key} must list {small.size} bead positions")
         what = f"a position in bead map {key}"
         targets = [json_int(t, what) for t in row]
         if any(not 0 <= t < big.size for t in targets):
             raise MalformedFile(f"bead map {key} points outside the stalk")
-        faces.setdefault((q, idx), [None] * (q + 1))[i] = {
-            small.ids[p]: big.ids[t] for p, t in enumerate(targets)
-        }
-    bead_maps = {key: tuple(maps) for key, maps in faces.items()}
-    return NecklaceLocalSystem(base, stalks, bead_maps)
+        faces[q][idx][i] = {small.ids[p]: big.ids[t] for p, t in enumerate(targets)}
+    return NecklaceLocalSystem(base, stalks, [list(map(tuple, level)) for level in faces])
 
 
 def total_to_json_dict(asm: AssembledBundle) -> dict:
     """Total space in complex format plus the projection table, whose
-    rows are tuples ``(dim, index, op)`` sharing the stored operators;
-    the writer puts them out as arrays."""
+    stored rows ``(dim, index, op)`` the writer puts out as arrays."""
     doc = asm.total.to_json_dict()
-    doc["projection"] = {
-        str(p): [(ref.dim, ref.index, op) for ref, op in level]
-        for p, level in enumerate(asm.projection.table)
-    }
+    doc["projection"] = {str(p): level for p, level in enumerate(asm.projection.table)}
     return doc

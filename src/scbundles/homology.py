@@ -539,8 +539,6 @@ class FundamentalClass:
 
     carrier: SemiSimplicialSet
     coefficients: tuple[int, ...]
-    seed: int
-    seed_sign: int
 
 
 def fundamental_class(
@@ -604,4 +602,4 @@ def fundamental_class(
             boundary[e] += a * v
     if any(boundary):
         raise NonOrientable("orienting cycle has nonzero boundary")
-    return FundamentalClass(x, tuple(coeff), seed, sign)
+    return FundamentalClass(x, tuple(coeff))

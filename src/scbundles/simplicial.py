@@ -11,7 +11,7 @@ tables on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from itertools import chain, combinations, count
 from operator import itemgetter
 from typing import Mapping
@@ -21,7 +21,6 @@ from .errors import DanglingReference, EnumerationBound, InvalidComplex, Malform
 
 __all__ = [
     "SemiSimplicialSet",
-    "SimplexRef",
     "closure",
     "standard_simplex",
     "boundary_sphere",
@@ -33,17 +32,6 @@ __all__ = [
     "MAX_NAMED_K",
     "MAX_TORUS_N",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class SimplexRef:
-    """Address of one simplex: its dimension and index in that dimension."""
-
-    dim: int
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.dim}/{self.index}"
 
 
 class SemiSimplicialSet:
@@ -177,30 +165,36 @@ class SemiSimplicialSet:
         """The complex whose q-simplices are the vertex tuples ``levels[q]``
         in id order, vertex v being the one listed as ``(v,)``.  Face i of a
         simplex deletes its i-th vertex; ``InvalidComplex`` is raised if the
-        level below does not list it, or if a q-simplex has not q + 1 vertices.
+        level below does not list it, if a q-simplex has not q + 1 vertices,
+        or if a level lists a simplex more than once.
         """
         faces = []
+        index: dict = {}  # the id of each simplex of the level below
         for q, level in enumerate(levels):
             if set(map(len, level)) - {q + 1}:
                 raise InvalidComplex([f"a {q}-simplex of length other than {q + 1}"])
-            if not q:
-                continue
+            if q:
+                at = range(q + 1)
+                getters = [itemgetter(*at[:i], *at[i + 1 :]) for i in at]
+                columns = [map(index.__getitem__, map(get, level)) for get in getters]
+                try:
+                    faces.append(tuple(zip(*columns)))
+                except KeyError:
+                    listed = set(map(tuple, levels[q - 1]))
+                    raise InvalidComplex(
+                        f"face {i} {s[:i] + s[i + 1 :]} of {q}/{idx} {s} is not listed"
+                        for idx, s in enumerate(map(tuple, level))
+                        for i in at
+                        if s[:i] + s[i + 1 :] not in listed
+                    ) from None
             # an itemgetter of one position gives a bare vertex, not a tuple
-            below = levels[q - 1] if q > 1 else [v for v, in levels[0]]
-            index = dict(zip(below, count()))
-            at = range(q + 1)
-            getters = [itemgetter(*at[:i], *at[i + 1 :]) for i in at]
-            columns = [map(index.__getitem__, map(get, level)) for get in getters]
-            try:
-                faces.append(tuple(zip(*columns)))
-            except KeyError:
-                listed = set(map(tuple, levels[q - 1]))
+            index = dict(zip(map(tuple, level) if q else [v for v, in level], count()))
+            if len(index) < len(level):
                 raise InvalidComplex(
-                    f"face {i} {s[:i] + s[i + 1 :]} of {q}/{idx} {s} is not listed"
-                    for idx, s in enumerate(map(tuple, level))
-                    for i in at
-                    if s[:i] + s[i + 1 :] not in listed
-                ) from None
+                    f"level {q} lists {s} {k} times"
+                    for s, k in Counter(map(tuple, level)).items()
+                    if k > 1
+                )
         return cls(len(levels[0]) if levels else 0, faces, check=False)
 
     # -- serialization -------------------------------------------------

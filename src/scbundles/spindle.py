@@ -6,7 +6,7 @@ move shares every other stalk and maps tuple with its input.  A move
 reads only the star: it walks up from the vertex through the base's
 coface table and takes the bead's image over each star simplex from one
 face of it.  Its one cost in proportion to the base is a single copy of
-the two outer dicts, of stalks and of bead maps, one entry per simplex.
+each level list, of stalks and of bead maps, one entry per simplex.
 
 Iterating contractions until each vertex circle has a single bead
 reduces any bundle to a minimal one, and the result depends only on
@@ -78,25 +78,11 @@ def _star(
         for idx in sorted({x for y in level for x in base.cofaces(q - 1, y)}):
             row = base.face_row(q, idx)
             above[idx] = star[(q, idx)] = _lifted(
-                system.bead_maps[(q, idx)], q,
+                system.bead_maps[q][idx], q,
                 level.get(row[q - 1], {}), level.get(row[q], {}),
             )
         level = above
     return star
-
-
-def _replaced(
-    system: NecklaceLocalSystem,
-    stalks: dict[tuple[int, int], Necklace],
-    bead_maps: dict[tuple[int, int], tuple[dict[int, int], ...]],
-    check: bool,
-) -> NecklaceLocalSystem:
-    """system with the given stalks and maps tuples in place of its own.
-    The two outer dicts are copied once; every other entry is shared."""
-    moved = NecklaceLocalSystem(system.base, system.stalks, system.bead_maps, check=False)
-    moved.stalks.update(stalks)
-    moved.bead_maps.update(bead_maps)
-    return _checked(moved) if check else moved
 
 
 def contract(
@@ -114,15 +100,15 @@ def contract(
     if system.stalk(0, v).size == 1:
         raise LastArc(f"bead {bead} is the only bead over vertex {v}")
     base = system.base
-    stalks = {}
-    bead_maps = {}
+    # the copy of each level list; the star's entries are replaced in it
+    moved = NecklaceLocalSystem(base, system.stalks, system.bead_maps, check=False)
     for (q, idx), gone in removed.items():
-        picked = [(c, b) for b, c in system.stalks[(q, idx)].beads() if b not in gone]
-        stalks[(q, idx)] = Necklace(*zip(*picked))
+        picked = [(c, b) for b, c in system.stalks[q][idx].beads() if b not in gone]
+        moved.stalks[q][idx] = Necklace(*zip(*picked))
         if not q:
             continue
         maps = []
-        for i, (f, m) in enumerate(zip(base.face_row(q, idx), system.bead_maps[(q, idx)])):
+        for i, (f, m) in enumerate(zip(base.face_row(q, idx), system.bead_maps[q][idx])):
             gone_small = removed.get((q - 1, f), ())
             kept = {s: t for s, t in m.items() if s not in gone_small}
             if any(t in gone for t in kept.values()):
@@ -131,8 +117,8 @@ def contract(
                     f"a surviving bead along face {i} of {q}/{idx}"
                 )
             maps.append(kept)
-        bead_maps[(q, idx)] = tuple(maps)
-    return _replaced(system, stalks, bead_maps, check)
+        moved.bead_maps[q][idx] = tuple(maps)
+    return _checked(moved) if check else moved
 
 
 def subdivide(
@@ -145,17 +131,16 @@ def subdivide(
     bead restores the original verbatim."""
     star = _star(system, v, bead)
     base = system.base
-    stalks = {}
-    bead_maps = {}
+    moved = NecklaceLocalSystem(base, system.stalks, system.bead_maps, check=False)
     fresh: dict[tuple[int, int], dict[int, int]] = {}
     for (q, idx), images in star.items():
-        neck = system.stalks[(q, idx)]
+        neck = system.stalks[q][idx]
         first = max(neck.ids) + 1
         minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
-        stalks[(q, idx)] = neck.split({images[p]: b for p, b in minted.items()})
+        moved.stalks[q][idx] = neck.split({images[p]: b for p, b in minted.items()})
         if not q:
             continue
-        maps = list(system.bead_maps[(q, idx)])
+        maps = list(system.bead_maps[q][idx])
         for i, f in enumerate(base.face_row(q, idx)):
             small_minted = fresh.get((q - 1, f))
             if small_minted is None:
@@ -164,8 +149,8 @@ def subdivide(
             for p_small, new_small in small_minted.items():
                 p_big = p_small if p_small < i else p_small + 1
                 extended[new_small] = minted[p_big]
-        bead_maps[(q, idx)] = tuple(maps)
-    return _replaced(system, stalks, bead_maps, check)
+        moved.bead_maps[q][idx] = tuple(maps)
+    return _checked(moved) if check else moved
 
 
 def default_selection(system: NecklaceLocalSystem) -> dict[int, int]:
@@ -216,7 +201,7 @@ def _kept_beads(
     if beads is None:
         row = system.base.face_row(q, idx)
         beads = kept[(q, idx)] = _lifted(
-            system.bead_maps[(q, idx)], q,
+            system.bead_maps[q][idx], q,
             _kept_beads(system, kept, q - 1, row[q - 1]),
             _kept_beads(system, kept, q - 1, row[q]),
         )
@@ -236,7 +221,7 @@ def _kept_word(
     beads ``_kept_beads`` names over it, and the kept beads in circular
     order give the word.
     """
-    neck = system.stalks[(q, idx)]
+    neck = system.stalks[q][idx]
     if neck.size == q + 1:
         return neck.to_circular()
     chosen = set(_kept_beads(system, kept, q, idx).values())
@@ -252,7 +237,10 @@ def minimize(
     contractions.
     """
     kept = _kept_at_vertices(system, selection)
-    words = {key: _kept_word(system, kept, *key) for key in system.stalks}
+    words = {
+        (q, idx): _kept_word(system, kept, q, idx)
+        for q, n in enumerate(system.base.counts) for idx in range(n)
+    }
     return MinimalBundle(system.base, words, check=False)
 
 

@@ -26,8 +26,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurfaceOrientationData:
-    surface: SemiSimplicialSet
-    fundamental: FundamentalClass
     signs: tuple[int, ...]
     positives: int
     negatives: int
@@ -57,7 +55,7 @@ def parity_check(
         raise NonOrientable(
             f"orientation signs split {pos}/{neg}, expected equal halves"
         )
-    return SurfaceOrientationData(surface, fm, signs, pos, neg)
+    return SurfaceOrientationData(signs, pos, neg)
 
 
 def cocycle_for_chern(

@@ -66,7 +66,7 @@ def vertex_embedding(
     vertex, chain = face_walk(system.base, q, index, (p,))
     emb = {b: b for b in system.stalk(0, vertex).ids}
     for dq, di, fi in reversed(chain):
-        bm = system.bead_map(dq, di, fi)
+        bm = system.bead_maps[dq][di][fi]
         emb = {vb: bm[sb] for vb, sb in emb.items()}
     return emb
 
@@ -180,73 +180,84 @@ def elementary_system(neck: Necklace | CircularPermutation) -> NecklaceLocalSyst
     subsets = {
         q: list(combinations(range(k + 1), q + 1)) for q in range(k + 1)
     }
-    stalks: dict[tuple[int, int], Necklace] = {}
+    stalks: list[list[Necklace]] = []
     restricted: dict[tuple, Necklace] = {}
     for q, level in subsets.items():
-        for idx, sub in enumerate(level):
+        stalks.append([])
+        for sub in level:
             rank = {c: r for r, c in enumerate(sub)}
             picked = [(b, rank[c]) for b, c in neck.beads() if c in rank]
             stalk = Necklace(
                 tuple(c for _, c in picked), tuple(b for b, _ in picked)
             )
-            stalks[(q, idx)] = stalk
+            stalks[q].append(stalk)
             restricted[sub] = stalk
-    bead_maps = {}
+    bead_maps: list[list] = [[]]
     for q in range(1, k + 1):
-        for idx, sub in enumerate(subsets[q]):
+        bead_maps.append([])
+        for sub in subsets[q]:
             maps = []
             for i in range(q + 1):
                 small = restricted[sub[:i] + sub[i + 1 :]]
                 maps.append({b: b for b in small.ids})
-            bead_maps[(q, idx)] = tuple(maps)
+            bead_maps[q].append(tuple(maps))
     return NecklaceLocalSystem(base, stalks, bead_maps, check=False)
+
+
+def entry(levels: list[list], q: int, idx: int):
+    """``levels[q][idx]``, or None where a level or an entry is missing."""
+    level = levels[q] if 0 <= q < len(levels) else []
+    return level[idx] if 0 <= idx < len(level) else None
 
 
 def validate_reference(system: NecklaceLocalSystem) -> list[str]:
     """``NecklaceLocalSystem.validate`` face by face: every stalk, then
     every bead map through ``_bead_map_problem``, then, when all of those
     hold, every pair of routes, with nothing checked once for many
-    simplices.  The same problems in the same order and words."""
+    simplices.  The same problems in the same order and words.  A stalk
+    is missing where ``entry`` finds none, and every entry past the
+    simplices of a level, or in a level past the base's, is over a
+    missing simplex; bead maps past the simplices are not read."""
     base = system.base
     problems = []
     for q in range(base.top_dim + 1):
         for idx in base.simplices(q):
-            stalk = system.stalks.get((q, idx))
+            stalk = entry(system.stalks, q, idx)
             if stalk is None:
                 problems.append(f"missing stalk over {q}/{idx}")
             elif stalk.top != q:
                 problems.append(
                     f"stalk over {q}/{idx} uses colors 0..{stalk.top}, expected 0..{q}"
                 )
-    for q, idx in system.stalks:
-        if not (0 <= q <= base.top_dim and 0 <= idx < base.simplex_count(q)):
-            problems.append(f"stalk over missing simplex {q}/{idx}")
+    for q, level in enumerate(system.stalks):
+        for idx in range(len(level)):
+            if not (q <= base.top_dim and idx < base.simplex_count(q)):
+                problems.append(f"stalk over missing simplex {q}/{idx}")
     if problems:
         return problems
     for q in range(1, base.top_dim + 1):
         for idx in base.simplices(q):
-            big = system.stalks[(q, idx)]
-            maps = system.bead_maps.get((q, idx)) or ()
+            big = system.stalks[q][idx]
+            maps = entry(system.bead_maps, q, idx) or ()
             for i, f in enumerate(base.face_row(q, idx)):
                 bm = maps[i] if i < len(maps) else None
                 if bm is None:
                     problems.append(f"missing bead map along face {i} of {q}/{idx}")
-                elif what := _bead_map_problem(bm, big, system.stalks[(q - 1, f)], i):
+                elif what := _bead_map_problem(bm, big, system.stalks[q - 1][f], i):
                     problems.append(f"bead map along face {i} of {q}/{idx} {what}")
     if problems:
         return problems
+    maps = system.bead_maps
     for q in range(2, base.top_dim + 1):
         for idx in base.simplices(q):
             for i, j in combinations(range(q + 1), 2):
                 fj = base.face_index(q, idx, j)
                 fi = base.face_index(q, idx, i)
                 route_a = {
-                    db: system.bead_map(q, idx, j)[sb]
-                    for db, sb in system.bead_map(q - 1, fj, i).items()
+                    db: maps[q][idx][j][sb] for db, sb in maps[q - 1][fj][i].items()
                 }
                 route_b = {
-                    db: system.bead_map(q, idx, i)[sb]
-                    for db, sb in system.bead_map(q - 1, fi, j - 1).items()
+                    db: maps[q][idx][i][sb] for db, sb in maps[q - 1][fi][j - 1].items()
                 }
                 if route_a != route_b:
                     problems.append(
@@ -362,7 +373,7 @@ def total_rows(
     ids = {key: i for level in levels for i, key in enumerate(level)}
 
     def preimages(q, idx, m):
-        return {b: s for s, b in system.bead_map(q, idx, m).items()}
+        return {b: s for s, b in system.bead_maps[q][idx][m].items()}
 
     def faces_of(kind, q, idx, bead):
         beads = system.stalk(q, idx).ids

@@ -233,7 +233,11 @@ def test_criterion_7_property_suites():
             rng.shuffle(doomed)
             for v, b in doomed:
                 current = contract(current, v, b, check=False)
-            words = {k: n.to_circular() for k, n in current.stalks.items()}
+            words = {
+                (q, idx): n.to_circular()
+                for q, level in enumerate(current.stalks)
+                for idx, n in enumerate(level)
+            }
             assert words == expected.stalks
 
         # 5: chern cochains from different selections are cohomologous,

@@ -17,7 +17,6 @@ from scbundles import (
     NotACocycle,
     NotBinary,
     SemiSimplicialSet,
-    SimplexRef,
     SingularProjection,
     assemble,
     boundary_sphere,
@@ -36,7 +35,7 @@ from scbundles import (
     total_to_json_dict,
 )
 from scbundles._json import canonical_dumps, read_json, write_json
-from scbundles.bundle import _minimal_system, format_necklace_text, parse_necklace_text
+from scbundles.bundle import format_necklace_text, parse_necklace_text
 from scbundles.simplicial import named_base
 from scbundles.spindle import contract, subdivide
 
@@ -118,15 +117,15 @@ class TestLocalSystem:
 
     def test_missing_stalk_reported(self):
         system = elementary_system(CircularPermutation((0, 1)))
-        broken = dict(system.stalks)
-        del broken[(0, 1)]
-        with pytest.raises(IncoherentLocalSystem, match="missing stalk"):
+        broken = [list(level) for level in system.stalks]
+        del broken[0][1]
+        with pytest.raises(IncoherentLocalSystem, match="missing stalk over 0/1"):
             type(system)(system.base, broken, system.bead_maps)
 
     def test_bad_bead_map_reported(self):
         system = elementary_system(Necklace.from_colors((0, 1, 0, 2)))
         maps = _copied_maps(system)
-        bm = maps[(1, 0)][0]
+        bm = maps[1][0][0]
         small = list(bm)
         # send a face bead to a bead of the deleted color
         deleted_color_beads = [
@@ -140,7 +139,7 @@ class TestLocalSystem:
         # with three 0-beads, swapping two of the images is not a rotation
         system = elementary_system(Necklace.from_colors((0, 0, 0, 1)))
         maps = _copied_maps(system)
-        bm = maps[(1, 0)][1]
+        bm = maps[1][0][1]
         assert len(bm) == 3
         a, b = sorted(bm)[:2]
         bm[a], bm[b] = bm[b], bm[a]
@@ -153,7 +152,7 @@ class TestLocalSystem:
         # on a two-bead fiber every bijection is circular, so this stays valid
         system = elementary_system(Necklace.from_colors((0, 1, 0, 1)))
         maps = _copied_maps(system)
-        bm = maps[(1, 0)][1]
+        bm = maps[1][0][1]
         a, b = sorted(bm)
         bm[a], bm[b] = bm[b], bm[a]
         assert not type(system)(
@@ -161,9 +160,11 @@ class TestLocalSystem:
         ).validate()
 
     def test_stalk_lookup_errors(self):
+        # a list would take -1 for the last entry; stalk() names no simplex
         system = elementary_system(CircularPermutation((0, 1)))
-        with pytest.raises(DanglingReference):
-            system.stalk(3, 0)
+        for q, idx in ((3, 0), (0, 2), (1, 1), (0, -1), (-1, 0), (1, -1)):
+            with pytest.raises(DanglingReference, match=f"no stalk over simplex {q}/{idx}$"):
+                system.stalk(q, idx)
 
 
 class TestAssembly:
@@ -219,8 +220,8 @@ class TestAssembly:
         for p, level in enumerate(catalog(system)):
             for i, key in enumerate(level):
                 kind, q, idx, bead = key
-                ref, op = asm.projection.table[p][i]
-                assert (ref.dim, ref.index) == (q, idx)
+                dim, index, op = asm.projection.table[p][i]
+                assert (dim, index) == (q, idx)
                 if kind == "H":
                     assert op == tuple(range(q + 1))
                 else:
@@ -246,13 +247,12 @@ class TestAssembly:
             for p, level in enumerate(table):
                 rows = [asm.total.face_row(p, i) for i in range(len(level))] if p else []
                 assert rows == faces[p], p
-                entries = [(ref.dim, ref.index, op) for ref, op in level]
-                assert entries == projection[p], p
+                assert list(level) == projection[p], p
 
     def test_total_shares_its_rows_and_pairs(self):
         # what keeps a large total cheap to build and write: one tuple per
-        # face row, handed to the writer as it is, and one projection pair
-        # per base simplex and operator rather than one per simplex
+        # face row and one projection row per base simplex and operator
+        # rather than one per simplex, both handed to the writer as they are
         plain = _surface_system(grid_torus(6), 3)
         split = random_moves(plain, random.Random(8), 40)
         assert not split.is_minimal()
@@ -263,21 +263,20 @@ class TestAssembly:
                 rows = [asm.total.face_row(p, i) for i in asm.total.simplices(p)]
                 assert {type(row) for row in rows} == {tuple}
                 assert {type(row) for row in doc["faces"][str(p)]} == {tuple}
-            refs, pairs = {}, {}
+            rows = {}
             for p, level in enumerate(asm.projection.table):
-                for pair, row in zip(level, doc["projection"][str(p)], strict=True):
-                    ref, op = pair
-                    refs.setdefault((ref.dim, ref.index), set()).add(id(ref))
-                    pairs.setdefault((ref.dim, ref.index, op), set()).add(id(pair))
-                    assert row == (ref.dim, ref.index, op) and row[2] is op
-            assert {len(objects) for objects in refs.values()} == {1}
-            assert {len(objects) for objects in pairs.values()} == {1}
+                assert doc["projection"][str(p)] is level
+                assert len({id(op) for _, _, op in level}) <= p + 1
+                for row in level:
+                    assert type(row) is tuple
+                    rows.setdefault(row, set()).add(id(row))
+            assert {len(objects) for objects in rows.values()} == {1}
 
     def test_arc_tables_do_not_depend_on_sharing(self):
         # assemble keys its arc tables on object identity: a copy with a
         # fresh object for every stalk and bead map must assemble the same
         shared = _surface_system(grid_torus(6), 3)
-        assert len({id(n) for n in shared.stalks.values()}) == 4
+        assert len({id(n) for level in shared.stalks for n in level}) == 4
         rng = random.Random(10)
         moved = shared
         for _ in range(20):
@@ -286,7 +285,7 @@ class TestAssembly:
         for system in (shared, moved):
             unshared = NecklaceLocalSystem(
                 system.base,
-                {key: Necklace(n.colors, n.ids) for key, n in system.stalks.items()},
+                [[Necklace(n.colors, n.ids) for n in level] for level in system.stalks],
                 _copied_maps(system),
                 check=False,
             )
@@ -302,27 +301,26 @@ def naturality_oracle(total, projection):
     problems = []
     for p in range(1, total.top_dim + 1):
         for idx in total.simplices(p):
-            x, s = projection.table[p][idx]
+            dim, index, s = projection.table[p][idx]
             for m in range(p + 1):
                 composite = tuple(s[t] if t < m else s[t + 1] for t in range(p))
-                fref = SimplexRef(p - 1, total.face_index(p, idx, m))
-                fx, fs = projection.table[p - 1][fref.index]
+                f_dim, f_index, fs = projection.table[p - 1][total.face_index(p, idx, m)]
                 present = set(composite)
-                missing = [v for v in range(x.dim + 1) if v not in present]
+                missing = [v for v in range(dim + 1) if v not in present]
                 if not missing:
-                    if fx != x or fs != composite:
+                    if (f_dim, f_index) != (dim, index) or fs != composite:
                         problems.append(
-                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
-                            f"expected ({x}, {composite})"
+                            f"face {m} of {p}/{idx} projects to ({f_dim}/{f_index}, {fs}), "
+                            f"expected ({dim}/{index}, {composite})"
                         )
                 elif len(missing) == 1:
                     v = missing[0]
-                    want_ref = SimplexRef(x.dim - 1, base.face_index(x.dim, x.index, v))
+                    want = (dim - 1, base.face_index(dim, index, v))
                     want_op = tuple(w if w < v else w - 1 for w in composite)
-                    if fx != want_ref or fs != want_op:
+                    if (f_dim, f_index) != want or fs != want_op:
                         problems.append(
-                            f"face {m} of {p}/{idx} projects to ({fx}, {fs}), "
-                            f"expected ({want_ref}, {want_op})"
+                            f"face {m} of {p}/{idx} projects to ({f_dim}/{f_index}, {fs}), "
+                            f"expected ({want[0]}/{want[1]}, {want_op})"
                         )
                 else:
                     problems.append(
@@ -337,21 +335,21 @@ def _doubled_trivial(base):
     and one stalk and one maps tuple shared over each level.  A vertex
     circle has two beads, so a turn of it along an edge is still a
     descent map; only commutation above the edge can see it."""
-    stalks, bead_maps = {}, {}
+    stalks, bead_maps = [], [[]]
     for q, n in enumerate(base.counts):
-        neck = Necklace.from_colors(tuple(range(q + 1)) * 2)
-        stalks.update(((q, idx), neck) for idx in range(n))
+        stalks.append([Necklace.from_colors(tuple(range(q + 1)) * 2)] * n)
         maps = tuple(
             {c + k * q: (c if c < i else c + 1) + k * (q + 1) for k in (0, 1) for c in range(q)}
             for i in range(q + 1)
         )
-        bead_maps.update(((q, idx), maps) for idx in range(n) if q)
+        if q:
+            bead_maps.append([maps] * n)
     return NecklaceLocalSystem(base, stalks, bead_maps)
 
 
 def _copied_maps(system):
     """The bead maps of system, each tuple and map a fresh copy."""
-    return {key: tuple(map(dict, maps)) for key, maps in system.bead_maps.items()}
+    return [[tuple(map(dict, maps)) for maps in level] for level in system.bead_maps]
 
 
 def _surface_system(base, c):
@@ -397,16 +395,16 @@ class TestNaturalityOracle:
         ]
         p = rng.randrange(1, len(table))
         idx = rng.randrange(len(table[p]))
-        ref, op = table[p][idx]
+        dim, index, op = table[p][idx]
         if kind == "base ref":
-            n = asm.projection.base.simplex_count(ref.dim)
-            other = (ref.index + 1 + rng.randrange(n)) % n
-            table[p][idx] = (SimplexRef(ref.dim, other), op)
+            n = asm.projection.base.simplex_count(dim)
+            other = (index + 1 + rng.randrange(n)) % n
+            table[p][idx] = (dim, other, op)
         elif kind == "op":
-            wrong = tuple(sorted(rng.randrange(ref.dim + 1) for _ in op))
-            table[p][idx] = (ref, wrong)
+            wrong = tuple(sorted(rng.randrange(dim + 1) for _ in op))
+            table[p][idx] = (dim, index, wrong)
         elif kind == "not a degeneracy":
-            table[p][idx] = (ref, (0,) * len(op))
+            table[p][idx] = (dim, index, (0,) * len(op))
         else:
             row = faces[p - 1][idx]
             rng.shuffle(row)
@@ -540,7 +538,8 @@ class TestMinimalWordCheck:
         for _ in range(40):
             stalks = dict(minimal_from_cocycle(base, random_binary_cocycle(base, rng)).stalks)
             kinds = {self.corrupt(base, stalks, rng) for _ in range(rng.randrange(1, 4))}
-            want = "; ".join(validate_reference(_minimal_system(base, stalks)))
+            expanded = MinimalBundle(base, stalks, check=False).as_local_system()
+            want = "; ".join(validate_reference(expanded))
             orders += "circular order" in want
             builds = [lambda: MinimalBundle(base, stalks)]
             if kinds <= {"swap", "length"}:
@@ -578,24 +577,27 @@ class TestValidateOracle:
     @classmethod
     def corrupt(cls, system, rng):
         base = system.base
-        stalks, maps = dict(system.stalks), dict(system.bead_maps)
+        stalks = [list(level) for level in system.stalks]
+        maps = [list(level) for level in system.bead_maps]
         kind = rng.choice(["drop", "swap", "commute", "top", "shared-stalk"])
         q = rng.randrange(base.top_dim + 1)
         idx = rng.randrange(base.simplex_count(q))
         if kind == "top":
-            stalks[(q, idx)] = Necklace.from_colors(range(q + 2))
+            stalks[q][idx] = Necklace.from_colors(range(q + 2))
         elif kind == "shared-stalk":
             # the very stalk of another simplex of the same dimension
-            stalks[(q, idx)] = stalks[(q, rng.randrange(base.simplex_count(q)))]
+            stalks[q][idx] = stalks[q][rng.randrange(base.simplex_count(q))]
         else:
             wanted = cls.PLACES[kind]
             places = [
-                (key, i) for key, faces in maps.items()
-                for i, bm in enumerate(faces) if bm is not None and wanted(key[0], bm)
+                ((q, idx), i)
+                for q, level in enumerate(maps)
+                for idx, faces in enumerate(level)
+                for i, bm in enumerate(faces) if bm is not None and wanted(q, bm)
             ]
             if places:
-                key, i = rng.choice(places)
-                faces = list(maps[key])
+                (q, idx), i = rng.choice(places)
+                faces = list(maps[q][idx])
                 bm = faces[i]
                 if kind == "drop":
                     faces[i] = None
@@ -605,10 +607,10 @@ class TestValidateOracle:
                 else:
                     # a turn of the vertex circle keeps a descent map one,
                     # so only the commutation check above the edge sees it
-                    circle = stalks[(0, base.face_index(1, key[1], i))].ids
+                    circle = stalks[0][base.face_index(1, idx, i)].ids
                     ids = [s for s in circle if s in bm]
                     faces[i] = {**bm, **dict(zip(ids, map(bm.get, ids[1:] + ids[:1])))}
-                maps[key] = tuple(faces)
+                maps[q][idx] = tuple(faces)
         return NecklaceLocalSystem(base, stalks, maps, check=False)
 
     @pytest.mark.parametrize(
@@ -631,6 +633,64 @@ class TestValidateOracle:
                     if any(what in problem for problem in problems)
                 )
         assert found == {"uses colors", "missing bead map", "do not commute"}
+
+
+class TestLevelShapes:
+    """Stalks and bead maps are lists, one per dimension, so a level can
+    be too short or too long and a whole level can be extra or missing.
+    ``validate`` reports each shape as the face-by-face reference does."""
+
+    KINDS = (
+        "extra entry", "short level", "extra level", "missing level",
+        "none entry", "short maps level", "missing maps level",
+    )
+
+    @staticmethod
+    def reshape(stalks, maps, q, kind):
+        """Edit the levels of a system whose top dimension is q, in place,
+        and give a problem validate must report for the edit."""
+        n = len(stalks[q])
+        if kind == "extra entry":
+            stalks[q].append(stalks[q][0])
+            return f"stalk over missing simplex {q}/{n}"
+        if kind == "short level":
+            stalks[q].pop()
+            return f"missing stalk over {q}/{n - 1}"
+        if kind == "extra level":
+            stalks.append([stalks[q][0]])
+            return f"stalk over missing simplex {q + 1}/0"
+        if kind == "missing level":
+            stalks.pop()
+            return f"missing stalk over {q}/0"
+        if kind == "none entry":
+            stalks[q][n - 1] = None
+            return f"missing stalk over {q}/{n - 1}"
+        if kind == "short maps level":
+            maps[q].pop()
+            return f"missing bead map along face {q} of {q}/{n - 1}"
+        maps.pop()
+        return f"missing bead map along face 0 of {q}/0"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ["torus:6", "simplex:4", "sphere:5"])
+    def test_matches_the_reference(self, name, kind):
+        for system in _oracle_systems(name):
+            stalks = [list(level) for level in system.stalks]
+            maps = [list(level) for level in system.bead_maps]
+            wanted = self.reshape(stalks, maps, system.base.top_dim, kind)
+            broken = NecklaceLocalSystem(system.base, stalks, maps, check=False)
+            problems = broken.validate()
+            assert wanted in problems
+            assert problems == validate_reference(broken)
+            with pytest.raises(IncoherentLocalSystem, match=wanted):
+                NecklaceLocalSystem(system.base, stalks, maps)
+
+    def test_bead_maps_past_the_simplices_are_not_read(self):
+        # as extra keys were before: only stalks have to fit the base
+        system = _oracle_systems("torus:6")[1]
+        maps = [*map(list, system.bead_maps), [None]]
+        maps[1].append(None)
+        assert NecklaceLocalSystem(system.base, system.stalks, maps).validate() == []
 
 
 class TestClassicality:
@@ -728,10 +788,10 @@ class TestSerialization:
         write_json(path, bundle_to_json_dict(_surface_system(base, 3)))
         system = bundle_from_json_dict(read_json(path))
         for q, n in enumerate(base.counts[1:], 1):
-            tuples = {id(system.bead_maps[(q, idx)]) for idx in range(n)}
+            tuples = {id(maps) for maps in system.bead_maps[q]}
             assert len(tuples) == 1
-            assert len(system.bead_maps[(q, 0)]) == q + 1
-        assert len(system.bead_maps) == sum(base.counts[1:])
+            assert len(system.bead_maps[q][0]) == q + 1
+        assert list(map(len, system.bead_maps)) == [0, *base.counts[1:]]
 
     def test_minimal_system_serialized_without_maps(self):
         m = minimal_from_cocycle(delta_torus(), IntCochain(2, (1, 0)))

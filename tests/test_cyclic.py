@@ -437,16 +437,16 @@ class TestNecklace:
         def arcs(i):
             """The arc table along face i, read as bead ids."""
             small = system.stalk(1, face(2, 0, i))
-            table = _arc_table(top, small, system.bead_map(2, 0, i))
+            table = _arc_table(top, small, system.bead_maps[2][0][i])
             return {b: small.ids[t] for b, t in zip(top.ids, table)}
 
         assert system.stalk(1, face(2, 0, 1)).colors == (0, 0, 1)
-        bead_map = system.bead_map(2, 0, 1)
+        bead_map = system.bead_maps[2][0][1]
         assert set(bead_map) == {0, 2, 3}
         assert all(bead_map[b] == b for b in bead_map)
         assert arcs(1) == {0: 0, 1: 0, 2: 2, 3: 3}
         assert system.stalk(1, face(2, 0, 0)).colors == (0, 1)
-        assert set(system.bead_map(2, 0, 0)) == {1, 3}
+        assert set(system.bead_maps[2][0][0]) == {1, 3}
         assert arcs(0) == {0: 3, 1: 1, 2: 1, 3: 3}
 
     def test_to_circular(self):

@@ -42,10 +42,11 @@ def exported(tree):
     return []
 
 
-def referenced_names(skip=None):
+def referenced_names(skip=None, attributes_only=False):
     """Names and attributes the library reads, outside the function or
     class that defines them, so a name used only inside its own definition
-    counts as unused.  The top-level statement ``skip`` is not read."""
+    counts as unused.  The top-level statement ``skip`` is not read, and
+    with ``attributes_only`` a bare name is not either."""
     refs = set()
     for _, tree in library_modules():
         for stmt in tree.body:
@@ -55,7 +56,7 @@ def referenced_names(skip=None):
             for node in ast.walk(stmt):
                 if not isinstance(getattr(node, "ctx", None), ast.Load):
                     continue
-                if isinstance(node, ast.Name) and node.id != own:
+                if isinstance(node, ast.Name) and node.id != own and not attributes_only:
                     refs.add(node.id)
                 elif isinstance(node, ast.Attribute) and node.attr != own:
                     refs.add(node.attr)
@@ -81,14 +82,16 @@ def test_every_exported_name_is_used_or_allowed():
 
 
 def test_every_public_method_is_read_outside_its_class():
-    # attributes are matched by name alone, so a read of another class's
-    # attribute of the same name counts as a read of this one
+    # a method is read through an attribute (``x.name``), so a bare name,
+    # such as a parameter of the same name, does not count; attributes are
+    # matched by name alone, so a read of another class's attribute of the
+    # same name counts as a read of this one
     unread = []
     for _, tree in library_modules():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            refs = referenced_names(skip=cls)
+            refs = referenced_names(skip=cls, attributes_only=True)
             unread.extend(
                 f"{cls.name}.{node.name}"
                 for node in cls.body

@@ -140,21 +140,33 @@ def _walked(base: str, tmp: Path):
 
 def walk_digest(base: str, tmp: Path) -> str:
     """Digest of the Chern-1 bundle over base after 1 000 seeded mixed
-    moves: its stalks and bead maps in dict order, the words of both its
-    minimal bundles (the default and a seeded selection) and both Chern
-    cocycles."""
+    moves: its stalks and bead maps, the words of both its minimal bundles
+    (the default and a seeded selection) and both Chern cocycles.
+
+    Items are listed in the order the digest was taken in, when they were
+    held in dicts keyed (q, idx): stalks and minimal words in the string
+    order of their "q/idx" document keys, as the reader met them, and bead
+    maps flattened to one ((q, idx, i), items) entry per face in numeric
+    order."""
     system, rng = _walked(base, tmp)
     selection = {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
+
+    def in_document_order(items):
+        return sorted(items, key=lambda item: "%d/%d" % item[0])
+
     parts = (
-        list(system.stalks.items()),
-        # flattened to one ((q, idx, i), items) entry per face, as the
-        # digest was taken when the maps were keyed per face
+        in_document_order(
+            ((q, idx), neck)
+            for q, level in enumerate(system.stalks)
+            for idx, neck in enumerate(level)
+        ),
         [
             ((q, idx, i), list(m.items()))
-            for (q, idx), maps in system.bead_maps.items()
+            for q, level in enumerate(system.bead_maps)
+            for idx, maps in enumerate(level)
             for i, m in enumerate(maps)
         ],
-        *(list(minimize(system, s).stalks.items()) for s in (None, selection)),
+        *(in_document_order(minimize(system, s).stalks.items()) for s in (None, selection)),
         *(chern_cocycle_general(system, s).values for s in (None, selection)),
     )
     return _digest(repr(parts))

@@ -284,9 +284,10 @@ TRIANGLE = elementary_system(Necklace.from_colors((0, 1, 2)))
 )
 def test_each_bead_map_failure_has_its_message(system, key, row, message):
     q, idx, i = key
-    faces = list(system.bead_maps[(q, idx)])
+    faces = list(system.bead_maps[q][idx])
     faces[i] = row
-    maps = {**system.bead_maps, (q, idx): tuple(faces)}
+    maps = [list(level) for level in system.bead_maps]
+    maps[q][idx] = tuple(faces)
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     assert broken.validate() == [message]
     with pytest.raises(IncoherentLocalSystem) as info:

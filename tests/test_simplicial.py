@@ -11,7 +11,6 @@ from scbundles import (
     InvalidComplex,
     MalformedFile,
     SemiSimplicialSet,
-    SimplexRef,
     boundary_sphere,
     closure,
     delta_torus,
@@ -177,9 +176,7 @@ class TestValidation:
 class TestAccessors:
     def test_face_ref(self):
         x = standard_simplex(2)
-        ref = SimplexRef(2, 0)
         assert x.face_index(2, 0, 0) == 2  # face 0 of (0, 1, 2) is the edge (1, 2)
-        assert str(ref) == "2/0"
 
     def test_face_out_of_range(self):
         x = standard_simplex(2)
@@ -386,6 +383,34 @@ class TestFromSimplices:
             SemiSimplicialSet.from_simplices(levels)
         assert caught.value.exit_code == 4
         assert list(caught.value.violations) == problems
+
+    @pytest.mark.parametrize(
+        "levels, problems",
+        [
+            # the first copy of the edge would get an id and no coface
+            (
+                [[(0,), (1,), (2,)], [(0, 1), (0, 1), (0, 2), (1, 2)], [(0, 1, 2)]],
+                ["level 1 lists (0, 1) 2 times"],
+            ),
+            # a repeated vertex would shift the ids of the edges' faces
+            ([[(0,), (0,), (1,)], [(0, 1)]], ["level 0 lists (0,) 2 times"]),
+            (
+                [[(0,), (1,), (2,)], [(0, 1), (1, 2), (0, 1), (1, 2), (1, 2)]],
+                ["level 1 lists (0, 1) 2 times", "level 1 lists (1, 2) 3 times"],
+            ),
+        ],
+        ids=["edge", "vertex", "two-edges"],
+    )
+    def test_repeated_simplex_rejected(self, levels, problems):
+        with pytest.raises(InvalidComplex) as caught:
+            SemiSimplicialSet.from_simplices(levels)
+        assert caught.value.exit_code == 4
+        assert list(caught.value.violations) == problems
+
+    def test_lists_read_as_tuples(self):
+        levels = closure([(0, 1, 2), (1, 2, 3)])
+        as_lists = [[list(s) for s in level] for level in levels]
+        assert SemiSimplicialSet.from_simplices(as_lists) == SemiSimplicialSet.from_simplices(levels)
 
     @pytest.mark.parametrize("family, missing", [("simplex", 1), ("sphere", 2)])
     def test_named_cap_builds_in_time(self, family, missing):

@@ -73,8 +73,8 @@ class TestContract:
         system = doubled_interval()
         doomed = system.stalk(0, 0).ids[0]
         target = vertex_embedding(system, 1, 0, 0)[doomed]
-        (other,) = system.bead_map(1, 0, 0)
-        maps = {**system.bead_maps, (1, 0): ({other: target}, system.bead_map(1, 0, 1))}
+        (other,), along_1 = system.bead_maps[1][0]
+        maps = [[], [({other: target}, along_1)]]
         broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
         with pytest.raises(IncoherentLocalSystem):
             contract(broken, 0, doomed, check=False)
@@ -120,20 +120,19 @@ class TestSubdivide:
         system = minimal_from_cocycle(base, u).as_local_system()
         split = subdivide(system, 7, system.stalk(0, 7).ids[0])
         shared = []
-        for (q, idx), neck in split.stalks.items():
-            if not q:
-                continue
-            if neck is system.stalks[(q, idx)]:
-                # outside the star the whole tuple of maps is shared
-                assert split.bead_maps[(q, idx)] is system.bead_maps[(q, idx)]
-                continue
-            for i, f in enumerate(base.face_row(q, idx)):
-                m = split.bead_map(q, idx, i)
-                if split.stalks[(q - 1, f)] is system.stalks[(q - 1, f)]:
-                    assert m is system.bead_map(q, idx, i)
-                    shared.append((q, idx, i))
-                else:
-                    assert m is not system.bead_map(q, idx, i)
+        for q in range(1, base.top_dim + 1):
+            for idx, neck in enumerate(split.stalks[q]):
+                if neck is system.stalks[q][idx]:
+                    # outside the star the whole tuple of maps is shared
+                    assert split.bead_maps[q][idx] is system.bead_maps[q][idx]
+                    continue
+                for i, f in enumerate(base.face_row(q, idx)):
+                    m = split.bead_maps[q][idx][i]
+                    if split.stalks[q - 1][f] is system.stalks[q - 1][f]:
+                        assert m is system.bead_maps[q][idx][i]
+                        shared.append((q, idx, i))
+                    else:
+                        assert m is not system.bead_maps[q][idx][i]
         assert len(shared) == 12
         assert not split.validate()
 
@@ -281,7 +280,11 @@ class TestMinimize:
             rng.shuffle(doomed)
             for v, b in doomed:
                 current = contract(current, v, b, check=False)
-            words = {k: n.to_circular() for k, n in current.stalks.items()}
+            words = {
+                (q, idx): n.to_circular()
+                for q, level in enumerate(current.stalks)
+                for idx, n in enumerate(level)
+            }
             assert MinimalBundle(system.base, words).stalks == expected.stalks
 
     def test_different_selections_same_class(self):

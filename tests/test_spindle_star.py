@@ -57,6 +57,21 @@ def _vertex_positions(base, q, idx, v):
     return [p for p in range(q + 1) if vertex_at(base, q, idx, p) == v]
 
 
+def keyed(levels):
+    """((q, idx), entry) for every entry of a per-dimension table."""
+    return [((q, idx), x) for q, level in enumerate(levels) for idx, x in enumerate(level)]
+
+
+def by_level(table):
+    """A table keyed (q, idx), complete in every level, as one list per
+    dimension."""
+    levels = []
+    for (q, idx), x in sorted(table.items()):
+        levels.extend([] for _ in range(q + 1 - len(levels)))
+        levels[q].append(x)
+    return levels
+
+
 def reference_contract(system, v, bead, check=True):
     circle = _check_vertex(system, v)
     if not circle.has_bead(bead):
@@ -66,7 +81,7 @@ def reference_contract(system, v, bead, check=True):
     base = system.base
     stalks = {}
     removed = {}
-    for (q, idx), neck in system.stalks.items():
+    for (q, idx), neck in keyed(system.stalks):
         gone = {
             vertex_embedding(system, q, idx, p)[bead]
             for p in _vertex_positions(base, q, idx, v)
@@ -80,7 +95,7 @@ def reference_contract(system, v, bead, check=True):
         else:
             stalks[(q, idx)] = neck
     bead_maps = {}
-    for (q, idx), maps in system.bead_maps.items():
+    for (q, idx), maps in keyed(system.bead_maps):
         faces = []
         for i, m in enumerate(maps):
             fidx = base.face_index(q, idx, i)
@@ -94,7 +109,7 @@ def reference_contract(system, v, bead, check=True):
                 )
             faces.append(kept)
         bead_maps[(q, idx)] = tuple(faces)
-    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+    return NecklaceLocalSystem(base, by_level(stalks), by_level(bead_maps), check=check)
 
 
 def reference_subdivide(system, v, bead, check=True):
@@ -104,7 +119,7 @@ def reference_subdivide(system, v, bead, check=True):
     base = system.base
     stalks = {}
     fresh = {}
-    for (q, idx), neck in system.stalks.items():
+    for (q, idx), neck in keyed(system.stalks):
         positions = _vertex_positions(base, q, idx, v)
         if not positions:
             stalks[(q, idx)] = neck
@@ -128,7 +143,7 @@ def reference_subdivide(system, v, bead, check=True):
         )
         fresh[(q, idx)] = minted
     bead_maps = {}
-    for (q, idx), maps in system.bead_maps.items():
+    for (q, idx), maps in keyed(system.bead_maps):
         faces = []
         for i, m in enumerate(maps):
             fidx = base.face_index(q, idx, i)
@@ -138,7 +153,7 @@ def reference_subdivide(system, v, bead, check=True):
                 extended[new_small] = fresh[(q, idx)][p_big]
             faces.append(extended)
         bead_maps[(q, idx)] = tuple(faces)
-    return NecklaceLocalSystem(base, stalks, bead_maps, check=check)
+    return NecklaceLocalSystem(base, by_level(stalks), by_level(bead_maps), check=check)
 
 
 def scan_star(system, v, bead):
@@ -175,15 +190,15 @@ def star(system, v):
 
 
 def assert_same_move(moved, reference, system, v):
-    assert list(moved.stalks.items()) == list(reference.stalks.items())
-    assert list(moved.bead_maps.items()) == list(reference.bead_maps.items())
+    assert moved.stalks == reference.stalks
+    assert moved.bead_maps == reference.bead_maps
     inside = star(system, v)
-    for key, neck in system.stalks.items():
-        if key not in inside:
-            assert moved.stalks[key] is neck, key
-    for key, maps in system.bead_maps.items():
-        if key not in inside:
-            assert moved.bead_maps[key] is maps, key
+    for (q, idx), neck in keyed(system.stalks):
+        if (q, idx) not in inside:
+            assert moved.stalks[q][idx] is neck, (q, idx)
+    for (q, idx), maps in keyed(system.bead_maps):
+        if (q, idx) not in inside:
+            assert moved.bead_maps[q][idx] is maps, (q, idx)
 
 
 def test_subdivide_matches_the_whole_walk():
@@ -219,9 +234,8 @@ def _outcome(move, *args):
 def test_errors_match_the_whole_walk():
     system = elementary_system(Necklace.from_colors((0, 0, 1)))
     doomed = system.stalk(0, 0).ids[0]
-    (other,) = system.bead_map(1, 0, 0)
-    faces = ({other: vertex_embedding(system, 1, 0, 0)[doomed]}, system.bead_map(1, 0, 1))
-    maps = {**system.bead_maps, (1, 0): faces}
+    (other,), along_1 = system.bead_maps[1][0]
+    maps = [[], [({other: vertex_embedding(system, 1, 0, 0)[doomed]}, along_1)]]
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     cases = [
         (contract, (broken, 0, doomed, False), IncoherentLocalSystem),

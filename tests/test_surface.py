@@ -48,7 +48,7 @@ class TestParityCheck:
     def test_unbalanced_signs_raise(self):
         # all-positive coefficients do not orient the octahedron
         base = octahedron_sphere()
-        fm = FundamentalClass(base, (1,) * 8, 0, 1)
+        fm = FundamentalClass(base, (1,) * 8)
         with pytest.raises(NonOrientable):
             parity_check(base, fm)
 
