@@ -52,7 +52,6 @@ from .homology import (
     fundamental_class,
     homology_groups,
     smith_normal_form,
-    solve_linear,
 )
 from .cyclic import (
     CircularPermutation,

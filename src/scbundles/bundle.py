@@ -79,18 +79,19 @@ class NecklaceLocalSystem:
     ``bead_maps[q][idx]``, q >= 1, the tuple of its q + 1 face maps, where
     map i embeds the beads of the stalk over face i into the stalk's beads
     (its image is exactly the set of beads not colored i); level 0 of
-    ``bead_maps`` is empty.  The constructor copies each level list once.
-    Instances, tuples and maps are never mutated: spindle moves share
-    every stalk, tuple and map they leave unchanged, and a minimal system
-    shares one tuple over each level.
+    ``bead_maps`` is empty.  The constructor keeps the level lists it is
+    given.  Instances, level lists, tuples and maps are never mutated once
+    built: spindle moves build new level lists but share every stalk, tuple
+    and map they leave unchanged, and a minimal system shares one tuple
+    over each level.
     """
 
     __slots__ = ("base", "stalks", "bead_maps")
 
     def __init__(self, base, stalks, bead_maps, check=True):
         self.base = base
-        self.stalks: list[list[Necklace]] = list(map(list, stalks))
-        self.bead_maps: list[list[tuple[dict[int, int], ...]]] = list(map(list, bead_maps))
+        self.stalks: list[list[Necklace]] = stalks
+        self.bead_maps: list[list[tuple[dict[int, int], ...]]] = bead_maps
         if check:
             _checked(self)
 

@@ -292,11 +292,10 @@ class Necklace:
         object.__setattr__(self, "ids", ids)
 
     @classmethod
-    def from_colors(cls, colors: Iterable[int], ids: Iterable[int] | None = None):
+    def from_colors(cls, colors: Iterable[int]):
+        """Bead ids 0, 1, ... in the order the colors are read."""
         colors = tuple(colors)
-        if ids is None:
-            ids = range(len(colors))
-        return cls(colors, tuple(ids))
+        return cls(colors, tuple(range(len(colors))))
 
     @classmethod
     def from_circular(cls, theta: CircularPermutation) -> "Necklace":

@@ -1,10 +1,10 @@
 """Exact integer chain arithmetic for semi-simplicial sets.
 
-Boundary matrices, Smith normal form with optional unimodular transforms,
-homology groups with torsion, integer cochains with coboundary, a solver
-for cohomologous pairs, and fundamental classes of closed oriented
-surfaces.  Everything runs on Python integers, so entries may grow freely
-during elimination without overflow.
+Boundary matrices, the Smith diagonal, homology groups with torsion,
+integer cochains with coboundary, a solver for cohomologous pairs, and
+fundamental classes of closed oriented surfaces.  Everything runs on
+Python integers, so entries may grow freely during elimination without
+overflow.
 
 Homology reduces each boundary operator as sparse columns, built on
 demand from signed face rows: it eliminates +-1 pivots with unimodular
@@ -18,11 +18,18 @@ the clearing step of Chen and Kerber, *Persistent homology computation
 with a twist* (EuroCG 2011); over the integers it is a reduction pair in
 the sense of Kaczynski, Mrozek and Slusarek, *Homology computation by
 reduction of chain complexes* (1998).
+
+Whether two 2-cocycles differ by a coboundary is an integer linear system
+on the sparse coboundary.  It is solved by echelon elimination with
+unimodular column operations, recorded so that replaying them backward
+gives the witness; no Smith transforms are needed (Kannan and Bachem,
+*Polynomial algorithms for computing the Smith and Hermite normal forms
+of an integer matrix*, SIAM J. Comput. 1979).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,7 +57,6 @@ __all__ = [
     "cochain_from_json_dict",
     "coboundary",
     "cohomologous",
-    "solve_linear",
     "FundamentalClass",
     "fundamental_class",
     "connected_component_count",
@@ -58,40 +64,14 @@ __all__ = [
 
 
 class IntMatrix:
-    """Dense integer matrix; thin wrapper over a list of row lists."""
+    """Dense integer matrix of zeros; ``data`` holds its row lists."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data=None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            self.data = [[int(v) for v in row] for row in data]
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise ValueError("data shape disagrees with rows x cols")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-        )
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length disagrees with column count")
-        return [
-            sum(a * v for a, v in zip(row, vec) if a) for row in self.data
-        ]
+        self.data = [[0] * cols for _ in range(rows)]
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -99,68 +79,40 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Diagonal of the Smith normal form plus optional transforms.
-
-    When transforms are requested, ``left @ m @ right`` equals the diagonal
-    matrix ``diag`` padded with zeros, and both transforms are unimodular.
-    """
+    """The positive invariant factors of a matrix, each dividing the next."""
 
     diagonal: tuple[int, ...]
-    shape: tuple[int, int]
-    left: IntMatrix | None = field(default=None, repr=False)
-    right: IntMatrix | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
 
 
-def _swap_rows(a, u, r1, r2):
-    if r1 != r2:
-        a[r1], a[r2] = a[r2], a[r1]
-        if u is not None:
-            u[r1], u[r2] = u[r2], u[r1]
+def _swap_rows(a, r1, r2):
+    a[r1], a[r2] = a[r2], a[r1]
 
 
-def _swap_cols(a, v, c1, c2):
+def _swap_cols(a, c1, c2):
     if c1 != c2:
         for row in a:
             row[c1], row[c2] = row[c2], row[c1]
-        if v is not None:
-            for row in v:
-                row[c1], row[c2] = row[c2], row[c1]
 
 
-def _add_row(a, u, dst, src, coeff):
+def _add_row(a, dst, src, coeff):
     # row dst += coeff * row src
-    arow, srow = a[dst], a[src]
-    for c, v in enumerate(srow):
+    arow = a[dst]
+    for c, v in enumerate(a[src]):
         if v:
             arow[c] += coeff * v
-    if u is not None:
-        urow, usrow = u[dst], u[src]
-        for c, v in enumerate(usrow):
-            if v:
-                urow[c] += coeff * v
 
 
-def _add_col(a, v, dst, src, coeff):
+def _add_col(a, dst, src, coeff):
     for row in a:
         if row[src]:
             row[dst] += coeff * row[src]
-    if v is not None:
-        for row in v:
-            if row[src]:
-                row[dst] += coeff * row[src]
 
 
-def _negate_row(a, u, r):
-    a[r] = [-x for x in a[r]]
-    if u is not None:
-        u[r] = [-x for x in u[r]]
-
-
-def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
+def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over the integers with the divisibility chain.
 
     Pivots always take the entry of least absolute value in the remaining
@@ -169,8 +121,6 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
     """
     a = [list(row) for row in m.data]
     nr, nc = m.rows, m.cols
-    u = [list(row) for row in IntMatrix.identity(nr).data] if transforms else None
-    v = [list(row) for row in IntMatrix.identity(nc).data] if transforms else None
     t = 0
     limit = min(nr, nc)
     while t < limit:
@@ -188,16 +138,16 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
                 break
         if best is None:
             break
-        _swap_rows(a, u, t, best[1])
-        _swap_cols(a, v, t, best[2])
+        _swap_rows(a, t, best[1])
+        _swap_cols(a, t, best[2])
         while True:
             swapped = False
             for r in range(t + 1, nr):
                 if a[r][t]:
                     q = a[r][t] // a[t][t]
-                    _add_row(a, u, r, t, -q)
+                    _add_row(a, r, t, -q)
                     if a[r][t]:
-                        _swap_rows(a, u, t, r)
+                        _swap_rows(a, t, r)
                         swapped = True
                         break
             if swapped:
@@ -205,9 +155,9 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
             for c in range(t + 1, nc):
                 if a[t][c]:
                     q = a[t][c] // a[t][t]
-                    _add_col(a, v, c, t, -q)
+                    _add_col(a, c, t, -q)
                     if a[t][c]:
-                        _swap_cols(a, v, t, c)
+                        _swap_cols(a, t, c)
                         swapped = True
                         break
             if swapped:
@@ -225,21 +175,14 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(a, u, t, offender, 1)
+            _add_row(a, t, offender, 1)
             continue
-        if pivot < 0:
-            _negate_row(a, u, t)
         t += 1
-    diagonal = tuple(a[i][i] for i in range(t))
+    diagonal = tuple(abs(a[i][i]) for i in range(t))
     for i in range(len(diagonal) - 1):
         if diagonal[i + 1] % diagonal[i]:
             raise AssertionError("divisibility chain broken; elimination bug")
-    return SmithForm(
-        diagonal,
-        (nr, nc),
-        IntMatrix(nr, nr, u) if transforms else None,
-        IntMatrix(nc, nc, v) if transforms else None,
-    )
+    return SmithForm(diagonal)
 
 
 # -- chain complexes ---------------------------------------------------
@@ -488,22 +431,64 @@ def coboundary(x: SemiSimplicialSet, u: IntCochain) -> IntCochain:
     ))
 
 
-def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> list[int] | None:
-    """One integer solution of m @ x = rhs, or None if there is none."""
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length disagrees with row count")
-    snf = smith_normal_form(m, transforms=True)
-    urhs = snf.left.apply(list(rhs))
-    y = [0] * m.cols
-    for i, val in enumerate(urhs):
-        if i < snf.rank:
-            d = snf.diagonal[i]
-            if val % d:
+def _solve(
+    columns: Sequence[Mapping[int, int]], rhs: Mapping[int, int]
+) -> list[int] | None:
+    """One integer x with sum of x[c] * columns[c] equal to rhs, or None if
+    there is none; columns and rhs are sparse ``{row: value}`` vectors.
+
+    Rows are taken in ascending order.  Column operations clear each row
+    but for one pivot column: a +-1 entry clears it at once, other entries
+    take Euclid steps with the least entry as pivot.  Rows done before hold
+    no entry of the columns still live, so the pivot's coefficient is
+    forced by its row, must divide what is left of rhs there, and is taken
+    off rhs before the pivot column retires; a row no live column reaches
+    must have nothing left.  Every operation is unimodular, so replaying
+    them backward on the coefficients gives x.
+    """
+    cols = [{r: v for r, v in col.items() if v} for col in columns]
+    rows: dict[int, set[int]] = {}
+    for c, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(c)
+    left = {r: v for r, v in rhs.items() if v}
+    ops = []  # (dst, src, k): column dst += k * column src
+    x = [0] * len(cols)
+    for r in sorted(rows.keys() | left.keys()):
+        cs = rows.setdefault(r, set())
+        while len(cs) > 1:
+            p = min(cs, key=lambda c: (abs(cols[c][r]), len(cols[c])))
+            pivot = cols[p]
+            for c in [c for c in cs if c != p]:
+                col = cols[c]
+                k = col[r] // pivot[r]
+                for r2, v in pivot.items():
+                    w = col.get(r2, 0) - k * v
+                    if w:
+                        if r2 not in col:
+                            rows[r2].add(c)
+                        col[r2] = w
+                    else:
+                        del col[r2]
+                        rows[r2].discard(c)
+                ops.append((c, p, -k))
+        b = left.get(r, 0)
+        if not cs:
+            if b:
                 return None
-            y[i] = val // d
-        elif val:
+            continue
+        (p,) = cs
+        pivot = cols[p]
+        y, rest = divmod(b, pivot[r])
+        if rest:
             return None
-    return snf.right.apply(y)
+        x[p] = y
+        for r2, v in pivot.items():
+            rows[r2].discard(p)
+            left[r2] = left.get(r2, 0) - y * v
+    for dst, src, k in reversed(ops):
+        x[src] += k * x[dst]
+    return x
 
 
 def cohomologous(
@@ -512,9 +497,8 @@ def cohomologous(
     """Decide whether two 2-cocycles differ by a coboundary.
 
     Returns the witness 1-cochain a with u1 - u2 = da when one exists.
-    The witness comes from the unimodular transforms of Smith normal
-    form, which unit-pivot elimination does not keep, so this solver
-    stays on the dense coboundary matrix.
+    It solves the sparse system whose column for an edge holds the signs
+    the edge takes in the triangles' face rows.
     """
     _check_carrier(x, u1)
     _check_carrier(x, u2)
@@ -523,8 +507,11 @@ def cohomologous(
     for u in (u1, u2):
         if not coboundary(x, u).is_zero():
             raise NotACocycle("input to cohomologous has nonzero coboundary")
-    d = boundary_matrix(x, 2).transpose()
-    sol = solve_linear(d, list((u1 - u2).values))
+    columns: list[dict[int, int]] = [{} for _ in x.simplices(1)]
+    for t in x.simplices(2):
+        for e, v in _face_column(x.face_row(2, t)).items():
+            columns[e][t] = v
+    sol = _solve(columns, dict(enumerate((u1 - u2).values)))
     if sol is None:
         return False, None
     return True, IntCochain(1, tuple(sol))

@@ -5,8 +5,9 @@ over the vertex's star; splitting a bead is the inverse move.  Either
 move shares every other stalk and maps tuple with its input.  A move
 reads only the star: it walks up from the vertex through the base's
 coface table and takes the bead's image over each star simplex from one
-face of it.  Its one cost in proportion to the base is a single copy of
-each level list, of stalks and of bead maps, one entry per simplex.
+face of it.  Its one cost in proportion to the base is its copy of each
+level list, of stalks and of bead maps, one entry per simplex, which it
+writes the star into.
 
 Iterating contractions until each vertex circle has a single bead
 reduces any bundle to a minimal one, and the result depends only on
@@ -100,8 +101,10 @@ def contract(
     if system.stalk(0, v).size == 1:
         raise LastArc(f"bead {bead} is the only bead over vertex {v}")
     base = system.base
-    # the copy of each level list; the star's entries are replaced in it
-    moved = NecklaceLocalSystem(base, system.stalks, system.bead_maps, check=False)
+    # a copy of each level list; the star's entries are replaced in it
+    moved = NecklaceLocalSystem(
+        base, list(map(list, system.stalks)), list(map(list, system.bead_maps)), check=False
+    )
     for (q, idx), gone in removed.items():
         picked = [(c, b) for b, c in system.stalks[q][idx].beads() if b not in gone]
         moved.stalks[q][idx] = Necklace(*zip(*picked))
@@ -131,7 +134,10 @@ def subdivide(
     bead restores the original verbatim."""
     star = _star(system, v, bead)
     base = system.base
-    moved = NecklaceLocalSystem(base, system.stalks, system.bead_maps, check=False)
+    # a copy of each level list; the star's entries are replaced in it
+    moved = NecklaceLocalSystem(
+        base, list(map(list, system.stalks)), list(map(list, system.bead_maps)), check=False
+    )
     fresh: dict[tuple[int, int], dict[int, int]] = {}
     for (q, idx), images in star.items():
         neck = system.stalks[q][idx]

@@ -243,6 +243,19 @@ def test_criterion_7_property_suites():
         # 5: chern cochains from different selections are cohomologous,
         # witnessed by an explicit 1-cochain
         rng = random.Random(705)
+
+        def selection_witness(system):
+            sels = [
+                {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
+                for _ in range(2)
+            ]
+            u1 = chern_cocycle_general(system, sels[0])
+            u2 = chern_cocycle_general(system, sels[1])
+            same, witness = cohomologous(system.base, u1, u2)
+            assert same
+            assert coboundary(system.base, witness).values == (u1 - u2).values
+            return witness
+
         surfaces = (boundary_sphere(3), delta_torus(), octahedron_sphere())
         for _ in range(cases):
             base = surfaces[rng.randrange(len(surfaces))]
@@ -254,18 +267,14 @@ def test_criterion_7_property_suites():
                 system = subdivide(
                     system, v, rng.choice(system.stalk(0, v).ids), check=False
                 )
-            sels = [
-                {
-                    v: rng.choice(system.stalk(0, v).ids)
-                    for v in base.simplices(0)
-                }
-                for _ in range(2)
-            ]
-            u1 = chern_cocycle_general(system, sels[0])
-            u2 = chern_cocycle_general(system, sels[1])
-            same, witness = cohomologous(base, u1, u2)
-            assert same
-            assert coboundary(base, witness).values == (u1 - u2).values
+            selection_witness(system)
+        # and over one necklace's system, where colors interleave, so
+        # that the selection moves the cocycle and the witness is nonzero
+        moved = 0
+        for _ in range(cases):
+            system = elementary_system(random_necklace(rng, rng.choice((2, 3))))
+            moved += any(selection_witness(system).values)
+        assert moved >= cases // 10
 
         # 6: the classical-complex criterion on a necklace agrees with
         # simplicity of the elementary bundle's total 1-skeleton

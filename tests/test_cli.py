@@ -53,21 +53,29 @@ class TestValidateAndHomology:
     def test_validate_named_base(self, capsys):
         code, out, _ = run(capsys, "validate", "octahedron")
         assert code == 0
-        assert "[6, 12, 8]" in out
-        assert "valid" in out
+        assert out == "simplices per dimension: [6, 12, 8]\nvalid semi-simplicial set\n"
 
     def test_validate_json(self, capsys):
-        code, doc, _ = run_json(capsys, "validate", "tetra")
+        code, out, _ = run(capsys, "validate", "tetra", "--json")
         assert code == 0
-        assert doc["ok"] is True
-        assert doc["counts"] == [4, 6, 4]
-        assert doc["euler"] == 2
+        assert out == canonical_dumps(
+            {"counts": [4, 6, 4], "euler": 2, "ok": True, "valid": True, "violations": []}
+        )
 
     def test_validate_bad_file_exit_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         write_json(bad, {"dims": [2, 1], "faces": {"1": [[0, 9]]}})
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 4
+
+    def test_validate_broken_identity_exit_4(self, capsys, tmp_path):
+        # faces 1 and 2 of the triangle are swapped, so two face
+        # identities fail and the file does not load
+        bad = tmp_path / "bad.json"
+        write_json(bad, {"dims": [3, 3, 1], "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2, 0, 1]]}})
+        code, out, err = run(capsys, "validate", str(bad), "--json")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: face identity violated at (2/0, 0, 1): ")
 
     def test_unparseable_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

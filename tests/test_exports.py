@@ -14,12 +14,22 @@ UNREFERENCED_EXPORTS = {
     "kan_lifts": "traced by name by the benchmark",
     "contract": "traced by name by the benchmark",
     "build_surface_bundle": "called by the benchmark's workloads",
-    "cohomologous": "backs README's coboundary claim (ROADMAP item 3)",
+    "cohomologous": "backs README's coboundary claim",
+    "boundary_matrix": "traced by name by the benchmark",
 }
 
 # public methods and properties of library classes that no library module
 # reads outside the class, each with the reason it is public
 UNREAD_METHODS: dict[str, str] = {}
+
+# defaulted parameters, as "function(parameter)", that no library call
+# sets, each with who sets it; a constructor is named by its class
+UNSET_DEFAULTS = {
+    "main(argv)": "the console script and the tests",
+    "build_surface_bundle(seed)": "the benchmark's workloads",
+    "subdivide(check)": "the benchmark's workloads",
+    "contract(check)": "the benchmark's workloads",
+}
 
 
 @functools.cache
@@ -103,6 +113,60 @@ def test_every_public_method_is_read_outside_its_class():
     assert unused == [], "public but read nowhere in the library outside its class"
     stale = sorted(n for n in UNREAD_METHODS if n not in unread)
     assert stale == [], "allowed as unread but read or gone"
+
+
+def defaulted_parameters(tree):
+    """(function name, parameter name, position or None for keyword-only)
+    of every defaulted parameter of a top-level function or a method; a
+    method's position leaves out self or cls, and ``__init__`` is named
+    by its class."""
+    for owner in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        for fn in owner.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            if owner is not tree and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            ):
+                positional = positional[1:]
+            name = owner.name if fn.name == "__init__" else fn.name
+            first = len(positional) - len(fn.args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, pos
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def sets_parameter(call, name, pos):
+    """Whether the call may pass the parameter: by its keyword, by
+    position, or through an unpacked argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def test_every_defaulted_parameter_is_set_or_allowed():
+    # calls are matched to functions by name alone, as methods are above
+    calls = {}
+    for _, tree in library_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{fn}({param})"
+        for _, tree in library_modules()
+        for fn, param, pos in defaulted_parameters(tree)
+        if not any(sets_parameter(call, param, pos) for call in calls.get(fn, ()))
+    ]
+    knobs = sorted(n for n in unset if n not in UNSET_DEFAULTS)
+    assert knobs == [], "a default no library call overrides"
+    stale = sorted(n for n in UNSET_DEFAULTS if n not in unset)
+    assert stale == [], "allowed as unset but set by a library call or gone"
 
 
 def test_no_unused_imports():

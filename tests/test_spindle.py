@@ -30,8 +30,22 @@ from scbundles import (
     subdivide,
     validate_selection,
 )
-from generators import random_system
+from generators import random_necklace, random_system
 from oracles import elementary_system, systems_equivalent, vertex_embedding
+
+
+def selection_witness(system, rng):
+    """The 1-cochain by which the Chern cocycles of two random selections
+    differ, checked to be such a witness."""
+    picks = [
+        {v: rng.choice(system.stalk(0, v).ids) for v in system.base.simplices(0)}
+        for _ in range(2)
+    ]
+    u1, u2 = (chern_cocycle_general(system, pick) for pick in picks)
+    same, witness = cohomologous(system.base, u1, u2)
+    assert same
+    assert coboundary(system.base, witness) == u1 - u2
+    return witness
 
 
 def doubled_interval():
@@ -293,19 +307,18 @@ class TestMinimize:
             system = random_system(rng)
             if system.base.top_dim != 2:
                 continue
-            picks = []
-            for _ in range(2):
-                picks.append(
-                    {
-                        v: rng.choice(system.stalk(0, v).ids)
-                        for v in system.base.simplices(0)
-                    }
-                )
-            u1 = chern_cocycle_general(system, picks[0])
-            u2 = chern_cocycle_general(system, picks[1])
-            same, witness = cohomologous(system.base, u1, u2)
-            assert same
-            assert coboundary(system.base, witness).values == (u1 - u2).values
+            selection_witness(system, rng)
+
+    def test_elementary_selections_differ_by_a_coboundary(self):
+        # spindle moves keep each color in one block, so over the systems
+        # above every selection gives the same cocycle; a necklace with
+        # interleaved colors makes the witness nonzero
+        rng = random.Random(19)
+        moved = 0
+        for top in (2, 3) * 100:
+            system = elementary_system(random_necklace(rng, top))
+            moved += any(selection_witness(system, rng).values)
+        assert moved >= 20
 
 
 class TestGeneralChern:
