@@ -38,13 +38,14 @@ def canonical_dumps(obj) -> str:
 
     With ``indent`` the stdlib encodes in pure Python, one call per value,
     so this renders the shapes the documents are made of itself: dicts
-    with ``str`` keys, flat int lists in one join, and tables (rows of one
-    length whose columns hold ints or int lists of one length) by filling
-    one ``%``-template per table.  A tuple is written as the array the
-    stdlib writes for it, so it may stand wherever a list does.  Any
-    other value (a bool, float, ``None``, or a dict with other keys) and
-    every subtree under it goes to the stdlib.  The type checks are
-    exact, so ``True`` never prints as ``1``.
+    with ``str`` keys, flat int lists in one join, ``true``, ``false`` and
+    ``null``, and tables (rows of one length whose columns hold ints or
+    int lists of one length) by filling one ``%``-template per table.  A
+    tuple is written as the array the stdlib writes for it, so it may
+    stand wherever a list does.  Any other value (a float, an empty
+    array or object, or a dict with other keys) and every subtree under
+    it goes to the stdlib.  The type checks are exact, so ``True`` never
+    prints as ``1`` and ``1`` never as ``true``.
     """
     return _render(obj, "\n") + "\n"
 
@@ -57,6 +58,10 @@ def _render(value, nl: str) -> str:
         return str(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     inner = nl + "  "
     if kind in ARRAY_TYPES and value:
         return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"

@@ -192,10 +192,15 @@ def kan_survey(k: int) -> dict:
     A family is a (k+1)-tuple of circular permutations of 0..k-1, so
     there are ((k-1)!)^(k+1) of them.  The compatible ones, those passing
     the pairwise exchange precheck, are found by extending families one
-    facet at a time and keeping facet m only if it agrees with every
-    earlier facet; they come out in the lexicographic order of the
-    tuples.  Returns the family total, the compatible count, and a
-    histogram of lift counts over compatible families.
+    facet at a time.  For slot m the words of SC(k-1) are filed once,
+    each under its faces 0..m-1, and a partial family is extended only
+    by the words filed under the faces m - 1 of its members, which are
+    exactly the words agreeing with every earlier facet.  So the work
+    follows the compatible partial families, not the family total, and
+    the families come out in the lexicographic order of the tuples.
+    Returns the family total, the compatible count, and a histogram of
+    lift counts over compatible families.  A total above 10**6 families
+    raises ``EnumerationBound``.
     """
     if k < 2:
         raise MismatchedCarriers("the lifting census needs dimension >= 2")
@@ -207,11 +212,15 @@ def kan_survey(k: int) -> dict:
         )
     families: list[tuple[tuple[int, ...], ...]] = [()]
     for m in range(k + 1):
+        # facet m fits facets 0..m-1 exactly when its faces 0..m-1 are
+        # their faces m - 1, so file each word under its first m faces
+        fitting: dict = {}
+        for w in words:
+            fitting.setdefault(tuple(_cp_face(w, i) for i in range(m)), []).append(w)
         families = [
             fam + (w,)
             for fam in families
-            for w in words
-            if all(_exchange_holds(fam[i], w, i, m) for i in range(m))
+            for w in fitting.get(tuple(_cp_face(f, m - 1) for f in fam), ())
         ]
     table = _lift_table(k)
     histogram: dict[int, int] = {}

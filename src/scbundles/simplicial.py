@@ -241,12 +241,20 @@ class SemiSimplicialSet:
                     f"dimension {q}: 'dims' promises {dims[q]} simplices "
                     f"but 'faces' lists {len(table)}"
                 )
-            what = f"a face id in dimension {q}"
-            for row in table:
-                if not isinstance(row, ARRAY_TYPES):
-                    raise MalformedFile(f"faces table for dimension {q} must list id lists")
-                for v in row:
-                    json_int(v, what)
+            # one type scan per table; the loop below runs only to name the
+            # first bad row or id in document order
+            if not (
+                {*map(type, table)}.issubset(ARRAY_TYPES)
+                and {*map(type, chain.from_iterable(table))} <= {int}
+            ):
+                what = f"a face id in dimension {q}"
+                for row in table:
+                    if not isinstance(row, ARRAY_TYPES):
+                        raise MalformedFile(
+                            f"faces table for dimension {q} must list id lists"
+                        )
+                    for v in row:
+                        json_int(v, what)
             faces.append(table)
         for q_str in raw_faces:
             try:

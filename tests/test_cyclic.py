@@ -22,6 +22,7 @@ from scbundles import (
     sc_normalized_homology,
     standard_simplex,
 )
+from scbundles import cyclic as cyclic_module
 from scbundles.bundle import _arc_table
 from scbundles.cyclic import (
     _WORD_CACHE_SIZE,
@@ -338,6 +339,20 @@ class TestKan:
     def test_census_budget(self):
         with Budget(0.05):
             assert kan_survey(4)["compatible"] == 24
+
+    def test_survey_looks_facets_up_by_face(self, monkeypatch):
+        calls = 0
+        exchange_holds = cyclic_module._exchange_holds
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return exchange_holds(*args)
+
+        monkeypatch.setattr(cyclic_module, "_exchange_holds", counting)
+        assert kan_survey(4)["compatible"] == 24
+        # a pairwise join would test each partial family against every word
+        assert calls == 0
 
 
 class TestNecklace:

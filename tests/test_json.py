@@ -116,6 +116,7 @@ def test_exact_types_and_special_values():
         [math.nan, math.inf, -math.inf], {"nan": [[1, math.nan]]},
         "café \U0001d11e \"q\" \\ \n\t\x00", {"é\n": [" "]},
         {}, [], "", [{}], [[[]]], {"a": {}}, None, 0, -1,
+        [None, 1], {"a": False}, [[1, None]],
     ]
     for value in cases:
         assert canonical_dumps(value) == oracle(value), value

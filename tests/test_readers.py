@@ -49,6 +49,8 @@ HOPF = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
 MINIMAL_DOC = as_read(bundle_to_json_dict(HOPF.as_local_system()))
 GENERAL_DOC = as_read(bundle_to_json_dict(subdivide(HOPF.as_local_system(), 0, 0)))
 COMPLEX_DOC = as_read(delta_torus().to_json_dict())
+# 864 edge ids come before the triangle table
+TORUS_DOC = as_read(named_base("torus:12").to_json_dict())
 COCHAIN_DOC = as_read(cochain_to_json_dict(IntCochain(2, (0, 0, 1, 0))))
 
 
@@ -371,6 +373,9 @@ PINNED = (
        for name, *rest in STALK_FAULTS]
     + [(SemiSimplicialSet.from_json_dict, COMPLEX_DOC, f"complex/{name}", *rest)
        for name, *rest in COMPLEX_FAULTS]
+    + [(SemiSimplicialSet.from_json_dict, TORUS_DOC, "complex/bool-after-1166-ids",
+        lambda d: (set_face_id("2", 100, 2, True)(d), set_face_id("2", 200, 0, "7")(d)),
+        MalformedFile, "a face id in dimension 2 must be an integer, got True")]
 )
 
 
