@@ -246,10 +246,17 @@ def _least_turning(
 
     Color 0 is the least letter, so the least color word opens with the
     longest run of 0s on the circle, and only the starts of such runs are
-    compared.  The runs are found with bytes operations on a mask of the
-    nonzero colors, written twice so that a run wrapping past the end of
-    the word shows whole.  An all-zero circle turns at its least id.
+    compared.  When the 0s form one run that opens the word and does not
+    wrap past its end, that run is the only longest one, so the word is
+    returned as it is and no rotation is compared.  Spindle moves on a
+    minimal bundle keep each color of a stalk in one block, with the
+    block of 0s first, so their splices always end here.  Otherwise the
+    runs are found with bytes operations on a mask of the nonzero colors,
+    written twice so that a run wrapping past the end of the word shows
+    whole.  An all-zero circle turns at its least id.
     """
+    if colors[0] == 0 and colors[-1] and 0 not in colors[colors.count(0):]:
+        return colors, ids
     zeros = bytes(map(bool, colors))
     if 1 not in zeros:
         r = ids.index(min(ids))
@@ -278,7 +285,9 @@ class Necklace:
 
     The stored turning is the canonical one: the rotation with the least
     color word, ties broken by the id word.  It is found by comparing only
-    the rotations that open with a longest run of color 0.
+    the rotations that open with a longest run of color 0; when the word
+    as given opens with the one run of 0s on the circle, no rotation is
+    compared at all.
     """
 
     colors: tuple[int, ...]
@@ -341,25 +350,39 @@ class Necklace:
 
         Only what a split can break is checked: every parent is a bead
         here, and the new ids are distinct and not on the necklace.  The
-        result equals the ``Necklace`` built from the spliced beads.
+        result equals the ``Necklace`` built from the spliced beads.  The
+        beads are spliced with tuple slices; a single parent, the one cut
+        that each vertex position of a simplicial base gives, is spliced
+        without building a set of new ids or sorting the cuts.
         """
-        fresh = set(after.values())
-        if len(fresh) != len(after):
-            raise ValueError("new bead ids must be distinct")
-        if not fresh.isdisjoint(self.ids):
-            raise ValueError("a new bead id is already on the necklace")
-        cuts = []
-        for parent, new in after.items():
+        colors, ids = self.colors, self.ids
+        if len(after) == 1:
+            ((parent, new),) = after.items()
+            if new in ids:
+                raise ValueError("a new bead id is already on the necklace")
             try:
-                cuts.append((self.ids.index(parent) + 1, new))
+                cut = ids.index(parent) + 1
             except ValueError:
                 raise ValueError(f"no bead {parent} to split") from None
-        colors, ids = list(self.colors), list(self.ids)
-        # from the back, so that each cut still indexes the old turning
-        for cut, new in sorted(cuts, reverse=True):
-            colors.insert(cut, colors[cut - 1])
-            ids.insert(cut, new)
-        colors, ids = _least_turning(tuple(colors), tuple(ids))
+            colors = colors[:cut] + colors[cut - 1 : cut] + colors[cut:]
+            ids = ids[:cut] + (new,) + ids[cut:]
+        else:
+            fresh = set(after.values())
+            if len(fresh) != len(after):
+                raise ValueError("new bead ids must be distinct")
+            if not fresh.isdisjoint(ids):
+                raise ValueError("a new bead id is already on the necklace")
+            cuts = []
+            for parent, new in after.items():
+                try:
+                    cuts.append((ids.index(parent) + 1, new))
+                except ValueError:
+                    raise ValueError(f"no bead {parent} to split") from None
+            # from the back, so that each cut still indexes the old turning
+            for cut, new in sorted(cuts, reverse=True):
+                colors = colors[:cut] + colors[cut - 1 : cut] + colors[cut:]
+                ids = ids[:cut] + (new,) + ids[cut:]
+        colors, ids = _least_turning(colors, ids)
         neck = object.__new__(type(self))
         object.__setattr__(neck, "colors", colors)
         object.__setattr__(neck, "ids", ids)

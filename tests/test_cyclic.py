@@ -369,8 +369,11 @@ class TestNecklace:
     @staticmethod
     def turning_cases(rng):
         """(colors, ids) circles: random words, then periodic words, all-zero
-        circles and longest zero runs wrapping past the end of the word, each
-        under a few id orders, and one word with colors above 255."""
+        circles, longest zero runs wrapping past the end of the word, and
+        words near the one-run early exit (a single run of 0s in mid-word,
+        a single run wrapping past the end, a front run plus a lone 0
+        later), each under a few id orders, and one word with colors above
+        255."""
         for _ in range(500):
             top = rng.randrange(4)
             colors = list(range(top + 1)) + [
@@ -386,6 +389,11 @@ class TestNecklace:
                 # the wrapped run ties with the inner run of the same length
                 words.append([0] * lead + [1] + [0] * (lead + tail) + [2] + [0] * tail)
                 words.append([0] * lead + [2, 1] + [0] * tail)
+        words += [
+            [1, 0, 0, 2], [2, 1, 0, 0, 0, 1],  # one run in mid-word
+            [0, 1, 2, 0], [0, 0, 2, 1, 0, 0],  # one run wrapping past the end
+            [0, 0, 1, 0, 2], [0, 0, 0, 2, 1, 1, 0, 1],  # front run, lone 0 later
+        ]
         for colors in words:
             for _ in range(4):
                 yield colors, rng.sample(range(100), len(colors))
@@ -427,6 +435,11 @@ class TestNecklace:
             neck.split({4: 8, 6: 8})
         with pytest.raises(ValueError, match="no bead 9"):
             neck.split({4: 8, 9: 10})
+        # one parent takes its own path, with the same checks
+        with pytest.raises(ValueError, match="no bead 9"):
+            neck.split({9: 10})
+        with pytest.raises(ValueError, match="already on the necklace"):
+            neck.split({4: 6})
         assert neck.split({4: 8, 6: 9}) == Necklace((0, 0, 1, 0, 0, 2), (4, 8, 5, 6, 9, 7))
 
     def test_invariants(self):

@@ -38,6 +38,7 @@ from generators import (
     grid_torus,
     random_binary_cocycle,
     random_moves,
+    random_necklace,
     random_system,
     vertex_order_cocycle,
 )
@@ -209,6 +210,36 @@ def test_subdivide_matches_the_whole_walk():
         bead = rng.choice(system.stalk(0, v).ids)
         moved = subdivide(system, v, bead)
         assert_same_move(moved, reference_subdivide(system, v, bead), system, v)
+
+
+def zero_runs(colors):
+    """The number of runs of color 0 on the circle of colors."""
+    return sum(c == 0 and colors[i - 1] != 0 for i, c in enumerate(colors))
+
+
+def test_subdivide_matches_the_whole_walk_on_interleaved_systems():
+    """Random systems keep each color in one block, so their spliced
+    stalks open with their one run of 0s and need no rotation search.
+    The stalks of an elementary system of an interleaved necklace do
+    need it; contracting the fresh vertex bead gives the system back
+    verbatim."""
+    rng = random.Random(86)
+    searched = 0
+    for top in (2, 3) * (CASES // 4):
+        system = elementary_system(random_necklace(rng, top))
+        v = rng.randrange(system.base.simplex_count(0))
+        circle = system.stalk(0, v)
+        bead = rng.choice(circle.ids)
+        moved = subdivide(system, v, bead)
+        assert_same_move(moved, reference_subdivide(system, v, bead), system, v)
+        searched += sum(
+            zero_runs(moved.stalks[q][idx].colors) > 1 for q, idx in star(system, v)
+        )
+        (fresh,) = set(moved.stalk(0, v).ids) - set(circle.ids)
+        back = contract(moved, v, fresh)
+        assert back.stalks == system.stalks
+        assert back.bead_maps == system.bead_maps
+    assert searched >= 50
 
 
 def test_contract_matches_the_whole_walk():
