@@ -349,39 +349,24 @@ class Necklace:
         the parent's color; ``after`` maps parent id to new id.
 
         Only what a split can break is checked: every parent is a bead
-        here, and the new ids are distinct and not on the necklace.  The
-        result equals the ``Necklace`` built from the spliced beads.  The
-        beads are spliced with tuple slices; a single parent, the one cut
-        that each vertex position of a simplicial base gives, is spliced
-        without building a set of new ids or sorting the cuts.
+        here, and the new ids are distinct and not on the necklace; the
+        first entry of ``after`` that breaks one raises.  The result equals
+        the ``Necklace`` built from the spliced beads.  Each new bead is
+        spliced with tuple slices right after its parent in the beads
+        spliced so far, which puts it there whatever the order of
+        ``after``, so the cuts need no sort.
         """
         colors, ids = self.colors, self.ids
-        if len(after) == 1:
-            ((parent, new),) = after.items()
+        for parent, new in after.items():
             if new in ids:
-                raise ValueError("a new bead id is already on the necklace")
-            try:
-                cut = ids.index(parent) + 1
-            except ValueError:
-                raise ValueError(f"no bead {parent} to split") from None
+                if new in self.ids:
+                    raise ValueError("a new bead id is already on the necklace")
+                raise ValueError("new bead ids must be distinct")
+            if parent not in self.ids:
+                raise ValueError(f"no bead {parent} to split")
+            cut = ids.index(parent) + 1
             colors = colors[:cut] + colors[cut - 1 : cut] + colors[cut:]
             ids = ids[:cut] + (new,) + ids[cut:]
-        else:
-            fresh = set(after.values())
-            if len(fresh) != len(after):
-                raise ValueError("new bead ids must be distinct")
-            if not fresh.isdisjoint(ids):
-                raise ValueError("a new bead id is already on the necklace")
-            cuts = []
-            for parent, new in after.items():
-                try:
-                    cuts.append((ids.index(parent) + 1, new))
-                except ValueError:
-                    raise ValueError(f"no bead {parent} to split") from None
-            # from the back, so that each cut still indexes the old turning
-            for cut, new in sorted(cuts, reverse=True):
-                colors = colors[:cut] + colors[cut - 1 : cut] + colors[cut:]
-                ids = ids[:cut] + (new,) + ids[cut:]
         colors, ids = _least_turning(colors, ids)
         neck = object.__new__(type(self))
         object.__setattr__(neck, "colors", colors)

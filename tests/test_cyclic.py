@@ -435,11 +435,13 @@ class TestNecklace:
             neck.split({4: 8, 6: 8})
         with pytest.raises(ValueError, match="no bead 9"):
             neck.split({4: 8, 9: 10})
-        # one parent takes its own path, with the same checks
         with pytest.raises(ValueError, match="no bead 9"):
             neck.split({9: 10})
         with pytest.raises(ValueError, match="already on the necklace"):
-            neck.split({4: 6})
+            neck.split({4: 8, 6: 5})
+        # a parent must be on the necklace before the split, not spliced by it
+        with pytest.raises(ValueError, match="no bead 8"):
+            neck.split({4: 8, 8: 9})
         assert neck.split({4: 8, 6: 9}) == Necklace((0, 0, 1, 0, 0, 2), (4, 8, 5, 6, 9, 7))
 
     def test_invariants(self):
