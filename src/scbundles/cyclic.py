@@ -17,9 +17,10 @@ Conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -44,6 +45,8 @@ __all__ = [
 
 # 0..k has k! circular permutations; enumeration stops above this top
 MAX_SC_K = 7
+# the horn census stops when one facet slot has more compatible partial families
+_MAX_PARTIAL_FAMILIES = 1_000_000
 
 
 # -- core word operations (plain tuples, cached) -----------------------
@@ -199,17 +202,15 @@ def kan_survey(k: int) -> dict:
     follows the compatible partial families, not the family total, and
     the families come out in the lexicographic order of the tuples.
     Returns the family total, the compatible count, and a histogram of
-    lift counts over compatible families.  A total above 10**6 families
-    raises ``EnumerationBound``.
+    lift counts over compatible families.  A k above ``MAX_SC_K``, or
+    more than 10**6 compatible partial families at one slot, raises
+    ``EnumerationBound``; the first is refused before any family is built.
     """
     if k < 2:
         raise MismatchedCarriers("the lifting census needs dimension >= 2")
+    # the lift table enumerates SC(k), which refuses a k above MAX_SC_K
+    table = _lift_table(k)
     words = _sc_words(k - 1)
-    total = len(words) ** (k + 1)
-    if total > 1_000_000:
-        raise EnumerationBound(
-            f"census over {total} facet families is out of reach"
-        )
     families: list[tuple[tuple[int, ...], ...]] = [()]
     for m in range(k + 1):
         # facet m fits facets 0..m-1 exactly when its faces 0..m-1 are
@@ -217,19 +218,20 @@ def kan_survey(k: int) -> dict:
         fitting: dict = {}
         for w in words:
             fitting.setdefault(tuple(_cp_face(w, i) for i in range(m)), []).append(w)
-        families = [
+        extended = (
             fam + (w,)
             for fam in families
             for w in fitting.get(tuple(_cp_face(f, m - 1) for f in fam), ())
-        ]
-    table = _lift_table(k)
-    histogram: dict[int, int] = {}
-    for fam in families:
-        n = len(table.get(fam, ()))
-        histogram[n] = histogram.get(n, 0) + 1
+        )
+        families = list(islice(extended, _MAX_PARTIAL_FAMILIES + 1))
+        if len(families) > _MAX_PARTIAL_FAMILIES:
+            raise EnumerationBound(
+                f"census passes {_MAX_PARTIAL_FAMILIES} partial families at facet {m}"
+            )
+    histogram = dict(Counter(len(table.get(fam, ())) for fam in families))
     return {
         "dimension": k,
-        "families": total,
+        "families": len(words) ** (k + 1),
         "compatible": len(families),
         "lift_counts": histogram,
     }

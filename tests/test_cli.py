@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -22,8 +23,12 @@ from scbundles import (
     named_base,
     subdivide,
 )
-from scbundles.cli import build_parser, main
+from scbundles import cli, cyclic
+from scbundles.cli import KAN_EXPECTED, build_parser, main
+from scbundles.cyclic import MAX_SC_K
 from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
+
+from generators import Budget
 
 
 def named_base_system(name, chern=3):
@@ -137,6 +142,23 @@ class TestHexagram:
         row = next(r for r in doc["rows"] if r["f"] == [0, 0, 1, 1])
         assert row["chern"] == 0
         assert row["extends"] == "<0,2,3,1>"
+
+    def test_missing_lift_fails_the_check(self, capsys, monkeypatch):
+        # the extensions come from the census engine's lift table, not from
+        # the Chern numbers, so a table that lost one lift fails the report
+        table = dict(cyclic._lift_table(3))
+        (facets,) = [key for key, lifts in table.items() if lifts == [(0, 2, 3, 1)]]
+        del table[facets]
+        monkeypatch.setattr(cyclic, "_lift_table", lambda k: table)
+        code, doc, _ = run_json(capsys, "hexagram")
+        assert code == 1
+        assert doc["ok"] is False
+        assert doc["checks"] == {
+            "six_zero_rows": True,
+            "extensions_match_zero_rows": False,
+        }
+        row = next(r for r in doc["rows"] if r["f"] == [0, 0, 1, 1])
+        assert (row["chern"], row["extends"]) == (0, None)
 
 
 class TestPipeline:
@@ -290,6 +312,42 @@ class TestGenSurface:
         )
         assert code == 9
 
+    @pytest.mark.parametrize("base, chern", [("octahedron", 3), ("delta-torus", -1)])
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_verify_runs_the_checks_of_verify(self, capsys, tmp_path, base, chern, sign):
+        bundle = tmp_path / "b.json"
+        code, gen, _ = run_json(
+            capsys, "gen-surface", "--base", base, "--chern", str(chern),
+            "--seed-sign", sign, "--out", str(bundle), "--verify",
+        )
+        assert (code, gen["ok"]) == (0, True)
+        code, ver, _ = run_json(capsys, "verify", "--bundle", str(bundle))
+        assert code == 0
+        names = [c["name"] for c in ver["checks"]]
+        assert [c["name"] for c in gen["verify"]["checks"]] == names + ["chern achieved"]
+        assert all(c["ok"] for c in gen["verify"]["checks"])
+        assert gen["verify"]["chern_number"] == chern
+        # verify orients the base from triangle 0 with sign +
+        assert ver["chern_number"] == chern * int(sign)
+
+    def test_verify_fails_on_a_wrong_total_homology(self, capsys, monkeypatch):
+        real = cli.homology_groups
+        sphere = named_base("sphere:4")  # a 3-sphere, so H1 = 0, not Z/3
+
+        def wrong_for_totals(x):
+            return real(sphere if x.top_dim == 3 else x)
+
+        monkeypatch.setattr(cli, "homology_groups", wrong_for_totals)
+        code, out, _ = run(
+            capsys, "gen-surface", "--base", "octahedron", "--chern", "3", "--verify"
+        )
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == [
+            "[FAIL] surface Gysin law: H1 = 0, H2 = 0, chern 3, genus 0"
+        ]
+        assert out.endswith("[ok] chern achieved\nFAILED\n")
+
     def test_place_seed_same_chern(self, capsys):
         code, doc, _ = run_json(
             capsys, "gen-surface", "--base", "octahedron", "--chern", "2",
@@ -320,9 +378,35 @@ class TestKanCheck:
         assert doc["compatible"] == 24
         assert doc["unique"] is True
 
-    def test_too_large_exit_11(self, capsys):
-        code, _, err = run(capsys, "kan-check", "5")
-        assert code == 11
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_up_to_the_cap(self, capsys, k):
+        with Budget(3.0):
+            code, doc, _ = run_json(capsys, "kan-check", str(k))
+        assert code == 0
+        assert doc["matches_expected"] is True
+        assert doc["unique"] is True
+        assert doc["compatible"] == math.factorial(k)
+        assert doc["families"] == math.factorial(k - 1) ** (k + 1)
+
+    def test_expected_counts_for_every_census(self):
+        assert sorted(KAN_EXPECTED) == list(range(2, MAX_SC_K + 1))
+
+    def test_too_large_exit_11(self, capsys, monkeypatch):
+        def no_faces(*args):
+            raise AssertionError("a facet family was built")
+
+        monkeypatch.setattr(cyclic, "_cp_face", no_faces)
+        k = MAX_SC_K + 1
+        code, out, err = run(capsys, "kan-check", str(k))
+        assert (code, out) == (11, "")
+        assert err == f"error: enumeration of circular permutations capped at top {MAX_SC_K}, got {k}\n"
+
+    def test_partial_family_bound_exit_11(self, capsys, monkeypatch):
+        # k = 4 has 6, 18, 28, 24 and 24 partial families after facets 0 to 4
+        monkeypatch.setattr(cyclic, "_MAX_PARTIAL_FAMILIES", 6)
+        code, out, err = run(capsys, "kan-check", "4")
+        assert (code, out) == (11, "")
+        assert err == "error: census passes 6 partial families at facet 1\n"
 
     @pytest.mark.parametrize("k", ["1", "0", "-1"])
     def test_below_two_exit_12(self, capsys, tmp_path, k):

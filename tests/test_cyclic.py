@@ -323,7 +323,7 @@ class TestKan:
         assert s3["compatible"] == 16
         assert s3["lift_counts"] == {0: 10, 1: 6}
         with pytest.raises(EnumerationBound):
-            kan_survey(5)
+            kan_survey(MAX_SC_K + 1)
         with pytest.raises(MismatchedCarriers):
             kan_survey(1)
 

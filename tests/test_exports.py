@@ -11,7 +11,6 @@ SRC = Path(scbundles.__file__).resolve().parent
 # exported names no library module uses, each with the reason it is public
 UNREFERENCED_EXPORTS = {
     "subdivide": "README quick start",
-    "kan_lifts": "traced by name by the benchmark",
     "contract": "traced by name by the benchmark",
     "build_surface_bundle": "called by the benchmark's workloads",
     "cohomologous": "backs README's coboundary claim",
