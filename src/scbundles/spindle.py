@@ -3,11 +3,13 @@
 Contracting a bead of a vertex circle removes its trace from every stalk
 over the vertex's star; splitting a bead is the inverse move.  Either
 move shares every other stalk and maps tuple with its input.  A move
-reads only the star: it walks up from the vertex through the base's
-coface table and takes the bead's image over each star simplex from one
-face of it.  Its one cost in proportion to the base is its copy of each
-level list, of stalks and of bead maps, one entry per simplex, which it
-writes the star into.
+reads only the star, and walks it once: level by level, up from the
+vertex through the base's coface table.  Over each star simplex it takes
+the bead's images at the vertex's positions from two faces one level
+down, and rewrites the simplex's stalk and face maps in the same step.
+Its one cost in proportion to the base is its copy of each level list,
+of stalks and of bead maps, one entry per simplex, which it writes the
+star into.
 
 Iterating contractions until each vertex circle has a single bead
 reduces any bundle to a minimal one, and the result depends only on
@@ -24,6 +26,7 @@ from .bundle import MinimalBundle, NecklaceLocalSystem, _checked
 from .cyclic import CircularPermutation, Necklace, c01
 from .errors import BeadNotFound, DanglingReference, IncoherentLocalSystem, LastArc
 from .homology import IntCochain
+from .simplicial import SemiSimplicialSet
 
 __all__ = [
     "ArcSelection",
@@ -57,33 +60,21 @@ def _lifted(
     return lifted
 
 
-def _star(
-    system: NecklaceLocalSystem, v: int, bead: int
-) -> dict[tuple[int, int], dict[int, int]]:
-    """Each simplex of v's star, dimension by dimension and ascending in
-    each, with the image of bead at every position where v sits.
-
-    A simplex of dimension q >= 1 contains v exactly when one of its
-    faces does, so the star is walked up through the cofaces, and the
-    images over each simplex are ``_lifted`` from those over its faces.
-    """
-    base = system.base
-    if not 0 <= v < base.simplex_count(0):
+def _circle(system: NecklaceLocalSystem, v: int, bead: int) -> Necklace:
+    """The stalk over vertex v, once it is known to hold bead."""
+    if not 0 <= v < system.base.simplex_count(0):
         raise DanglingReference(f"no vertex {v} in the base")
-    if not system.stalk(0, v).has_bead(bead):
+    circle = system.stalks[0][v]
+    if not circle.has_bead(bead):
         raise BeadNotFound(f"vertex {v} has no bead {bead}")
-    level = {v: {0: bead}}
-    star = {(0, v): level[v]}
-    for q in range(1, base.top_dim + 1):
-        above = {}
-        for idx in sorted({x for y in level for x in base.cofaces(q - 1, y)}):
-            row = base.face_row(q, idx)
-            above[idx] = star[(q, idx)] = _lifted(
-                system.bead_maps[q][idx], q,
-                level.get(row[q - 1], {}), level.get(row[q], {}),
-            )
-        level = above
-    return star
+    return circle
+
+
+def _star_level(base: SemiSimplicialSet, q: int, below: Mapping[int, object]) -> list[int]:
+    """The q-simplices of a vertex's star, ascending, from its
+    (q - 1)-simplices, the keys of below: a simplex of dimension q >= 1
+    contains the vertex exactly when one of its faces does."""
+    return sorted({x for y in below for x in base.cofaces(q - 1, y)})
 
 
 def contract(
@@ -96,31 +87,45 @@ def contract(
     embedded images of the bead at each position in P; they have pairwise
     distinct colors, so each color class keeps at least one bead as long
     as the vertex circle itself does.
+
+    The star is walked once, a level at a time, as in ``subdivide``: over
+    each simplex the images are ``_lifted`` from those over its faces one
+    level down, and its stalk and face maps are cut in the same step.
     """
-    removed = {key: set(imgs.values()) for key, imgs in _star(system, v, bead).items()}
-    if system.stalk(0, v).size == 1:
+    circle = _circle(system, v, bead)
+    if circle.size == 1:
         raise LastArc(f"bead {bead} is the only bead over vertex {v}")
     base = system.base
     # a copy of each level list; the star's entries are replaced in it
-    moved = NecklaceLocalSystem(
-        base, list(map(list, system.stalks)), list(map(list, system.bead_maps)), check=False
-    )
-    for (q, idx), gone in removed.items():
-        picked = [(c, b) for b, c in system.stalks[q][idx].beads() if b not in gone]
-        moved.stalks[q][idx] = Necklace(*zip(*picked))
-        if not q:
-            continue
-        maps = []
-        for i, (f, m) in enumerate(zip(base.face_row(q, idx), system.bead_maps[q][idx])):
-            gone_small = removed.get((q - 1, f), ())
-            kept = {s: t for s, t in m.items() if s not in gone_small}
-            if any(t in gone for t in kept.values()):
-                raise IncoherentLocalSystem(
-                    f"contracting bead {bead} over vertex {v} removes the image of "
-                    f"a surviving bead along face {i} of {q}/{idx}"
-                )
-            maps.append(kept)
-        moved.bead_maps[q][idx] = tuple(maps)
+    stalks, bead_maps = list(map(list, system.stalks)), list(map(list, system.bead_maps))
+    stalks[0][v] = Necklace(*zip(*((c, b) for b, c in circle.beads() if b != bead)))
+    # over each star simplex of the level below, by index: the image of
+    # bead at each position of v, and the set of those images
+    images, removed = {v: {0: bead}}, {v: {bead}}
+    for q in range(1, base.top_dim + 1):
+        images_above, removed_above = {}, {}
+        for idx in _star_level(base, q, images):
+            row = base.face_row(q, idx)
+            maps = system.bead_maps[q][idx]
+            lifted = images_above[idx] = _lifted(
+                maps, q, images.get(row[q - 1], {}), images.get(row[q], {})
+            )
+            gone = removed_above[idx] = set(lifted.values())
+            picked = [(c, b) for b, c in system.stalks[q][idx].beads() if b not in gone]
+            stalks[q][idx] = Necklace(*zip(*picked))
+            kept_maps = []
+            for i, (f, m) in enumerate(zip(row, maps)):
+                gone_small = removed.get(f, ())
+                kept = {s: t for s, t in m.items() if s not in gone_small}
+                if any(t in gone for t in kept.values()):
+                    raise IncoherentLocalSystem(
+                        f"contracting bead {bead} over vertex {v} removes the image of "
+                        f"a surviving bead along face {i} of {q}/{idx}"
+                    )
+                kept_maps.append(kept)
+            bead_maps[q][idx] = tuple(kept_maps)
+        images, removed = images_above, removed_above
+    moved = NecklaceLocalSystem(base, stalks, bead_maps, check=False)
     return _checked(moved) if check else moved
 
 
@@ -131,31 +136,52 @@ def subdivide(
     v's star; every other stalk and maps tuple is shared with system, as
     is each map along a face without v.  Fresh ids count up from each
     stalk's maximum, one per position of v, so contracting the new vertex
-    bead restores the original verbatim."""
-    star = _star(system, v, bead)
+    bead restores the original verbatim.
+
+    The star is walked once, a level at a time.  Over each simplex, in
+    one step, the images of bead at the positions of v are lifted from
+    the faces q - 1 and q, which hold them one level down; the fresh ids
+    are minted; the stalk is split; and each face map along a face with
+    v is extended by the fresh ids minted over that face.
+    """
+    circle = _circle(system, v, bead)
     base = system.base
     # a copy of each level list; the star's entries are replaced in it
-    moved = NecklaceLocalSystem(
-        base, list(map(list, system.stalks)), list(map(list, system.bead_maps)), check=False
-    )
-    fresh: dict[tuple[int, int], dict[int, int]] = {}
-    for (q, idx), images in star.items():
-        neck = system.stalks[q][idx]
-        first = max(neck.ids) + 1
-        minted = fresh[(q, idx)] = {p: first + k for k, p in enumerate(images)}
-        moved.stalks[q][idx] = neck.split({images[p]: b for p, b in minted.items()})
-        if not q:
-            continue
-        maps = list(system.bead_maps[q][idx])
-        for i, f in enumerate(base.face_row(q, idx)):
-            small_minted = fresh.get((q - 1, f))
-            if small_minted is None:
-                continue  # v is not on this face, so its map stays as it is
-            extended = maps[i] = dict(maps[i])
-            for p_small, new_small in small_minted.items():
-                p_big = p_small if p_small < i else p_small + 1
-                extended[new_small] = minted[p_big]
-        moved.bead_maps[q][idx] = tuple(maps)
+    stalks, bead_maps = list(map(list, system.stalks)), list(map(list, system.bead_maps))
+    new = max(circle.ids) + 1
+    stalks[0][v] = circle.split({bead: new})
+    # over each star simplex of the level below, by index: the image of
+    # bead and the fresh id at each position of v
+    images, minted = {v: {0: bead}}, {v: {0: new}}
+    for q in range(1, base.top_dim + 1):
+        necks, level_maps, q_low = system.stalks[q], system.bead_maps[q], q - 1
+        images_above, minted_above = {}, {}
+        for idx in _star_level(base, q, images):
+            row = base.face_row(q, idx)
+            maps = list(level_maps[idx])
+            neck = necks[idx]
+            first = max(neck.ids) + 1
+            lifted, fresh, after = {}, {}, {}
+            if high := images.get(row[q]):  # v at p < q sits at p in face q
+                along = maps[q]
+                for p, b in high.items():
+                    lifted[p] = b = along[b]
+                    fresh[p] = after[b] = first
+                    first += 1
+            low = images.get(row[q_low])  # v at q sits at q - 1 in face q - 1
+            if low and q_low in low:
+                lifted[q] = b = maps[q_low][low[q_low]]
+                fresh[q] = after[b] = first
+            stalks[q][idx] = neck.split(after)
+            for i, f in enumerate(row):
+                if (small := minted.get(f)) is not None:
+                    extended = maps[i] = dict(maps[i])
+                    for p, b in small.items():
+                        extended[b] = fresh[p + (p >= i)]
+            bead_maps[q][idx] = tuple(maps)
+            images_above[idx], minted_above[idx] = lifted, fresh
+        images, minted = images_above, minted_above
+    moved = NecklaceLocalSystem(base, stalks, bead_maps, check=False)
     return _checked(moved) if check else moved
 
 

@@ -7,10 +7,13 @@ random systems both must give equal stalks and bead maps in the same
 order, raise the same errors, and the library moves must share every
 stalk and tuple of bead maps outside the star with their input.
 
-The library finds the star by walking up the base's coface table; the
-scan below tests every face row of the base instead, and reads each
-image through ``vertex_embedding``.  Both must agree, and a move must
-read as many face rows on a large torus as on a small one.
+The library walks the star up the base's coface table, a level at a
+time, and splices each star stalk in the same step.  The scan below
+tests every face row of the base instead, and reads each image through
+``vertex_embedding``.  The stalks a move replaces, and the beads it
+splits or removes in them, must be the scan's, and a move must read as
+many face rows on a large torus as on a small one.  A move is pure: it
+leaves every stalk and bead map of its input as it was.
 """
 
 import random
@@ -30,8 +33,6 @@ from scbundles import (
     octahedron_sphere,
     subdivide,
 )
-from scbundles.spindle import _star
-
 from generators import (
     BUNDLE_BASES,
     NAMED_EXAMPLES,
@@ -46,6 +47,7 @@ from oracles import elementary_system, vertex_at, vertex_embedding, vertices_of
 
 BASES = BUNDLE_BASES + (octahedron_sphere(), grid_torus(3))
 CASES = 200
+CHAIN = 5  # moves per elementary system
 
 
 def _check_vertex(system, v):
@@ -221,24 +223,33 @@ def test_subdivide_matches_the_whole_walk_on_interleaved_systems():
     """Random systems keep each color in one block, so their spliced
     stalks open with their one run of 0s and need no rotation search.
     The stalks of an elementary system of an interleaved necklace do
-    need it; contracting the fresh vertex bead gives the system back
-    verbatim."""
+    need it.  Each system takes a chain of moves, so later moves split
+    stalks that earlier ones spliced; contracting each fresh vertex bead
+    in turn gives every system of the chain back verbatim."""
     rng = random.Random(86)
     searched = 0
     for top in (2, 3) * (CASES // 4):
-        system = elementary_system(random_necklace(rng, top))
-        v = rng.randrange(system.base.simplex_count(0))
-        circle = system.stalk(0, v)
-        bead = rng.choice(circle.ids)
-        moved = subdivide(system, v, bead)
-        assert_same_move(moved, reference_subdivide(system, v, bead), system, v)
-        searched += sum(
-            zero_runs(moved.stalks[q][idx].colors) > 1 for q, idx in star(system, v)
-        )
-        (fresh,) = set(moved.stalk(0, v).ids) - set(circle.ids)
-        back = contract(moved, v, fresh)
-        assert back.stalks == system.stalks
-        assert back.bead_maps == system.bead_maps
+        chain = [elementary_system(random_necklace(rng, top))]
+        undo = []
+        for _ in range(CHAIN):
+            system = chain[-1]
+            v = rng.randrange(system.base.simplex_count(0))
+            circle = system.stalk(0, v)
+            bead = rng.choice(circle.ids)
+            moved = subdivide(system, v, bead)
+            assert_same_move(moved, reference_subdivide(system, v, bead), system, v)
+            searched += sum(
+                zero_runs(moved.stalks[q][idx].colors) > 1 for q, idx in star(system, v)
+            )
+            (fresh,) = set(moved.stalk(0, v).ids) - set(circle.ids)
+            chain.append(moved)
+            undo.append((v, fresh))
+        back = chain.pop()
+        for v, fresh in reversed(undo):
+            back = contract(back, v, fresh)
+            system = chain.pop()
+            assert back.stalks == system.stalks
+            assert back.bead_maps == system.bead_maps
     assert searched >= 50
 
 
@@ -292,11 +303,43 @@ def _named_system(name, rng):
     return minimal_from_cocycle(base, u).as_local_system()
 
 
+def spliced(system, moved, v):
+    """What a subdivide at v did, read off its result: each stalk it
+    replaced, with the bead each fresh bead was split from, by position
+    of v; the fresh ids count up in the order of the positions."""
+    base = system.base
+    found = {}
+    for (q, idx), neck in keyed(moved.stalks):
+        old = system.stalks[q][idx]
+        if neck is old:
+            continue
+        positions = _vertex_positions(base, q, idx, v)
+        fresh = sorted(set(neck.ids) - set(old.ids))
+        assert len(fresh) == len(positions), (q, idx)
+        found[(q, idx)] = {
+            p: neck.ids[neck.ids.index(b) - 1] for p, b in zip(positions, fresh)
+        }
+    return found
+
+
+def removed(system, moved):
+    """The beads a contraction removed, over each stalk it replaced."""
+    return {
+        (q, idx): set(system.stalks[q][idx].ids) - set(neck.ids)
+        for (q, idx), neck in keyed(moved.stalks)
+        if neck is not system.stalks[q][idx]
+    }
+
+
 def assert_stars_match_the_scan(system, rng):
     for v in system.base.simplices(0):
         bead = rng.choice(system.stalk(0, v).ids)
-        got = list(_star(system, v, bead).items())
-        assert got == list(scan_star(system, v, bead).items()), (v, bead)
+        scanned = scan_star(system, v, bead)
+        moved = subdivide(system, v, bead, check=False)
+        assert list(spliced(system, moved, v).items()) == list(scanned.items()), (v, bead)
+        if system.stalk(0, v).size > 1:
+            gone = {key: set(images.values()) for key, images in scanned.items()}
+            assert removed(system, contract(system, v, bead, check=False)) == gone, (v, bead)
 
 
 def test_star_matches_the_scan_on_named_bases():
@@ -334,3 +377,30 @@ def test_a_move_reads_as_many_face_rows_on_a_larger_torus(monkeypatch):
         reads.append(0)
         subdivide(system, 0, system.stalk(0, 0).ids[0], check=False)
     assert reads[0] == reads[1] > 0
+
+
+def snapshot(system):
+    """Every stalk and bead map of system, by value."""
+    return (
+        [[(neck.colors, neck.ids) for neck in level] for level in system.stalks],
+        [[[dict(m) for m in maps] for maps in level] for level in system.bead_maps],
+    )
+
+
+def test_a_move_leaves_its_input_unchanged():
+    """A minimal system shares one tuple of embeddings over each level,
+    so a move that wrote into a face map of its input would change every
+    simplex of that level; moved systems hold a tuple per simplex."""
+    rng = random.Random(87)
+    for name in ("torus:6", "delta-torus", "simplex:4"):
+        minimal = _named_system(name, rng)
+        for count in (0, 12):
+            system = random_moves(minimal, rng, count)
+            before = snapshot(system)
+            for v in system.base.simplices(0):
+                ids = system.stalk(0, v).ids
+                subdivide(system, v, rng.choice(ids), check=False)
+                assert snapshot(system) == before, (name, v)
+                if len(ids) > 1:
+                    contract(system, v, rng.choice(ids), check=False)
+                    assert snapshot(system) == before, (name, v)
