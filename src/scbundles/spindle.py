@@ -14,8 +14,13 @@ star into.
 Iterating contractions until each vertex circle has a single bead
 reduces any bundle to a minimal one, and the result depends only on
 which bead is kept over each vertex, not on the order of removals.  So
-``minimize`` computes it in one pass: over a simplex, the bead kept at
-color p is the image of the kept bead of the vertex at position p.
+``minimize`` computes it in one walk over the whole base, a level at a
+time, up from the vertices through the face table: over a simplex, the
+bead kept at color p is the image of the bead kept over the vertex at
+position p, lifted from the beads kept over two of its faces one level
+down.  That is the face step a move takes: the moves walk the star, and
+the reduction walks the whole base.  ``chern_cocycle_general`` stops
+the walk at the triangles.
 """
 
 from __future__ import annotations
@@ -51,9 +56,12 @@ def _lifted(
     lifted one face step from beads over two of its faces.  A vertex at
     position p < q sits at p in face q, and one at q at q - 1 in face q - 1;
     so ``high`` (over face q) and ``low`` (over face q - 1) are pushed along
-    those faces' maps.  Taken from a vertex up, these steps carry a vertex
-    bead to its image in every stalk of the star; by coherence of the bead
-    maps the image does not depend on the faces passed through."""
+    those faces' maps.  Taken a level at a time from the vertices up, the
+    step carries a vertex bead to its image in every stalk above it:
+    ``contract`` takes it over a vertex's star (``subdivide`` inlines it),
+    and the reduction over the whole base, from the bead kept over each
+    vertex.  By coherence of the bead maps the image does not depend on
+    the faces passed through."""
     lifted = {p: maps[q][b] for p, b in high.items()}
     if (b := low.get(q - 1)) is not None:
         lifted[q] = maps[q - 1][b]
@@ -208,55 +216,34 @@ def validate_selection(system: NecklaceLocalSystem, selection: ArcSelection) -> 
             )
 
 
-def _kept_at_vertices(
-    system: NecklaceLocalSystem, selection: ArcSelection | None
-) -> dict[tuple[int, int], dict[int, int]]:
-    """{(0, v): {0: bead}} for the bead selection keeps over each vertex v,
-    after checking it: the memo that ``_kept_beads`` starts from."""
+def _kept_levels(
+    system: NecklaceLocalSystem, selection: ArcSelection | None, top: int
+) -> list[list[dict[int, int]]]:
+    """The bead kept at each vertex position of every simplex of dimension
+    at most top, one list per level in index order, after checking the
+    selection.  Level 0 holds {0: selected bead} over each vertex; level q
+    is ``_lifted`` from level q - 1 along each q-simplex's face row."""
     if selection is None:
         selection = default_selection(system)
     validate_selection(system, selection)
-    return {(0, v): {0: b} for v, b in selection.items()}
+    base = system.base
+    levels = [[{0: selection[v]} for v in base.simplices(0)]]
+    for q in range(1, min(top, base.top_dim) + 1):
+        kept = levels[-1]
+        levels.append([
+            _lifted(maps, q, kept[row[q - 1]], kept[row[q]])
+            for maps, row in zip(system.bead_maps[q], base.face_rows(q))
+        ])
+    return levels
 
 
-def _kept_beads(
-    system: NecklaceLocalSystem,
-    kept: dict[tuple[int, int], dict[int, int]],
-    q: int,
-    idx: int,
-) -> dict[int, int]:
-    """The bead kept at each vertex position of (q, idx): the image of the
-    bead selected over the vertex there.  ``kept`` memoizes it per simplex
-    and starts out holding {0: selected bead} for each vertex; every
-    other entry is ``_lifted`` from its faces, each face read once."""
-    beads = kept.get((q, idx))
-    if beads is None:
-        row = system.base.face_row(q, idx)
-        beads = kept[(q, idx)] = _lifted(
-            system.bead_maps[q][idx], q,
-            _kept_beads(system, kept, q - 1, row[q - 1]),
-            _kept_beads(system, kept, q - 1, row[q]),
-        )
-    return beads
-
-
-def _kept_word(
-    system: NecklaceLocalSystem,
-    kept: dict[tuple[int, int], dict[int, int]],
-    q: int,
-    idx: int,
-) -> CircularPermutation:
-    """The circular permutation left over simplex (q, idx) once every
-    non-selected bead is contracted.
-
-    A stalk with one bead per color keeps it; any other stalk keeps the
-    beads ``_kept_beads`` names over it, and the kept beads in circular
-    order give the word.
-    """
-    neck = system.stalks[q][idx]
-    if neck.size == q + 1:
+def _kept_word(neck: Necklace, kept: Mapping[int, int]) -> CircularPermutation:
+    """The word left of neck once every bead but the kept ones, one per
+    vertex position, is contracted: neck's own if it has one bead per
+    color, else the colors of the kept beads in circular order."""
+    if neck.size == len(kept):
         return neck.to_circular()
-    chosen = set(_kept_beads(system, kept, q, idx).values())
+    chosen = set(kept.values())
     return CircularPermutation(tuple(c for b, c in neck.beads() if b in chosen))
 
 
@@ -265,13 +252,16 @@ def minimize(
 ) -> MinimalBundle:
     """The minimal bundle left by contracting every non-selected bead.
 
-    It is computed in one pass, stalk by stalk, rather than by a chain of
-    contractions.
+    Rather than a chain of contractions, one walk over the whole base, a
+    level at a time, lifts the kept beads over each simplex from those
+    over its faces by the moves' face step; each stalk's word is read
+    off its kept beads.
     """
-    kept = _kept_at_vertices(system, selection)
+    levels = _kept_levels(system, selection, system.base.top_dim)
     words = {
-        (q, idx): _kept_word(system, kept, q, idx)
-        for q, n in enumerate(system.base.counts) for idx in range(n)
+        (q, idx): _kept_word(neck, beads)
+        for q, (necks, kept) in enumerate(zip(system.stalks, levels))
+        for idx, (neck, beads) in enumerate(zip(necks, kept))
     }
     return MinimalBundle(system.base, words, check=False)
 
@@ -280,10 +270,13 @@ def chern_cocycle_general(
     system: NecklaceLocalSystem, selection: ArcSelection | None = None
 ) -> IntCochain:
     """Triangle parities after reduction; selection-dependent as a
-    cochain but always in one cohomology class.  Only the triangle words
-    of the minimal bundle are built."""
-    kept = _kept_at_vertices(system, selection)
+    cochain but always in one cohomology class.  The walk of ``minimize``
+    stops at the triangles, and only their words are built; a base
+    without triangles has the empty cochain."""
+    levels = _kept_levels(system, selection, 2)
+    # levels[2:] holds the triangles, or nothing below dimension 2
     return IntCochain(2, tuple(
-        c01(_kept_word(system, kept, 2, idx))
-        for idx in system.base.simplices(2)
+        c01(_kept_word(neck, beads))
+        for necks, kept in zip(system.stalks[2:], levels[2:])
+        for neck, beads in zip(necks, kept)
     ))

@@ -30,6 +30,13 @@ UNSET_DEFAULTS = {
     "contract(check)": "the benchmark's workloads",
 }
 
+# functions, as "module.name", that call themselves, each with the reason
+# its depth is bounded; anything else walks a base or a table level by
+# level, so that its depth is no limit on the size of the input
+SELF_CALLING = {
+    "_json._render": "its depth is the nesting depth of the documents the library writes",
+}
+
 
 @functools.cache
 def library_modules():
@@ -182,3 +189,42 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def calls_itself(fn, owner):
+    """Whether fn calls itself by name: a function by its bare name, a
+    method of the class ``owner`` as an attribute of self, cls or owner."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if owner is None:
+            if isinstance(func, ast.Name) and func.id == fn.name:
+                return True
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == fn.name
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls", owner)
+        ):
+            return True
+    return False
+
+
+def test_no_function_calls_itself_unless_allowed():
+    # a nested function is checked under its own name as well; a method
+    # is named by its class
+    found = []
+    for module, tree in library_modules():
+        owners = {}
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            owners.update((id(fn), cls.name) for fn in cls.body)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = owners.get(id(fn))
+                if calls_itself(fn, owner):
+                    found.append(f"{module}.{owner + '.' if owner else ''}{fn.name}")
+    recursive = sorted(n for n in found if n not in SELF_CALLING)
+    assert recursive == [], "calls itself"
+    stale = sorted(n for n in SELF_CALLING if n not in found)
+    assert stale == [], "allowed to call itself but no longer does"

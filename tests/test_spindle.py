@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -275,14 +276,22 @@ class TestMinimize:
                 assert minimal.as_local_system().validate() == []
 
     def test_order_independent_for_fixed_selection(self):
+        # random systems keep each color in one block; elementary systems
+        # of random necklaces interleave them, so that the kept beads, and
+        # with them the minimum, depend on the selection
         rng = random.Random(16)
-        for _ in range(60):
-            system = random_system(rng)
+        systems = itertools.chain(
+            (random_system(rng) for _ in range(60)),
+            (elementary_system(random_necklace(rng, top)) for top in (2, 3) * 60),
+        )
+        differ = 0
+        for system in systems:
             sel = {
                 v: rng.choice(system.stalk(0, v).ids)
                 for v in system.base.simplices(0)
             }
             expected = minimize(system, sel)
+            differ += expected.stalks != minimize(system).stalks
             # contract the doomed beads in a shuffled global order
             current = system
             doomed = [
@@ -300,6 +309,30 @@ class TestMinimize:
                 for idx, n in enumerate(level)
             }
             assert MinimalBundle(system.base, words).stalks == expected.stalks
+        assert differ >= 20
+
+    def test_bases_below_dimension_two(self):
+        # the walk stops at the base's top dimension, short of the
+        # triangles; every word there is forced, so any selection gives
+        # the minimal bundle back and the Chern cocycle is empty
+        rng = random.Random(30)
+        for name in ("simplex:0", "sphere:1", "simplex:1"):
+            base = named_base(name)
+            bundle = minimal_from_cocycle(base, IntCochain(2, ()))
+            system = bundle.as_local_system()
+            for _ in range(6):
+                v = rng.randrange(base.simplex_count(0))
+                system = subdivide(system, v, rng.choice(system.stalk(0, v).ids))
+            systems = [system]
+            if name.startswith("simplex"):  # the base of an elementary system
+                systems.append(elementary_system(random_necklace(rng, base.top_dim)))
+            for system in systems:
+                pick = {
+                    v: rng.choice(system.stalk(0, v).ids) for v in base.simplices(0)
+                }
+                for selection in (None, pick):
+                    assert minimize(system, selection).stalks == bundle.stalks
+                    assert chern_cocycle_general(system, selection) == IntCochain(2, ())
 
     def test_different_selections_same_class(self):
         rng = random.Random(17)
