@@ -10,14 +10,18 @@ Homology reduces each boundary operator as sparse columns, built on
 demand from signed face rows: it eliminates +-1 pivots with unimodular
 column operations, each of which contributes a unit to the Smith
 diagonal, and runs dense Smith normal form only on the small block left
-when no unit entry remains.  The boundaries are reduced from the top
-dimension down, and each one never builds the columns whose simplices
-were unit pivot rows of the boundary above: since the boundary squares
-to zero, those columns lie in the integer span of the others.  This is
-the clearing step of Chen and Kerber, *Persistent homology computation
-with a twist* (EuroCG 2011); over the integers it is a reduction pair in
-the sense of Kaczynski, Mrozek and Slusarek, *Homology computation by
-reduction of chain complexes* (1998).
+when no unit entry remains.  Rows wait for a pivot in a heap ordered by
+nonzero count; a pivot puts a row of its column back only when it
+changed the row's count or the row had been passed over with no unit
+entry, since any other row still waits under its current count.  The
+boundaries are reduced from the top dimension down, and each one never
+builds the columns whose simplices were unit pivot rows of the boundary
+above: since the boundary squares to zero, those columns lie in the
+integer span of the others.  This is the clearing step of Chen and
+Kerber, *Persistent homology computation with a twist* (EuroCG 2011);
+over the integers it is a reduction pair in the sense of Kaczynski,
+Mrozek and Slusarek, *Homology computation by reduction of chain
+complexes* (1998).
 
 Whether two 2-cocycles differ by a coboundary is an integer linear system
 on the sparse coboundary.  It is solved by echelon elimination with
@@ -247,22 +251,33 @@ def _rank_and_torsion(
     sparse columns.
 
     A +-1 pivot is taken from the row with the fewest nonzeros, in the
-    shortest column holding a unit there; the rest of its row is cleared
-    by column operations, and its row and column are dropped.  Every step is
-    unimodular and adds a 1 to the Smith diagonal, so dense Smith normal
-    form of what is left when no unit entry remains gives the other
-    invariant factors.  The returned set holds one row per unit pivot.
+    shortest column holding a unit there (the first such column in the
+    row's set order); the rest of its row is cleared by column operations,
+    and its row and column are dropped.  Every step is unimodular and adds
+    a 1 to the Smith diagonal, so dense Smith normal form of what is left
+    when no unit entry remains gives the other invariant factors.  The
+    returned set holds one row per unit pivot.
+
+    Rows wait in a heap keyed by (nonzero count, row).  ``queued`` holds
+    the count of each row's newest entry, or None once that entry was
+    popped with no unit in the row.  A pivot changes only the rows of its
+    column, and pushes such a row again only if its count changed or it
+    was passed over: otherwise its newest entry still waits under the same
+    key, and a second entry would change nothing.  So the rows are popped
+    in the order, and give the pivots, of pushing every row of the pivot
+    column; and every row left when the heap runs dry was looked at after
+    its last change and holds no unit entry.
     """
     cols = {}
+    rows: dict[int, set[int]] = {}
     for c, col in enumerate(columns):
         nonzero = {r: v for r, v in col.items() if v}
         if nonzero:
             cols[c] = nonzero
-    rows: dict[int, set[int]] = {}
-    for c, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(c)
-    heap = [(len(cs), r) for r, cs in rows.items()]
+            for r in nonzero:
+                rows.setdefault(r, set()).add(c)
+    queued: dict[int, int | None] = {r: len(cs) for r, cs in rows.items()}
+    heap = [(size, r) for r, size in queued.items()]
     heapify(heap)
     pivot_rows: set[int] = set()
     while heap:
@@ -270,10 +285,14 @@ def _rank_and_torsion(
         cs = rows.get(r)
         if cs is None or len(cs) != size:
             continue  # superseded by a later entry for this row
-        unit_cols = [c for c in cs if cols[c][r] in (1, -1)]
-        if not unit_cols:
-            continue  # revisited if an elimination changes the row
-        c = min(unit_cols, key=lambda j: len(cols[j]))
+        c = None
+        for j in cs:
+            col = cols[j]
+            if col[r] in (1, -1) and (c is None or len(col) < shortest):
+                c, shortest = j, len(col)
+        if c is None:
+            queued[r] = None  # pushed again by a pivot whose column holds it
+            continue
         pivot = cols.pop(c)
         p = pivot.pop(r)
         del rows[r]
@@ -295,10 +314,12 @@ def _rank_and_torsion(
             if not col:
                 del cols[c2]
         for r2 in pivot:
-            if rows[r2]:
-                heappush(heap, (len(rows[r2]), r2))
-            else:
+            size = len(rows[r2])
+            if not size:
                 del rows[r2]
+            elif queued[r2] != size:
+                queued[r2] = size
+                heappush(heap, (size, r2))
         pivot_rows.add(r)
     index = {r: i for i, r in enumerate(rows)}
     block = IntMatrix(len(index), len(cols))

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from math import prod
 
 import pytest
@@ -267,6 +268,22 @@ def chern3_total_over_grid_torus(n):
     return total
 
 
+@contextmanager
+def dense_blocks():
+    """Record the block each dense Smith form call receives, as row lists;
+    a block with no rows or no columns is recorded as ``[]``."""
+    blocks = []
+    snf = homology_module.smith_normal_form
+
+    def recording(m):
+        blocks.append([list(row) for row in m.data] if m.rows and m.cols else [])
+        return snf(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology_module, "smith_normal_form", recording)
+        yield blocks
+
+
 CLEARING_BASES = [
     "tetra", "octahedron", "delta-torus", "torus:3",
     *(f"simplex:{k}" for k in range(4)), *(f"sphere:{k}" for k in range(1, 5)),
@@ -341,6 +358,35 @@ class TestClearing:
             assert max(above[2]) < total.simplex_count(q)
             assert below[0] == total.simplex_count(q) - len(above[2])
 
+    def test_no_unit_entry_is_left_for_dense_snf(self):
+        # row 0 holds no unit until the pivot at row 1 turns its 3 into a
+        # -1; its count stays 2, so only having been passed over re-queues it
+        columns = [{0: -2, 1: 1}, {0: 3, 1: -2}, {1: -2}]
+        with dense_blocks() as blocks:
+            h = chain_homology((2, 3), lambda _, c: columns[c])
+        assert h.groups == ((0, ()), (1, ()))
+        assert blocks == [[]]
+
+    def test_leftover_blocks(self):
+        # the blocks dense Smith normal form finishes; an exact eliminator
+        # for them needs only Euclid steps on a handful of entries
+        rp2 = SemiSimplicialSet.from_simplices(closure(RP2_TRIANGLES))
+        cases = [(named_base(name), []) for name in (
+            "tetra", "octahedron", "delta-torus", "simplex:5", "sphere:5",
+        )]
+        cases += [(klein_bottle(), [[[-2], [2]]]), (rp2, [[[-2], [-2], [2]]])]
+        for n in (6, 32):
+            base = named_base(f"torus:{n}")
+            for c in (0, 3, 7):
+                bundle = build_surface_bundle(base, fundamental_class(base), c)
+                total = assemble(bundle.as_local_system()).total
+                cases.append((total, [[[c]]] if c else []))
+        for x, expected in cases:
+            with dense_blocks() as blocks:
+                homology_groups(x)
+            assert len(blocks) == x.top_dim
+            assert [b for b in blocks if b] == expected
+
     def test_only_kept_columns_are_built(self, monkeypatch):
         total = chern3_total_over_grid_torus(6)
         built = Counter()
@@ -363,10 +409,14 @@ class TestSparseHomology:
     def test_matches_dense_snf(self, case):
         nrows, ncols, data = case
         columns = [{r: data[r][c] for r in range(nrows)} for c in range(ncols)]
-        h = chain_homology((nrows, ncols), lambda _, c: columns[c])
+        with dense_blocks() as blocks:
+            h = chain_homology((nrows, ncols), lambda _, c: columns[c])
         snf = smith_normal_form(int_matrix(nrows, ncols, data))
         torsion = tuple(d for d in snf.diagonal if d > 1)
         assert h.groups == ((nrows - snf.rank, torsion), (ncols - snf.rank, ()))
+        # every unit pivot was taken before the dense finish
+        assert len(blocks) == 1
+        assert not any(v in (1, -1) for row in blocks[0] for v in row)
 
     def test_torsion_only_block(self):
         columns = [{0: 2, 1: 2}, {0: -2, 1: 4}]
@@ -402,6 +452,23 @@ class TestSparseHomology:
         assert str(h) == "H0=Z, H1=Z^2 + Z/3, H2=Z^2, H3=Z"
         # about 0.05 s measured; dense elimination takes minutes here
         assert elapsed < 10.0
+
+    def test_chern3_over_16x16_torus_after_moves(self):
+        base = grid_torus(16)
+        bundle = build_surface_bundle(base, fundamental_class(base), 3)
+        system = bundle.as_local_system()
+        rng = random.Random(16)
+        for _ in range(200):
+            v = rng.randrange(base.simplex_count(0))
+            bead = rng.choice(system.stalk(0, v).ids)
+            system = subdivide(system, v, bead, check=False)
+        total = assemble(system).total
+        assert sum(total.counts) > 26 * 16 * 16
+        # about 0.05 s measured on a shared 2-CPU x86-64 host, Python 3.11
+        with Budget(2.0):
+            h = homology_groups(total)
+        assert h == homology_groups(assemble(bundle.as_local_system()).total)
+        assert str(h) == "H0=Z, H1=Z^2 + Z/3, H2=Z^2, H3=Z"
 
     def test_chern3_over_64x64_torus(self):
         total = chern3_total_over_grid_torus(64)
