@@ -37,15 +37,18 @@ def canonical_dumps(obj) -> str:
     trailing newline, for stable files.
 
     With ``indent`` the stdlib encodes in pure Python, one call per value,
+    and its nested encoder closures form a reference cycle on every call,
     so this renders the shapes the documents are made of itself: dicts
-    with ``str`` keys, flat int lists in one join, ``true``, ``false`` and
-    ``null``, and tables (rows of one length whose columns hold ints or
-    int lists of one length) by filling one ``%``-template per table.  A
-    tuple is written as the array the stdlib writes for it, so it may
-    stand wherever a list does.  Any other value (a float, an empty
-    array or object, or a dict with other keys) and every subtree under
-    it goes to the stdlib.  The type checks are exact, so ``True`` never
-    prints as ``1`` and ``1`` never as ``true``.
+    whose keys are all ``str`` or all ``int`` (sorted numerically and
+    written as decimal text, as ``sort_keys`` does), empty arrays and
+    objects, flat int lists in one join, ``true``, ``false`` and ``null``,
+    and tables (rows of one length whose columns hold ints or int lists
+    of one length) by filling one ``%``-template per table.  A tuple is
+    written as the array the stdlib writes for it, so it may stand
+    wherever a list does.  Any other value (a float, or a dict with
+    mixed or other keys) and every subtree under it goes to the stdlib.
+    The type checks are exact, so ``True`` never prints as ``1`` and
+    ``1`` never as ``true``.
     """
     return _render(obj, "\n") + "\n"
 
@@ -63,13 +66,18 @@ def _render(value, nl: str) -> str:
     if value is None:
         return "null"
     inner = nl + "  "
-    if kind in ARRAY_TYPES and value:
+    if kind in ARRAY_TYPES:
+        if not value:
+            return "[]"
         return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"
-    if kind is dict and {*map(type, value)} == {str}:
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _render(v, inner)
-            for k, v in sorted(value.items())
-        ) + nl + "}"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if {*map(type, value)} in ({str}, {int}):
+            return "{" + inner + ("," + inner).join(
+                encode_basestring_ascii(str(k)) + ": " + _render(v, inner)
+                for k, v in sorted(value.items())
+            ) + nl + "}"
     # JSON strings escape newlines, so every newline here starts a line
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 

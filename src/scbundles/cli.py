@@ -6,12 +6,19 @@ readers and writers, and built-in bases may be named in place of a file
 (tetra, octahedron, delta-torus, simplex:k, sphere:k, torus:n).  Domain
 errors map to distinct nonzero exit codes; a report whose assertions fail
 exits nonzero as well.
+
+``main`` pauses the cyclic garbage collector while a command runs and
+restores the caller's setting afterwards.  A command is a bounded unit
+of work that builds no reference cycles of its own, so reference counting
+frees what it drops and the collector's scans of the growing heap find
+nothing.  The library API never touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from dataclasses import dataclass, field
@@ -495,23 +502,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused from argument parsing to the
+    last byte of the report, and the caller's setting is restored on the
+    way out, however the command ends.  A command makes no reference
+    cycles (argparse's help formatters, left once per process when the
+    cached parser is built, aside), so reference counting frees what it
+    drops; the collector would only rescan the rows it builds, which
+    took a sixth of ``gen-surface`` plus ``assemble`` over ``torus:32``.
+    The library functions leave the collector alone."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        report = args.handler(args)
-    except ScbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    if args.json:
-        payload = dict(report.data)
-        payload["ok"] = report.ok
-        sys.stdout.write(canonical_dumps(payload))
-    else:
-        for line in report.lines:
-            print(line)
-        if not report.ok:
-            print("FAILED")
-    return 0 if report.ok else 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            report = args.handler(args)
+        except ScbError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        if args.json:
+            payload = dict(report.data)
+            payload["ok"] = report.ok
+            sys.stdout.write(canonical_dumps(payload))
+        else:
+            for line in report.lines:
+                print(line)
+            if not report.ok:
+                print("FAILED")
+        return 0 if report.ok else 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

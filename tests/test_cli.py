@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -568,6 +569,112 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
         assert (code, out) == (child.returncode, child.stdout)
         codes.append(code)
     assert codes == [0, 2, 0, 0]
+
+
+def _without_one_lift(real, k):
+    table = dict(real(k))
+    del table[next(key for key, lifts in table.items() if lifts)]
+    return table
+
+
+def _raise(real, *args):
+    raise RuntimeError("handler failed")
+
+
+# argv, the function spied on while the handler runs (or None when no
+# handler runs), what the spy returns in its place, and the outcome
+COLLECTOR_EXITS = {
+    "exit-0": (["homology", "tetra"], (cli, "homology_groups"), None, 0),
+    "failed-report": (["hexagram"], (cyclic, "_lift_table"), _without_one_lift, 1),
+    "scb-error": (["homology", "nosuchbase"], (cli, "named_base"), None, 3),
+    "argparse-error": (["kan-check", "--no-such-flag"], None, None, SystemExit),
+    "handler-raises": (["homology", "tetra"], (cli, "homology_groups"), _raise, RuntimeError),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+def caller_collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("case", COLLECTOR_EXITS)
+def test_collector_paused_in_main_and_restored(capsys, monkeypatch, caller_collector, case):
+    argv, spied, replacement, expected = COLLECTOR_EXITS[case]
+    seen = []
+    if spied is not None:
+        real = getattr(*spied)
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return replacement(real, *args) if replacement else real(*args)
+
+        monkeypatch.setattr(*spied, spy)
+    if expected is SystemExit:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    elif isinstance(expected, int):
+        assert main(argv) == expected
+    else:
+        with pytest.raises(expected):
+            main(argv)
+    capsys.readouterr()
+    assert gc.isenabled() is caller_collector
+    if spied:
+        assert seen and not any(seen)
+    else:
+        assert seen == []
+
+
+@pytest.fixture(scope="module")
+def chern2_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chern2") / "b.json"
+    system = named_base_system("torus:4", chern=2)
+    write_json(path, bundle_to_json_dict(system))
+    return path
+
+
+GARBAGE_FREE_COMMANDS = {
+    "validate": lambda b, d: ["validate", "tetra"],
+    "homology": lambda b, d: ["homology", "tetra"],
+    "hexagram": lambda b, d: ["hexagram"],
+    "extend": lambda b, d: ["extend", "--base", "tetra", "--cocycle", str(d / "u.json"),
+                            "--out", str(d / "e.json")],
+    "chern": lambda b, d: ["chern", "--bundle", str(b)],
+    "minimize": lambda b, d: ["minimize", "--bundle", str(b), "--out", str(d / "m.json")],
+    "gen-surface": lambda b, d: ["gen-surface", "--base", "torus:4", "--chern", "2",
+                                 "--out", str(d / "g.json")],
+    "gen-surface-verify": lambda b, d: ["gen-surface", "--base", "torus:4", "--chern", "2",
+                                        "--verify"],
+    "assemble": lambda b, d: ["assemble", "--bundle", str(b), "--out", str(d / "t.json")],
+    "kan-check": lambda b, d: ["kan-check", "4"],
+    "verify": lambda b, d: ["verify", "--bundle", str(b)],
+}
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", GARBAGE_FREE_COMMANDS)
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, chern2_bundle, command, form):
+    """What a command drops is freed by reference counting alone, so
+    pausing the collector in ``main`` keeps no memory alive.  The parser
+    is built first: argparse's help formatters form cycles (112 objects
+    on 3.11), once per process, since ``build_parser`` is cached."""
+    write_json(tmp_path / "u.json", {"dim": 2, "values": [0, 0, 1, 0]})
+    argv = GARBAGE_FREE_COMMANDS[command](chern2_bundle, tmp_path) + form
+    build_parser()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_unreadable_json_exit_3_without_traceback(tmp_path):
