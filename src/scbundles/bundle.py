@@ -380,10 +380,8 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
             # face m of every simplex: its stalk, and the bead map along it
             smalls = list(map(below.__getitem__, map(itemgetter(m), face_rows)))
             maps = list(map(itemgetter(m), level_maps))
-            keys = list(zip(map(id, level), map(id, smalls), map(id, maps)))
-            triples = dict(zip(keys, zip(level, smalls, maps)))
-            built = {key: _arc_table(*triple) for key, triple in triples.items()}
-            arcs.append(list(map(built.__getitem__, keys)))
+            keys = zip(map(id, level), map(id, smalls), map(id, maps))
+            arcs.append(_once_per_key(_arc_table, keys, zip(level, smalls, maps)))
         rows = list(zip(*_face_columns(face_rows, arcs, sizes, first_h[p - 1])))
         # the vertical simplices over the base q-simplices: a bead's cells
         # are the arc after it, the arc before it and its lower faces

@@ -9,24 +9,25 @@ overflow.
 Homology reduces each boundary operator as sparse columns, built on
 demand from signed face rows: it eliminates +-1 pivots with unimodular
 column operations, each of which contributes a unit to the Smith
-diagonal, and runs dense Smith normal form only on the small block left
-when no unit entry remains.  Rows wait for a pivot in a heap ordered by
-nonzero count; a pivot puts a row of its column back only when it
-changed the row's count or the row had been passed over with no unit
-entry, since any other row still waits under its current count.  The
-boundaries are reduced from the top dimension down, and each one never
-builds the columns whose simplices were unit pivot rows of the boundary
-above: since the boundary squares to zero, those columns lie in the
-integer span of the others.  This is the clearing step of Chen and
-Kerber, *Persistent homology computation with a twist* (EuroCG 2011);
-over the integers it is a reduction pair in the sense of Kaczynski,
-Mrozek and Slusarek, *Homology computation by reduction of chain
-complexes* (1998).
+diagonal, and finishes the small block left when no unit entry remains
+with Euclid steps on its nonzero entries; no dense elimination runs.
+Rows wait for a pivot in a heap ordered by nonzero count; a pivot puts a
+row of its column back only when it changed the row's count or the row
+had been passed over with no unit entry, since any other row still waits
+under its current count.  The boundaries are reduced from the top
+dimension down, and each one never builds the columns whose simplices
+were unit pivot rows of the boundary above: since the boundary squares
+to zero, those columns lie in the integer span of the others.  This is
+the clearing step of Chen and Kerber, *Persistent homology computation
+with a twist* (EuroCG 2011); over the integers it is a reduction pair in
+the sense of Kaczynski, Mrozek and Slusarek, *Homology computation by
+reduction of chain complexes* (1998).
 
 Whether two 2-cocycles differ by a coboundary is an integer linear system
 on the sparse coboundary.  It is solved by echelon elimination with
 unimodular column operations, recorded so that replaying them backward
-gives the witness; no Smith transforms are needed (Kannan and Bachem,
+gives the witness; no Smith transforms are needed.  The Smith finish and
+this solver take the same sparse line update (Kannan and Bachem,
 *Polynomial algorithms for computing the Smith and Hermite normal forms
 of an integer matrix*, SIAM J. Comput. 1979).
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._json import json_int
@@ -92,101 +94,51 @@ class SmithForm:
         return len(self.diagonal)
 
 
-def _swap_rows(a, r1, r2):
-    a[r1], a[r2] = a[r2], a[r1]
-
-
-def _swap_cols(a, c1, c2):
-    if c1 != c2:
-        for row in a:
-            row[c1], row[c2] = row[c2], row[c1]
-
-
-def _add_row(a, dst, src, coeff):
-    # row dst += coeff * row src
-    arow = a[dst]
-    for c, v in enumerate(a[src]):
-        if v:
-            arow[c] += coeff * v
-
-
-def _add_col(a, dst, src, coeff):
-    for row in a:
-        if row[src]:
-            row[dst] += coeff * row[src]
+def _add_line(lines, cross, dst, src, k) -> None:
+    """Line dst += k * line src of a sparse matrix held both ways: each of
+    ``lines`` maps its cross indices to its nonzero entries, and ``cross``
+    holds the same entries by cross line.  k is nonzero."""
+    line = lines[dst]
+    for j, v in lines[src].items():
+        x = line.get(j, 0) + k * v
+        if x:
+            line[j] = cross[j][dst] = x
+        else:
+            del line[j], cross[j][dst]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over the integers with the divisibility chain.
 
-    Pivots always take the entry of least absolute value in the remaining
-    block, which keeps coefficient growth tame on the matrix sizes this
-    package produces.
+    Euclid steps on the nonzero entries, each one unimodular: the entry
+    of least absolute value is the pivot, row operations reduce the rest
+    of its column and column operations the rest of its row.  A remainder
+    left is less than the pivot and is the next one; a pivot that stands
+    alone goes on the diagonal with its row and column.  Pairwise gcd and
+    lcm then turn the diagonal into the invariant factors.
     """
-    a = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # hunt the least nonzero entry of the remaining block
-        best = None
-        for r in range(t, nr):
-            row = a[r]
-            for c in range(t, nc):
-                x = row[c]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), r, c)
-                    if best[0] == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _swap_rows(a, t, best[1])
-        _swap_cols(a, t, best[2])
-        while True:
-            swapped = False
-            for r in range(t + 1, nr):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    _add_row(a, r, t, -q)
-                    if a[r][t]:
-                        _swap_rows(a, t, r)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for c in range(t + 1, nc):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    _add_col(a, c, t, -q)
-                    if a[t][c]:
-                        _swap_cols(a, t, c)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            break
-        # enforce the divisibility chain before advancing
-        pivot = a[t][t]
-        offender = None
-        for r in range(t + 1, nr):
-            row = a[r]
-            for c in range(t + 1, nc):
-                if row[c] % pivot:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(a, t, offender, 1)
-            continue
-        t += 1
-    diagonal = tuple(abs(a[i][i]) for i in range(t))
-    for i in range(len(diagonal) - 1):
-        if diagonal[i + 1] % diagonal[i]:
-            raise AssertionError("divisibility chain broken; elimination bug")
-    return SmithForm(diagonal)
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(m.data):
+        for c, v in enumerate(row):
+            if v:
+                rows.setdefault(r, {})[c] = cols.setdefault(c, {})[r] = v
+    diagonal = []
+    while any(cols.values()):
+        _, r, c = min((abs(v), r, c) for c, col in cols.items() for r, v in col.items())
+        p = rows[r][c]
+        for r2 in [r2 for r2 in cols[c] if r2 != r]:
+            _add_line(rows, cols, r2, r, -(cols[c][r2] // p))
+        for c2 in [c2 for c2 in rows[r] if c2 != c]:
+            _add_line(cols, rows, c2, c, -(rows[r][c2] // p))
+        if len(rows[r]) == len(cols[c]) == 1:
+            diagonal.append(abs(p))
+            del rows[r], cols[c]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
+    return SmithForm(tuple(diagonal))
 
 
 # -- chain complexes ---------------------------------------------------
@@ -254,9 +206,10 @@ def _rank_and_torsion(
     shortest column holding a unit there (the first such column in the
     row's set order); the rest of its row is cleared by column operations,
     and its row and column are dropped.  Every step is unimodular and adds
-    a 1 to the Smith diagonal, so dense Smith normal form of what is left
-    when no unit entry remains gives the other invariant factors.  The
-    returned set holds one row per unit pivot.
+    a 1 to the Smith diagonal, so ``smith_normal_form`` of the small block
+    left when no unit entry remains gives the other invariant factors.  It
+    takes Euclid steps on the block's nonzero entries; no dense
+    elimination runs.  The returned set holds one row per unit pivot.
 
     Rows wait in a heap keyed by (nonzero count, row).  ``queued`` holds
     the count of each row's newest entry, or None once that entry was
@@ -468,44 +421,33 @@ def _solve(
     them backward on the coefficients gives x.
     """
     cols = [{r: v for r, v in col.items() if v} for col in columns]
-    rows: dict[int, set[int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(cols):
-        for r in col:
-            rows.setdefault(r, set()).add(c)
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
     left = {r: v for r, v in rhs.items() if v}
     ops = []  # (dst, src, k): column dst += k * column src
     x = [0] * len(cols)
     for r in sorted(rows.keys() | left.keys()):
-        cs = rows.setdefault(r, set())
+        cs = rows.setdefault(r, {})
         while len(cs) > 1:
-            p = min(cs, key=lambda c: (abs(cols[c][r]), len(cols[c])))
-            pivot = cols[p]
+            p = min(cs, key=lambda c: (abs(cs[c]), len(cols[c])))
             for c in [c for c in cs if c != p]:
-                col = cols[c]
-                k = col[r] // pivot[r]
-                for r2, v in pivot.items():
-                    w = col.get(r2, 0) - k * v
-                    if w:
-                        if r2 not in col:
-                            rows[r2].add(c)
-                        col[r2] = w
-                    else:
-                        del col[r2]
-                        rows[r2].discard(c)
-                ops.append((c, p, -k))
+                k = -(cs[c] // cs[p])
+                _add_line(cols, rows, c, p, k)
+                ops.append((c, p, k))
         b = left.get(r, 0)
         if not cs:
             if b:
                 return None
             continue
         (p,) = cs
-        pivot = cols[p]
-        y, rest = divmod(b, pivot[r])
+        y, rest = divmod(b, cs[p])
         if rest:
             return None
         x[p] = y
-        for r2, v in pivot.items():
-            rows[r2].discard(p)
+        for r2, v in cols[p].items():
+            del rows[r2][p]
             left[r2] = left.get(r2, 0) - y * v
     for dst, src, k in reversed(ops):
         x[src] += k * x[dst]

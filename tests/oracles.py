@@ -9,7 +9,9 @@ local system of one necklace, the face-by-face validation of a local
 system against ``validate``'s checks once per distinct combination of
 objects, the total space's face rows and projection by bead id against
 ``assemble``'s positional tables, whether a total space is a classical
-complex, and the degeneracy operators of circular permutations.
+complex, the degeneracy operators of circular permutations, and dense
+Smith normal form against ``smith_normal_form``'s Euclid steps on
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -474,3 +476,106 @@ def degeneracy(theta: CircularPermutation, i: int) -> CircularPermutation:
     if not 0 <= i <= theta.top:
         raise ValueError(f"color {i} outside 0..{theta.top}")
     return CircularPermutation(word_degeneracy(theta.word, i))
+
+
+# -- dense Smith normal form -------------------------------------------
+# The dense elimination the library ran on the block left after unit
+# pivots before it took Euclid steps on that block's nonzero entries.
+
+
+def _swap_rows(a, r1, r2):
+    a[r1], a[r2] = a[r2], a[r1]
+
+
+def _swap_cols(a, c1, c2):
+    if c1 != c2:
+        for row in a:
+            row[c1], row[c2] = row[c2], row[c1]
+
+
+def _add_row(a, dst, src, coeff):
+    # row dst += coeff * row src
+    arow = a[dst]
+    for c, v in enumerate(a[src]):
+        if v:
+            arow[c] += coeff * v
+
+
+def _add_col(a, dst, src, coeff):
+    for row in a:
+        if row[src]:
+            row[dst] += coeff * row[src]
+
+
+def dense_smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of the matrix with these row lists, by dense row
+    and column elimination in place on a copy.
+
+    Pivots always take the entry of least absolute value in the remaining
+    block, which keeps coefficient growth tame on the matrix sizes this
+    package produces.
+    """
+    a = [list(row) for row in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        # hunt the least nonzero entry of the remaining block
+        best = None
+        for r in range(t, nr):
+            row = a[r]
+            for c in range(t, nc):
+                x = row[c]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), r, c)
+                    if best[0] == 1:
+                        break
+            if best and best[0] == 1:
+                break
+        if best is None:
+            break
+        _swap_rows(a, t, best[1])
+        _swap_cols(a, t, best[2])
+        while True:
+            swapped = False
+            for r in range(t + 1, nr):
+                if a[r][t]:
+                    q = a[r][t] // a[t][t]
+                    _add_row(a, r, t, -q)
+                    if a[r][t]:
+                        _swap_rows(a, t, r)
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            for c in range(t + 1, nc):
+                if a[t][c]:
+                    q = a[t][c] // a[t][t]
+                    _add_col(a, c, t, -q)
+                    if a[t][c]:
+                        _swap_cols(a, t, c)
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            break
+        # enforce the divisibility chain before advancing
+        pivot = a[t][t]
+        offender = None
+        for r in range(t + 1, nr):
+            row = a[r]
+            for c in range(t + 1, nc):
+                if row[c] % pivot:
+                    offender = r
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            _add_row(a, t, offender, 1)
+            continue
+        t += 1
+    diagonal = tuple(abs(a[i][i]) for i in range(t))
+    for i in range(len(diagonal) - 1):
+        if diagonal[i + 1] % diagonal[i]:
+            raise AssertionError("divisibility chain broken; elimination bug")
+    return diagonal

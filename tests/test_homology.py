@@ -3,7 +3,7 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +48,7 @@ from scbundles.simplicial import named_base
 from scbundles.spindle import subdivide
 
 from generators import Budget, grid_torus, klein_bottle, random_binary_cocycle, random_system
+from oracles import dense_smith_diagonal
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -120,7 +121,6 @@ def matrices(max_dim=4):
 def gcd_of_minors(m: IntMatrix, k: int) -> int:
     """gcd of all k x k minors, 0 if none are nonzero."""
     from itertools import combinations
-    from math import gcd
 
     g = 0
     for rows in combinations(range(m.rows), k):
@@ -171,6 +171,47 @@ class TestSmith:
                 for x in f.diagonal:
                     prod *= x
                 assert abs(det) == prod
+
+
+@st.composite
+def unitless_blocks(draw):
+    """Blocks of the shape unit pivots leave: up to 7 x 7, possibly with
+    no rows or no columns, and no entry +-1."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.sampled_from((0, 0, 0, -6, -4, -3, -2, 2, 3, 4, 5, 6, 9))
+    return nrows, ncols, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+class TestEuclidFinish:
+    @settings(max_examples=300, deadline=None)
+    @given(unitless_blocks())
+    def test_matches_dense_oracle(self, block):
+        nrows, ncols, data = block
+        m = int_matrix(nrows, ncols, data)
+        assert smith_normal_form(m).diagonal == dense_smith_diagonal(data)
+        assert m.data == data  # the block is read, never changed
+
+    @pytest.mark.parametrize("data, diagonal", [
+        ([[-2], [2]], (2,)),  # Klein bottle, d2
+        ([[-2], [-2], [2]], (2,)),  # RP2, d2
+        *(([[c]], (c,)) for c in (3, 7)),  # Chern-c totals over torus:n, d2
+    ])
+    def test_measured_leftover_blocks(self, data, diagonal):
+        m = int_matrix(len(data), len(data[0]), data)
+        assert smith_normal_form(m).diagonal == diagonal
+        assert dense_smith_diagonal(data) == diagonal
+
+    def test_large_dense_even_block(self):
+        rng = random.Random(40)
+        data = [[2 * rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+        m = int_matrix(40, 40, data)
+        # about 0.04 s measured on a shared 2-CPU x86-64 host, Python 3.11;
+        # the dense oracle takes seconds here as its entries grow
+        with Budget(2.0):
+            d = smith_normal_form(m).diagonal
+        assert len(d) == 40 and abs(determinant(m)) == prod(d)
+        assert d[0] == gcd(*(v for row in data for v in row))
+        assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
 
 class TestHomology:
@@ -235,9 +276,9 @@ def dense_homology(x):
     ranks = [0] * (top + 2)
     torsions = [()] * (top + 2)
     for q in range(1, top + 1):
-        snf = smith_normal_form(boundary_matrix(x, q))
-        ranks[q] = snf.rank
-        torsions[q] = tuple(d for d in snf.diagonal if d > 1)
+        diagonal = dense_smith_diagonal(boundary_matrix(x, q).data)
+        ranks[q] = len(diagonal)
+        torsions[q] = tuple(d for d in diagonal if d > 1)
     return tuple(
         (x.simplex_count(q) - ranks[q] - ranks[q + 1], torsions[q + 1])
         for q in range(top + 1)
@@ -411,9 +452,10 @@ class TestSparseHomology:
         columns = [{r: data[r][c] for r in range(nrows)} for c in range(ncols)]
         with dense_blocks() as blocks:
             h = chain_homology((nrows, ncols), lambda _, c: columns[c])
-        snf = smith_normal_form(int_matrix(nrows, ncols, data))
-        torsion = tuple(d for d in snf.diagonal if d > 1)
-        assert h.groups == ((nrows - snf.rank, torsion), (ncols - snf.rank, ()))
+        diagonal = dense_smith_diagonal(data)
+        torsion = tuple(d for d in diagonal if d > 1)
+        rank = len(diagonal)
+        assert h.groups == ((nrows - rank, torsion), (ncols - rank, ()))
         # every unit pivot was taken before the dense finish
         assert len(blocks) == 1
         assert not any(v in (1, -1) for row in blocks[0] for v in row)
