@@ -34,7 +34,8 @@ def key_int(text: str) -> int:
 
 def canonical_dumps(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
-    trailing newline, for stable files.
+    trailing newline, for stable files: the pieces ``_render`` hands
+    out, joined once.  ``write_json`` writes the same pieces to a file.
 
     With ``indent`` the stdlib encodes in pure Python, one call per value,
     and its nested encoder closures form a reference cycle on every call,
@@ -50,51 +51,73 @@ def canonical_dumps(obj) -> str:
     The type checks are exact, so ``True`` never prints as ``1`` and
     ``1`` never as ``true``.
     """
-    return _render(obj, "\n") + "\n"
+    pieces: list[str] = []
+    _render(obj, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _render(value, nl: str) -> str:
-    """``value`` as the stdlib writes it where each new line is ``nl``,
-    a newline and the indentation of the current level."""
+def _render(value, nl: str, out) -> None:
+    """Hand ``value``, as the stdlib writes it where each new line is
+    ``nl`` (a newline and the indentation of the current level), to the
+    sink ``out`` piece by piece, in order: brackets, separators and key
+    texts, each flat int list, each table filled from its template, and
+    each subtree the stdlib writes.  The caller joins the pieces or
+    writes each to a file, so no text of a whole document is made."""
     kind = type(value)
     if kind is int:
-        return str(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = nl + "  "
-    if kind in ARRAY_TYPES:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        if {*map(type, value)} in ({str}, {int}):
-            return "{" + inner + ("," + inner).join(
-                encode_basestring_ascii(str(k)) + ": " + _render(v, inner)
-                for k, v in sorted(value.items())
-            ) + nl + "}"
-    # JSON strings escape newlines, so every newline here starts a line
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+        out(str(value))
+    elif kind is str:
+        out(encode_basestring_ascii(value))
+    elif kind is bool:
+        out("true" if value else "false")
+    elif value is None:
+        out("null")
+    elif kind in ARRAY_TYPES:
+        if value:
+            inner = nl + "  "
+            out("[" + inner)
+            _items(value, inner, out)
+            out(nl + "]")
+        else:
+            out("[]")
+    elif kind is dict and not value:
+        out("{}")
+    elif kind is dict and {*map(type, value)} in ({str}, {int}):
+        inner = nl + "  "
+        head = "{" + inner
+        for k, v in sorted(value.items()):
+            out(head + encode_basestring_ascii(str(k)) + ": ")
+            _render(v, inner, out)
+            head = "," + inner
+        out(nl + "}")
+    else:
+        # JSON strings escape newlines, so every newline here starts a line
+        out(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _items(values: list, nl: str):
+def _items(values, nl: str, out) -> None:
+    """Hand the items of a nonempty array to ``out``, with the
+    separators between them."""
     kinds = {*map(type, values)}
     if kinds == {int}:
-        return map(str, values)
+        out(("," + nl).join(map(str, values)))
+        return
     if kinds.issubset(ARRAY_TYPES):
-        rows = _table(values, nl)
-        if rows is not None:
-            return rows
-    return [_render(v, nl) for v in values]
+        table = _table(values, nl)
+        if table is not None:
+            out(table)
+            return
+    sep = "," + nl
+    rest = iter(values)
+    _render(next(rest), nl, out)
+    for v in rest:
+        out(sep)
+        _render(v, nl, out)
 
 
 def _table(rows: list, nl: str):
-    """A table rendered as one item, or None if some column is neither
+    """A table rendered as one piece, or None if some column is neither
     all ints nor all int lists or tuples of one nonzero length.
 
     One row template, repeated per row, is filled once with the table's
@@ -135,13 +158,19 @@ def _table(rows: list, nl: str):
             cells.append("%s")
         values = chain.from_iterable(zip(*columns))
     row = "[" + inner + ("," + inner).join(cells) + nl + "]"
-    return [("," + nl).join([row] * len(rows)) % tuple(values)]
+    return ("," + nl).join([row] * len(rows)) % tuple(values)
 
 
 def write_json(path, obj) -> None:
-    text = canonical_dumps(obj)
+    """Write the text of ``canonical_dumps(obj)`` to ``path``: the file is
+    opened first and each piece ``_render`` hands out is written as it is
+    made, so the whole text is never held.  An OSError from the open, a
+    write or the close raises MalformedFile; a value the stdlib cannot
+    write raises when it is reached, with the file written up to it."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            _render(obj, "\n", fh.write)
+            fh.write("\n")
     except OSError as exc:
         raise MalformedFile(f"cannot write {path}: {exc}") from exc
 

@@ -363,7 +363,7 @@ def assemble(system: NecklaceLocalSystem) -> AssembledBundle:
     for p, above in enumerate([*system.stalks, []]):
         below, below_sizes, below_arcs, level = level, sizes, arcs, above
         n = len(level)
-        sizes = [neck.size for neck in level]
+        sizes = [len(neck.colors) for neck in level]
         identity = tuple(range(p + 1))
         entries = list(chain.from_iterable(
             map(repeat, [(p, idx, identity) for idx in range(n)], sizes)

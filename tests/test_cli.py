@@ -730,7 +730,18 @@ def test_malformed_bundle_exit_3_without_traceback(tmp_path, corrupt):
     ],
     ids=lambda command: command[0],
 )
-@pytest.mark.parametrize("out", [".", "absent/out.json"], ids=["directory", "no-parent"])
+@pytest.mark.parametrize(
+    "out",
+    [
+        pytest.param(".", id="directory"),
+        pytest.param("absent/out.json", id="no-parent"),
+        # the open succeeds, and a write or the close fails: no space left
+        pytest.param(
+            "/dev/full", id="full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
 def test_unwritable_out_exit_3_without_traceback(tmp_path, command, out):
     hopf = minimal_from_cocycle(named_base("tetra"), IntCochain(2, (0, 0, 1, 0)))
     write_json(tmp_path / "hopf.json", bundle_to_json_dict(hopf.as_local_system()))

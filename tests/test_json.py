@@ -2,7 +2,8 @@
 
 ``canonical_dumps`` renders tables and int lists itself and must give
 the bytes of ``json.dumps(v, indent=2, sort_keys=True)`` plus a newline
-for every value, so that call stays here as the oracle.
+for every value, so that call stays here as the oracle.  ``write_json``
+streams the same pieces into a file, which must hold the same bytes.
 """
 
 from __future__ import annotations
@@ -10,27 +11,45 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scbundles import (
     IntCochain,
     SemiSimplicialSet,
     assemble,
+    build_surface_bundle,
     bundle_to_json_dict,
     cochain_to_json_dict,
     delta_torus,
+    fundamental_class,
     minimal_from_cocycle,
     named_base,
     total_to_json_dict,
 )
-from scbundles._json import canonical_dumps
+from scbundles._json import canonical_dumps, write_json
 
 from generators import random_system
 
 
 def oracle(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def written(directory, value) -> bytes:
+    """The bytes ``write_json`` puts in a file for ``value``."""
+    path = directory / "doc.json"
+    write_json(path, value)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def module_tmp(tmp_path_factory):
+    """One directory for every example of a hypothesis test, which may
+    not take a fixture made anew per test call."""
+    return tmp_path_factory.mktemp("written")
 
 
 ints = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
@@ -94,8 +113,11 @@ values = st.recursive(scalars | tables(), containers, max_leaves=30)
 
 @settings(max_examples=300, deadline=None)
 @given(values)
-def test_canonical_dumps_matches_stdlib(value):
+def test_canonical_dumps_matches_stdlib(module_tmp, value):
     assert canonical_dumps(value) == oracle(value)
+    if type(value) is dict:
+        # a sample: every document the library writes is a dict
+        assert written(module_tmp, value) == oracle(value).encode()
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +144,7 @@ def test_exact_types_and_special_values():
         assert canonical_dumps(value) == oracle(value), value
 
 
-def test_every_document_kind_matches_stdlib():
+def test_every_document_kind_matches_stdlib(tmp_path):
     tetra = named_base("tetra")
     hopf = minimal_from_cocycle(tetra, IntCochain(2, (0, 0, 1, 0))).as_local_system()
     labelled = delta_torus()
@@ -147,3 +169,26 @@ def test_every_document_kind_matches_stdlib():
     assert any("bead_maps" in doc for doc in docs)
     for doc in docs:
         assert canonical_dumps(doc) == oracle(doc)
+        assert written(tmp_path, doc) == oracle(doc).encode()
+
+
+def test_write_json_never_holds_the_whole_text(tmp_path):
+    """The total space of the Chern-3 bundle over the 32x32 torus, about
+    4 MB of text, is written piece by piece: at its peak the write holds
+    less than the file's size, where a joined text and its encoded copy
+    would hold twice that."""
+    base = named_base("torus:32")
+    system = build_surface_bundle(base, fundamental_class(base), 3).as_local_system()
+    doc = total_to_json_dict(assemble(system))
+    path = tmp_path / "total.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size
+    assert path.read_bytes() == canonical_dumps(doc).encode()
