@@ -48,7 +48,6 @@ from .homology import (
     cochain_from_json_dict,
     cochain_to_json_dict,
     cohomologous,
-    connected_component_count,
     fundamental_class,
     homology_groups,
     smith_normal_form,

@@ -39,7 +39,6 @@ from .homology import (
     IntCochain,
     cochain_from_json_dict,
     cochain_to_json_dict,
-    connected_component_count,
     fundamental_class,
     homology_groups,
 )
@@ -335,6 +334,9 @@ def _verify_checks(system, fm, orientation) -> tuple[dict, list[str], list]:
     With ``fm``, the fundamental class of a surface base at the given
     (seed triangle, sign), the Chern number of the default selection is
     reported, and H3 and the Gysin law are checked; with None they are not.
+    The base's homology is computed once, for every base: its H0 gives
+    the component count the total's H0 is checked against, and over a
+    surface its H1 gives the genus.
     """
     # the reader raises IncoherentLocalSystem (exit 5) on any incoherence,
     # and a minimal bundle built from a cocycle is coherent by construction
@@ -350,7 +352,8 @@ def _verify_checks(system, fm, orientation) -> tuple[dict, list[str], list]:
     chi = total.euler_characteristic()
     checks.append(("euler characteristic 0", chi == 0, f"chi = {chi}"))
     h = homology_groups(total)
-    components = connected_component_count(system.base)
+    hb = homology_groups(system.base)
+    components = hb.betti(0)
     h0_free = h.betti(0) == components and not h.torsion(0)
     detail = f"H0 = {h.describe(0)}, base components = {components}"
     checks.append(("H0 free of rank one per base component", h0_free, detail))
@@ -369,7 +372,7 @@ def _verify_checks(system, fm, orientation) -> tuple[dict, list[str], list]:
         )
         # Gysin sequence for a circle bundle over a closed oriented
         # surface of genus g with Chern number c
-        genus = homology_groups(system.base).betti(1) // 2
+        genus = hb.betti(1) // 2
         if c:
             want = ((2 * genus, (abs(c),) if abs(c) > 1 else ()), (2 * genus, ()))
         else:

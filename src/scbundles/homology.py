@@ -65,7 +65,6 @@ __all__ = [
     "cohomologous",
     "FundamentalClass",
     "fundamental_class",
-    "connected_component_count",
 ]
 
 
@@ -327,23 +326,6 @@ def homology_groups(x: SemiSimplicialSet) -> HomologyGroups:
     return chain_homology(x.counts, lambda q, c: _face_column(x.face_row(q, c)))
 
 
-def connected_component_count(x: SemiSimplicialSet) -> int:
-    """Components of the 1-skeleton (vertices joined by edges)."""
-    parent = list(range(x.simplex_count(0)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e in x.simplices(1):
-        a, b = find(x.face_index(1, e, 0)), find(x.face_index(1, e, 1))
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(len(parent))})
-
-
 # -- cochains ----------------------------------------------------------
 
 
@@ -499,8 +481,15 @@ def fundamental_class(
     Every edge must be the face of exactly two triangle face slots; the
     coefficient of the seed triangle is the given sign and neighbors get
     signs forced by cancellation in the boundary.  A contradiction during
-    propagation, or a nonzero boundary afterward, means the surface is
-    non-orientable.
+    propagation means the surface is non-orientable.
+
+    The propagation alone proves the rest.  When a triangle is popped,
+    the two slots of each of its edges are checked to cancel: within the
+    triangle by parity, across to another triangle by the sign forced or
+    already held there.  Once every triangle is signed, every edge has
+    been checked, since each lies on triangles, so the boundary is zero.
+    The triangles are then joined across edges, and every edge lies on a
+    triangle, so the complex is connected unless a vertex lies on no edge.
     """
     if x.top_dim != 2 or x.simplex_count(2) == 0:
         raise NotClosedSurface(
@@ -520,8 +509,6 @@ def fundamental_class(
             raise NotClosedSurface(
                 f"edge 1/{e} lies in {len(found)} triangle face slots, not 2"
             )
-    if connected_component_count(x) != 1:
-        raise NotClosedSurface("complex is not connected")
     coeff: list[int | None] = [None] * n2
     coeff[seed] = sign
     queue = [seed]
@@ -546,10 +533,6 @@ def fundamental_class(
                 )
     if any(c is None for c in coeff):
         raise NotClosedSurface("triangle dual graph is not connected")
-    boundary = [0] * x.simplex_count(1)
-    for t, a in enumerate(coeff):
-        for e, v in _face_column(x.face_row(2, t)).items():
-            boundary[e] += a * v
-    if any(boundary):
-        raise NonOrientable("orienting cycle has nonzero boundary")
+    if len({v for row in x.face_rows(1) for v in row}) != x.simplex_count(0):
+        raise NotClosedSurface("complex is not connected")
     return FundamentalClass(x, tuple(coeff))

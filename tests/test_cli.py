@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -15,9 +16,11 @@ from scbundles._json import canonical_dumps, read_json, write_json
 from scbundles import (
     IncoherentLocalSystem,
     IntCochain,
+    SemiSimplicialSet,
     build_surface_bundle,
     bundle_from_json_dict,
     bundle_to_json_dict,
+    closure,
     delta_torus,
     fundamental_class,
     minimal_from_cocycle,
@@ -453,6 +456,44 @@ class TestVerify:
             "name": "surface Gysin law",
             "ok": True,
             "detail": f"H1 = {h1}, H2 = {h2}, chern {chern}, genus {genus}",
+        }
+
+    @pytest.mark.parametrize(
+        "base, components, h0, note",
+        [
+            ("sphere:4", 1, "Z", []),
+            ("two-spheres", 2, "Z^2", ["no surface oracle: triangle dual graph is not connected"]),
+        ],
+    )
+    def test_base_components_from_h0(self, capsys, tmp_path, base, components, h0, note):
+        # sphere:4 is the 3-sphere; two disjoint tetrahedral spheres, read
+        # from a complex file, are a surface with no fundamental class
+        if base == "two-spheres":
+            tops = [
+                [v + shift for v in t]
+                for shift in (0, 4)
+                for t in itertools.combinations(range(4), 3)
+            ]
+            x = SemiSimplicialSet.from_simplices(closure(tops))
+            base = tmp_path / "base.json"
+            write_json(base, x.to_json_dict())
+        else:
+            x = named_base(base)
+        cocycle, bundle = tmp_path / "u.json", tmp_path / "b.json"
+        write_json(cocycle, {"dim": 2, "values": [0] * x.simplex_count(2)})
+        code, _, _ = run(capsys, "extend", "--base", str(base),
+                         "--cocycle", str(cocycle), "--out", str(bundle))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--bundle", str(bundle))
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("no surface")] == note
+        code, doc, _ = run_json(capsys, "verify", "--bundle", str(bundle))
+        assert (code, doc["ok"]) == (0, True)
+        (check,) = [c for c in doc["checks"] if c["name"].startswith("H0")]
+        assert check == {
+            "name": "H0 free of rank one per base component",
+            "ok": True,
+            "detail": f"H0 = {h0}, base components = {components}",
         }
 
     def test_incoherent_general_bundle_exit_5(self, capsys, tmp_path):

@@ -31,7 +31,6 @@ from scbundles import (
     cochain_to_json_dict,
     cocycle_for_chern,
     cohomologous,
-    connected_component_count,
     delta_torus,
     fundamental_class,
     homology_groups,
@@ -235,12 +234,10 @@ class TestHomology:
         assert list(h.groups) == [(1, ()), (0, ()), (0, ())]
 
     def test_components(self):
-        t = delta_torus().to_json_dict()
         # two disjoint loops: 2 vertices, 2 loop edges
         x = SemiSimplicialSet(2, [[[0, 0], [1, 1]]])
-        assert connected_component_count(x) == 2
         assert homology_groups(x).betti(0) == 2
-        assert connected_component_count(delta_torus()) == 1
+        assert homology_groups(delta_torus()).betti(0) == 1
 
     def test_boundary_squares_to_zero(self):
         for x in (boundary_sphere(4), octahedron_sphere()):
@@ -582,6 +579,9 @@ RP2_TRIANGLES = [
     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
 ]
 
+# the boundary of the tetrahedron on vertices 0..3
+TETRA_TRIANGLES = list(itertools.combinations(range(4), 3))
+
 
 class TestCohomologous:
     def test_zero_rows_bound(self):
@@ -746,8 +746,19 @@ class TestFundamentalClass:
         assert sum(fm.coefficients) == 0
 
     def test_boundary_of_class_vanishes(self):
-        for x in (delta_torus(), boundary_sphere(3), octahedron_sphere()):
-            fm = fundamental_class(x)
+        # fundamental_class does not recompute the boundary: its propagation
+        # cancels each edge's two slots, which this checks independently
+        cases = [(x, 0, 1) for x in (delta_torus(), boundary_sphere(3))]
+        cases += [(grid_torus(n), 0, 1) for n in range(3, 9)]
+        octahedron = octahedron_sphere()
+        cases += [
+            (octahedron, seed, sign)
+            for seed in octahedron.simplices(2)
+            for sign in (1, -1)
+        ]
+        for x, seed, sign in cases:
+            fm = fundamental_class(x, seed=seed, sign=sign)
+            assert fm.coefficients[seed] == sign
             d = apply(boundary_matrix(x, 2), fm.coefficients)
             assert all(v == 0 for v in d)
 
@@ -760,6 +771,39 @@ class TestFundamentalClass:
     def test_non_orientable(self):
         with pytest.raises(NonOrientable):
             fundamental_class(klein_bottle())
+
+    @pytest.mark.parametrize(
+        "tops, error, message",
+        [
+            pytest.param(
+                [*TETRA_TRIANGLES, *(tuple(v + 4 for v in t) for t in TETRA_TRIANGLES)],
+                NotClosedSurface, "triangle dual graph is not connected",
+                id="two-disjoint-spheres",
+            ),
+            pytest.param(
+                [*TETRA_TRIANGLES, *(tuple(v + 3 for v in t) for t in TETRA_TRIANGLES)],
+                NotClosedSurface, "triangle dual graph is not connected",
+                id="two-spheres-wedged-at-a-vertex",
+            ),
+            pytest.param(
+                [*TETRA_TRIANGLES, (4,)],
+                NotClosedSurface, "complex is not connected",
+                id="sphere-and-isolated-vertex",
+            ),
+            # the seed's component is propagated before the others are
+            # looked at, so its non-orientability is what is reported
+            pytest.param(
+                [*RP2_TRIANGLES, *(tuple(v + 6 for v in t) for t in TETRA_TRIANGLES)],
+                NonOrientable, "sign propagation contradicts itself",
+                id="projective-plane-beside-a-sphere",
+            ),
+        ],
+    )
+    def test_disconnected(self, tops, error, message):
+        x = SemiSimplicialSet.from_simplices(closure(tops))
+        with pytest.raises(error, match=message) as info:
+            fundamental_class(x)
+        assert info.value.exit_code == 9
 
     def test_bad_seed(self):
         with pytest.raises(DanglingReference):
