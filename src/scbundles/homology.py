@@ -7,15 +7,14 @@ Python integers, so entries may grow freely during elimination without
 overflow.
 
 Homology reduces each boundary operator as sparse columns, built on
-demand from signed face rows: it eliminates +-1 pivots with unimodular
-column operations, each of which contributes a unit to the Smith
-diagonal, and finishes the small block left when no unit entry remains
-with Euclid steps on its nonzero entries; no dense elimination runs.
-Rows wait for a pivot in a heap ordered by nonzero count; a pivot puts a
-row of its column back only when it changed the row's count or the row
-had been passed over with no unit entry, since any other row still waits
-under its current count.  The boundaries are reduced from the top
-dimension down, and each one never builds the columns whose simplices
+demand from signed face rows.  Each column in turn is reduced at its
+last row against the +-1 pivots found earlier, as in the standard
+reduction of persistent homology; a column whose last entry is left +-1
+becomes a unit pivot, which contributes a unit to the Smith diagonal.
+The few columns left with another last entry are cleared at the pivot
+rows and finished as a small block by Euclid steps on its nonzero
+entries; no dense elimination runs.  The boundaries are reduced from the
+top dimension down, and each one never builds the columns whose simplices
 were unit pivot rows of the boundary above: since the boundary squares
 to zero, those columns lie in the integer span of the others.  This is
 the clearing step of Chen and Kerber, *Persistent homology computation
@@ -35,7 +34,6 @@ of an integer matrix*, SIAM J. Comput. 1979).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -201,86 +199,62 @@ def _rank_and_torsion(
     """Rank, invariant factors above 1 and unit pivot rows of a matrix of
     sparse columns.
 
-    A +-1 pivot is taken from the row with the fewest nonzeros, in the
-    shortest column holding a unit there (the first such column in the
-    row's set order); the rest of its row is cleared by column operations,
-    and its row and column are dropped.  Every step is unimodular and adds
-    a 1 to the Smith diagonal, so ``smith_normal_form`` of the small block
-    left when no unit entry remains gives the other invariant factors.  It
-    takes Euclid steps on the block's nonzero entries; no dense
-    elimination runs.  The returned set holds one row per unit pivot.
+    The columns are taken in order, each copied without its zeros.  While
+    a column's last (largest) row is the row of a unit pivot found
+    earlier, ``col[low] * pivot[low]`` times that pivot's column is taken
+    off it, which clears the entry at ``low``.  A column left empty is
+    dropped; one whose last entry is +-1 becomes that row's pivot; any
+    other is set aside.  At the end each set-aside column is cleared the
+    same way at every unit pivot row it holds, highest row first: a pivot
+    column's other entries lie below its row, so no row cleared fills in
+    again.  This is the standard reduction of persistent homology
+    (Edelsbrunner, Letscher and Zomorodian, *Topological persistence and
+    simplification*, DCG 2002), stopped at the units.
 
-    Rows wait in a heap keyed by (nonzero count, row).  ``queued`` holds
-    the count of each row's newest entry, or None once that entry was
-    popped with no unit in the row.  A pivot changes only the rows of its
-    column, and pushes such a row again only if its count changed or it
-    was passed over: otherwise its newest entry still waits under the same
-    key, and a second entry would change nothing.  So the rows are popped
-    in the order, and give the pivots, of pushing every row of the pivot
-    column; and every row left when the heap runs dry was looked at after
-    its last change and holds no unit entry.
+    The unit pivots sit at distinct last rows, so the pivot columns,
+    restricted to their pivot rows, form a triangular matrix with +-1 on
+    the diagonal, which is unimodular.  The set-aside columns are zero at
+    those rows, and row operations by that triangle clear the pivot
+    columns' entries at the other rows without touching the set-aside
+    ones.  Every step is unimodular, so the Smith form is I + SNF(block),
+    where the block holds the set-aside columns at the rows left, in
+    ascending order; ``smith_normal_form`` finishes it with Euclid steps
+    on its nonzero entries.  The returned set holds the unit pivot rows.
     """
-    cols = {}
-    rows: dict[int, set[int]] = {}
-    for c, col in enumerate(columns):
-        nonzero = {r: v for r, v in col.items() if v}
-        if nonzero:
-            cols[c] = nonzero
-            for r in nonzero:
-                rows.setdefault(r, set()).add(c)
-    queued: dict[int, int | None] = {r: len(cs) for r, cs in rows.items()}
-    heap = [(size, r) for r, size in queued.items()]
-    heapify(heap)
-    pivot_rows: set[int] = set()
-    while heap:
-        size, r = heappop(heap)
-        cs = rows.get(r)
-        if cs is None or len(cs) != size:
-            continue  # superseded by a later entry for this row
-        c = None
-        for j in cs:
-            col = cols[j]
-            if col[r] in (1, -1) and (c is None or len(col) < shortest):
-                c, shortest = j, len(col)
-        if c is None:
-            queued[r] = None  # pushed again by a pivot whose column holds it
+    pivots: dict[int, dict[int, int]] = {}
+    aside: list[dict[int, int]] = []
+
+    def reduce(col, low):
+        pivot = pivots[low]
+        f = col[low] * pivot[low]
+        for r, v in pivot.items():
+            x = col.get(r, 0) - f * v
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        while col and (low := max(col)) in pivots:
+            reduce(col, low)
+        if not col:
             continue
-        pivot = cols.pop(c)
-        p = pivot.pop(r)
-        del rows[r]
-        cs.discard(c)
-        for r2 in pivot:
-            rows[r2].discard(c)
-        for c2 in cs:
-            col = cols[c2]
-            f = col.pop(r) * p
-            for r2, v in pivot.items():
-                x = col.get(r2, 0) - f * v
-                if x:
-                    if r2 not in col:
-                        rows[r2].add(c2)
-                    col[r2] = x
-                else:
-                    del col[r2]
-                    rows[r2].discard(c2)
-            if not col:
-                del cols[c2]
-        for r2 in pivot:
-            size = len(rows[r2])
-            if not size:
-                del rows[r2]
-            elif queued[r2] != size:
-                queued[r2] = size
-                heappush(heap, (size, r2))
-        pivot_rows.add(r)
-    index = {r: i for i, r in enumerate(rows)}
-    block = IntMatrix(len(index), len(cols))
-    for j, col in enumerate(cols.values()):
+        if col[low] in (1, -1):
+            pivots[low] = col
+        else:
+            aside.append(col)
+    for col in aside:
+        while rows := [r for r in col if r in pivots]:
+            reduce(col, max(rows))
+    index = {r: i for i, r in enumerate(sorted({r for col in aside for r in col}))}
+    block = IntMatrix(len(index), len(aside))
+    for j, col in enumerate(aside):
         for r, v in col.items():
             block.data[index[r]][j] = v
     snf = smith_normal_form(block)
     torsion = tuple(d for d in snf.diagonal if d > 1)
-    return len(pivot_rows) + snf.rank, torsion, pivot_rows
+    return len(pivots) + snf.rank, torsion, set(pivots)
 
 
 def chain_homology(
@@ -298,13 +272,13 @@ def chain_homology(
     ``column`` is never called for a generator of dimension q that was a
     unit pivot row of the (q + 1)-th boundary.  If a reduced column z of
     the (q + 1)-th boundary has its unit pivot at row r, then z is +-e_r
-    plus later pivot rows plus rows never pivoted, and the q-th boundary
-    of z is zero; so by induction from the last pivot, column r lies in
-    the integer span of the columns kept.  Dropping it is a triangular
-    basis change with +-1 on the diagonal, which keeps the rank and the
-    invariant factors.  This is the clearing step of Chen and Kerber
-    (EuroCG 2011), a reduction pair in the sense of Kaczynski, Mrozek and
-    Slusarek (1998).
+    plus rows of smaller index, since r is its last row, and the q-th
+    boundary of z is zero; so, taking the cleared rows in increasing
+    order, each cleared column lies in the integer span of the kept ones.
+    Dropping them is a triangular basis change with +-1 on the diagonal,
+    which keeps the rank and the invariant factors.  This is the clearing
+    step of Chen and Kerber (EuroCG 2011), a reduction pair in the sense
+    of Kaczynski, Mrozek and Slusarek (1998).
     """
     ranks = [0] * (len(counts) + 1)
     torsions: list[tuple[int, ...]] = [()] * (len(counts) + 1)

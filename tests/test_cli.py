@@ -32,7 +32,7 @@ from scbundles.cli import KAN_EXPECTED, build_parser, main
 from scbundles.cyclic import MAX_SC_K
 from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
 
-from generators import Budget
+from generators import Budget, klein_bottle
 
 
 def named_base_system(name, chern=3):
@@ -463,22 +463,28 @@ class TestVerify:
         [
             ("sphere:4", 1, "Z", []),
             ("two-spheres", 2, "Z^2", ["no surface oracle: triangle dual graph is not connected"]),
+            ("klein-bottle", 1, "Z",
+             ["no surface oracle: sign propagation contradicts itself across edge 1/0"]),
         ],
     )
     def test_base_components_from_h0(self, capsys, tmp_path, base, components, h0, note):
-        # sphere:4 is the 3-sphere; two disjoint tetrahedral spheres, read
-        # from a complex file, are a surface with no fundamental class
-        if base == "two-spheres":
-            tops = [
-                [v + shift for v in t]
-                for shift in (0, 4)
-                for t in itertools.combinations(range(4), 3)
-            ]
-            x = SemiSimplicialSet.from_simplices(closure(tops))
+        # sphere:4 is the 3-sphere; two disjoint tetrahedral spheres and the
+        # Klein bottle, read from complex files, are surfaces with no
+        # fundamental class
+        if base == "sphere:4":
+            x = named_base(base)
+        else:
+            if base == "two-spheres":
+                tops = [
+                    [v + shift for v in t]
+                    for shift in (0, 4)
+                    for t in itertools.combinations(range(4), 3)
+                ]
+                x = SemiSimplicialSet.from_simplices(closure(tops))
+            else:
+                x = klein_bottle()
             base = tmp_path / "base.json"
             write_json(base, x.to_json_dict())
-        else:
-            x = named_base(base)
         cocycle, bundle = tmp_path / "u.json", tmp_path / "b.json"
         write_json(cocycle, {"dim": 2, "values": [0] * x.simplex_count(2)})
         code, _, _ = run(capsys, "extend", "--base", str(base),
@@ -489,6 +495,11 @@ class TestVerify:
         assert [line for line in out.splitlines() if line.startswith("no surface")] == note
         code, doc, _ = run_json(capsys, "verify", "--bundle", str(bundle))
         assert (code, doc["ok"]) == (0, True)
+        # the key is there only with a reason, so reports over oriented
+        # surfaces and other bases keep their bytes
+        reasons = [doc["no_surface_oracle"]] if "no_surface_oracle" in doc else []
+        assert [f"no surface oracle: {reason}" for reason in reasons] == note
+        assert "surface Gysin law" not in [c["name"] for c in doc["checks"]]
         (check,) = [c for c in doc["checks"] if c["name"].startswith("H0")]
         assert check == {
             "name": "H0 free of rank one per base component",
@@ -700,12 +711,9 @@ GARBAGE_FREE_COMMANDS = {
 @pytest.mark.parametrize("command", GARBAGE_FREE_COMMANDS)
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, chern2_bundle, command, form):
     """What a command drops is freed by reference counting alone, so
-    pausing the collector in ``main`` keeps no memory alive.  The parser
-    is built first: argparse's help formatters form cycles (112 objects
-    on 3.11), once per process, since ``build_parser`` is cached."""
+    pausing the collector in ``main`` keeps no memory alive."""
     write_json(tmp_path / "u.json", {"dim": 2, "values": [0, 0, 1, 0]})
     argv = GARBAGE_FREE_COMMANDS[command](chern2_bundle, tmp_path) + form
-    build_parser()
     was = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -716,6 +724,25 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, chern2_bundle, comma
         if was:
             gc.enable()
     capsys.readouterr()
+
+
+def test_first_command_leaves_no_cyclic_garbage(tmp_path):
+    # the parser is built in this child's first command: argparse's help
+    # formatters form cycles, which the build collects
+    src = Path(scbundles.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, gc, io\n"
+        "from scbundles.cli import main\n"
+        "gc.collect()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['validate', 'tetra']) == 0\n"
+        "print(gc.collect())\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
 
 
 def test_unreadable_json_exit_3_without_traceback(tmp_path):
