@@ -464,54 +464,81 @@ def check_projection_naturality(
     to x by that composite, or misses one value v, in which case the face
     must map to face(x, v) by the co-restriction.  What each face must
     project to depends only on s and dim x, so it is worked out once per
-    such pair.
+    such pair.  A clean row costs one pass over its faces and their
+    projection rows; messages are worded only for a row where some face
+    fails, by ``_naturality_problems``, face by face in order.
     """
     base = projection.base
+    base_rows = [base.face_rows(q) for q in range(1, base.top_dim + 1)]
     rules: dict[tuple[tuple[int, ...], int], list] = {}
     problems = []
     for p in range(1, total.top_dim + 1):
         level, below = projection.table[p], projection.table[p - 1]
-        for idx, (dim, index, s) in enumerate(level):
+        for idx, ((dim, index, s), row) in enumerate(zip(level, total.face_rows(p))):
             rule = rules.get((s, dim))
             if rule is None:
                 rule = rules[(s, dim)] = _face_rules(s, dim)
-            for m, (f, (v, want_op)) in enumerate(zip(total.face_row(p, idx), rule)):
+            for f, (v, want_dim, want_op) in zip(row, rule):
                 f_dim, f_index, fs = below[f]
-                if want_op is None:
-                    problems.append(
-                        f"projection of {p}/{idx} is not a degeneracy operator"
+                # a missing operator is None, which no projection row holds
+                if (
+                    fs != want_op
+                    or f_dim != want_dim
+                    or f_index != (index if v < 0 else base_rows[dim - 1][index][v])
+                ):
+                    problems += _naturality_problems(
+                        base, below, p, idx, (dim, index), row, rule
                     )
-                    continue
-                if v < 0:
-                    want_dim, want_index = dim, index
-                else:
-                    want_dim, want_index = dim - 1, base.face_index(dim, index, v)
-                if f_index != want_index or f_dim != want_dim or fs != want_op:
-                    problems.append(
-                        f"face {m} of {p}/{idx} projects to ({f_dim}/{f_index}, {fs}), "
-                        f"expected ({want_dim}/{want_index}, {want_op})"
-                    )
+                    break
+    return problems
+
+
+def _naturality_problems(
+    base: SemiSimplicialSet,
+    below: tuple,
+    p: int,
+    idx: int,
+    target: tuple[int, int],
+    row: tuple[int, ...],
+    rule: list,
+) -> list[str]:
+    """The naturality messages of total simplex p/idx, which projects to
+    the base simplex ``target`` and has the face rules ``rule``: one per
+    failing face, in face order."""
+    dim, index = target
+    problems = []
+    for m, (f, (v, want_dim, want_op)) in enumerate(zip(row, rule)):
+        f_dim, f_index, fs = below[f]
+        if want_op is None:
+            problems.append(f"projection of {p}/{idx} is not a degeneracy operator")
+            continue
+        want_index = index if v < 0 else base.face_index(dim, index, v)
+        if f_index != want_index or f_dim != want_dim or fs != want_op:
+            problems.append(
+                f"face {m} of {p}/{idx} projects to ({f_dim}/{f_index}, {fs}), "
+                f"expected ({want_dim}/{want_index}, {want_op})"
+            )
     return problems
 
 
 def _face_rules(
     s: tuple[int, ...], dim: int
-) -> list[tuple[int, tuple[int, ...] | None]]:
+) -> list[tuple[int, int, tuple[int, ...] | None]]:
     """For each face m of a simplex projecting by s onto a dim-simplex:
-    the base position its image deletes (-1 for none) and its expected
-    operator, which is None when s without position m misses two or more
-    values."""
+    the base position its image deletes (-1 for none), the dimension of
+    its image and its expected operator, which is None when s without
+    position m misses two or more values."""
     rules = []
     for m in range(len(s)):
         composite = s[:m] + s[m + 1 :]
         missing = [v for v in range(dim + 1) if v not in composite]
         if not missing:
-            rules.append((-1, composite))
+            rules.append((-1, dim, composite))
         elif len(missing) == 1:
             v = missing[0]
-            rules.append((v, tuple(w if w < v else w - 1 for w in composite)))
+            rules.append((v, dim - 1, tuple(w if w < v else w - 1 for w in composite)))
         else:
-            rules.append((-1, None))
+            rules.append((-1, dim, None))
     return rules
 
 

@@ -341,11 +341,6 @@ class Necklace:
     def has_bead(self, bead: int) -> bool:
         return bead in self.ids
 
-    def to_circular(self) -> CircularPermutation:
-        if len(self.colors) != self.top + 1:
-            raise ValueError("not one bead per color")
-        return CircularPermutation(self.colors)
-
     def split(self, after: Mapping[int, int]) -> "Necklace":
         """This necklace with a new bead right after each parent bead, in
         the parent's color; ``after`` maps parent id to new id.

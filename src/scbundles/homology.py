@@ -186,10 +186,25 @@ class HomologyGroups:
 
 def _face_column(row: Sequence[int]) -> dict[int, int]:
     """Signed boundary of one simplex from its face row: face i counts
-    (-1)^i, summed where a face repeats."""
-    col: dict[int, int] = {}
-    for i, r in enumerate(row):
-        col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+    (-1)^i, summed where a face repeats.  A row of two to four distinct
+    faces, every row of a total space over a surface, is one dict
+    display; the summing loop runs for a longer row or a repeated face."""
+    n = len(row)
+    if n == 2:
+        a, b = row
+        col = {a: 1, b: -1}
+    elif n == 3:
+        a, b, c = row
+        col = {a: 1, b: -1, c: 1}
+    elif n == 4:
+        a, b, c, d = row
+        col = {a: 1, b: -1, c: 1, d: -1}
+    else:
+        col = {}
+    if len(col) < n:
+        col = {}
+        for i, r in enumerate(row):
+            col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
     return col
 
 
@@ -235,7 +250,11 @@ def _rank_and_torsion(
                 del col[r]
 
     for col in columns:
-        col = {r: v for r, v in col.items() if v}
+        # a copy without zeros, so the caller's dict is never changed
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
+        else:
+            col = dict(col)
         while col and (low := max(col)) in pivots:
             reduce(col, low)
         if not col:
@@ -297,7 +316,8 @@ def chain_homology(
 
 def homology_groups(x: SemiSimplicialSet) -> HomologyGroups:
     """Integral homology in every dimension of the carrier."""
-    return chain_homology(x.counts, lambda q, c: _face_column(x.face_row(q, c)))
+    tables = [x.face_rows(q) for q in range(1, x.top_dim + 1)]
+    return chain_homology(x.counts, lambda q, c: _face_column(tables[q - 1][c]))
 
 
 # -- cochains ----------------------------------------------------------

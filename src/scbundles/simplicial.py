@@ -124,14 +124,24 @@ class SemiSimplicialSet:
         """Return human-readable violations; empty means the set is coherent.
 
         Checks face-table shape, index ranges, and the simplicial identity
-        face(face(x, j), i) = face(face(x, i), j - 1) for all i < j.
+        face(face(x, j), i) = face(face(x, i), j - 1) for all i < j.  Each
+        check runs a whole level at a time: the row lengths and the least
+        and greatest distinct face id, then each identity (i, j) as two
+        columns, the faces i of every face j against the faces j - 1 of
+        every face i.  The rows of a level are walked one by one only where
+        a check fails there, to word its violations in row order.
         """
         problems: list[str] = []
         if self._num_vertices < 0:
             problems.append("negative vertex count")
         for q in range(1, self.top_dim + 1):
             below = self.simplex_count(q - 1)
-            for idx, row in enumerate(self._faces[q - 1]):
+            level = self._faces[q - 1]
+            if {*map(len, level)} == {q + 1}:
+                ids = {*chain.from_iterable(level)}
+                if 0 <= min(ids) and max(ids) < below:
+                    continue
+            for idx, row in enumerate(level):
                 if len(row) != q + 1:
                     problems.append(
                         f"simplex {q}/{idx} has {len(row)} faces, expected {q + 1}"
@@ -146,8 +156,20 @@ class SemiSimplicialSet:
         if problems:
             return problems
         for q in range(2, self.top_dim + 1):
-            lower = self._faces[q - 2]
-            for idx, row in enumerate(self._faces[q - 1]):
+            lower, level = self._faces[q - 2], self._faces[q - 1]
+            # the face rows of face k of every q-simplex, for each k
+            rows = [
+                list(map(lower.__getitem__, map(itemgetter(k), level)))
+                for k in range(q + 1)
+            ]
+            if all(
+                list(map(itemgetter(i), rows[j]))
+                == list(map(itemgetter(j - 1), rows[i]))
+                for j in range(1, q + 1)
+                for i in range(j)
+            ):
+                continue
+            for idx, row in enumerate(level):
                 for j in range(1, q + 1):
                     for i in range(j):
                         left = lower[row[j]][i]

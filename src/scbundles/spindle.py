@@ -25,6 +25,7 @@ the walk at the triangles.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping
 
 from .bundle import MinimalBundle, NecklaceLocalSystem, _checked
@@ -237,14 +238,25 @@ def _kept_levels(
     return levels
 
 
-def _kept_word(neck: Necklace, kept: Mapping[int, int]) -> CircularPermutation:
+def _kept_word(
+    neck: Necklace,
+    kept: Mapping[int, int],
+    perms: dict[tuple[int, ...], CircularPermutation],
+) -> CircularPermutation:
     """The word left of neck once every bead but the kept ones, one per
     vertex position, is contracted: neck's own if it has one bead per
-    color, else the colors of the kept beads in circular order."""
+    color, else the colors of the kept beads in circular order.  A word
+    is made a ``CircularPermutation`` once per call of the caller, which
+    passes ``perms``: the permutation of each word met so far."""
     if neck.size == len(kept):
-        return neck.to_circular()
-    chosen = set(kept.values())
-    return CircularPermutation(tuple(c for b, c in neck.beads() if b in chosen))
+        word = neck.colors
+    else:
+        chosen = set(kept.values())
+        word = tuple(compress(neck.colors, map(chosen.__contains__, neck.ids)))
+    perm = perms.get(word)
+    if perm is None:
+        perm = perms[word] = CircularPermutation(word)
+    return perm
 
 
 def minimize(
@@ -258,8 +270,9 @@ def minimize(
     off its kept beads.
     """
     levels = _kept_levels(system, selection, system.base.top_dim)
+    perms: dict = {}
     words = {
-        (q, idx): _kept_word(neck, beads)
+        (q, idx): _kept_word(neck, beads, perms)
         for q, (necks, kept) in enumerate(zip(system.stalks, levels))
         for idx, (neck, beads) in enumerate(zip(necks, kept))
     }
@@ -274,9 +287,10 @@ def chern_cocycle_general(
     stops at the triangles, and only their words are built; a base
     without triangles has the empty cochain."""
     levels = _kept_levels(system, selection, 2)
+    perms: dict = {}
     # levels[2:] holds the triangles, or nothing below dimension 2
     return IntCochain(2, tuple(
-        c01(_kept_word(neck, beads))
+        c01(_kept_word(neck, beads, perms))
         for necks, kept in zip(system.stalks[2:], levels[2:])
         for neck, beads in zip(necks, kept)
     ))

@@ -4,14 +4,15 @@ None of these is on a path the library takes.  Each answers a question
 the library answers another way, or one the tests ask about its
 output: the iterated face chain of a simplex against ``spindle._lifted``'s
 one face step, the named bases' former hand-written face tables against
-``from_simplices``, equivalence of local systems up to bead renaming, the
-local system of one necklace, the face-by-face validation of a local
-system against ``validate``'s checks once per distinct combination of
-objects, the total space's face rows and projection by bead id against
-``assemble``'s positional tables, whether a total space is a classical
-complex, the degeneracy operators of circular permutations, and dense
-Smith normal form against ``smith_normal_form``'s Euclid steps on
-nonzero entries.
+``from_simplices``, the checks of a complex's face tables row by row
+against ``validate``'s checks a level at a time, equivalence of local
+systems up to bead renaming, the local system of one necklace, the
+face-by-face validation of a local system against ``validate``'s checks
+once per distinct combination of objects, the total space's face rows
+and projection by bead id against ``assemble``'s positional tables,
+whether a total space is a classical complex, the degeneracy operators
+of circular permutations, and dense Smith normal form against
+``smith_normal_form``'s Euclid steps on nonzero entries.
 """
 
 from __future__ import annotations
@@ -167,6 +168,48 @@ def reference_base(name: str) -> SemiSimplicialSet:
         return reference_grid_torus(int(size))
     n0, faces = reference_simplex_tables(int(size), include_top=kind == "simplex")
     return SemiSimplicialSet(n0, faces)
+
+
+# -- face tables -------------------------------------------------------
+
+
+def validate_row_by_row(x: SemiSimplicialSet) -> list[str]:
+    """The violations ``SemiSimplicialSet.validate`` reports, found by
+    checking every face of every row, and every face identity of every
+    row, one at a time: the reference for its checks a level at a time."""
+    problems: list[str] = []
+    if x.simplex_count(0) < 0:
+        problems.append("negative vertex count")
+    for q in range(1, x.top_dim + 1):
+        below = x.simplex_count(q - 1)
+        for idx, row in enumerate(x.face_rows(q)):
+            if len(row) != q + 1:
+                problems.append(
+                    f"simplex {q}/{idx} has {len(row)} faces, expected {q + 1}"
+                )
+                continue
+            for i, f in enumerate(row):
+                if not 0 <= f < below:
+                    problems.append(
+                        f"face {i} of {q}/{idx} references {q - 1}/{f} "
+                        f"but dimension {q - 1} has {below} simplices"
+                    )
+    if problems:
+        return problems
+    for q in range(2, x.top_dim + 1):
+        lower = x.face_rows(q - 1)
+        for idx, row in enumerate(x.face_rows(q)):
+            for j in range(1, q + 1):
+                for i in range(j):
+                    left = lower[row[j]][i]
+                    right = lower[row[i]][j - 1]
+                    if left != right:
+                        problems.append(
+                            f"face identity violated at ({q}/{idx}, {i}, {j}): "
+                            f"face(face(x,{j}),{i}) = {left} but "
+                            f"face(face(x,{i}),{j - 1}) = {right}"
+                        )
+    return problems
 
 
 # -- local systems -----------------------------------------------------

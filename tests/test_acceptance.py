@@ -11,6 +11,7 @@ import pytest
 
 from scbundles import (
     BoundExceeded,
+    CircularPermutation,
     IntCochain,
     NotACocycle,
     assemble,
@@ -234,7 +235,7 @@ def test_criterion_7_property_suites():
             for v, b in doomed:
                 current = contract(current, v, b, check=False)
             words = {
-                (q, idx): n.to_circular()
+                (q, idx): CircularPermutation(n.colors)
                 for q, level in enumerate(current.stalks)
                 for idx, n in enumerate(level)
             }

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -387,14 +388,19 @@ class TestNaturalityOracle:
     problems as the per-face oracle, message for message."""
 
     @staticmethod
-    def corrupt(asm, kind, rng):
+    def corrupt(asm, kind, rng, at=None):
+        """The total and projection with one row changed: row ``at``,
+        given as (p, idx), or a random one."""
         table = [list(level) for level in asm.projection.table]
         faces = [
             [list(asm.total.face_row(q, i)) for i in asm.total.simplices(q)]
             for q in range(1, asm.total.top_dim + 1)
         ]
-        p = rng.randrange(1, len(table))
-        idx = rng.randrange(len(table[p]))
+        if at is None:
+            p = rng.randrange(1, len(table))
+            idx = rng.randrange(len(table[p]))
+        else:
+            p, idx = at
         dim, index, op = table[p][idx]
         if kind == "base ref":
             n = asm.projection.base.simplex_count(dim)
@@ -428,6 +434,42 @@ class TestNaturalityOracle:
                 assert check_projection_naturality(total, projection) == want
                 found += bool(want)
         assert found >= 40
+
+    @pytest.mark.parametrize("kind", ["base ref", "op", "not a degeneracy", "face row"])
+    def test_last_row_of_the_top_level(self, kind):
+        rng = random.Random(kind)
+        found = 0
+        for system in _naturality_bundles():
+            asm = assemble(system)
+            p = asm.total.top_dim
+            at = (p, asm.total.simplex_count(p) - 1)
+            for _ in range(3):
+                total, projection = self.corrupt(asm, kind, rng, at)
+                want = naturality_oracle(total, projection)
+                assert check_projection_naturality(total, projection) == want
+                found += bool(want)
+        assert found >= 6
+
+    def test_two_failing_faces_are_worded_in_face_order(self):
+        # swapping two faces of the last top simplex fails both, when
+        # their projections differ; the row's messages come face by face
+        asm = assemble(_surface_system(named_base("tetra"), 1))
+        p = asm.total.top_dim
+        idx = asm.total.simplex_count(p) - 1
+        pairs = 0
+        for a, b in combinations(range(p + 1), 2):
+            faces = [list(asm.total.face_rows(q)) for q in range(1, p + 1)]
+            row = list(faces[p - 1][idx])
+            row[a], row[b] = row[b], row[a]
+            faces[p - 1][idx] = row
+            total = SemiSimplicialSet(asm.total.simplex_count(0), faces, check=False)
+            want = naturality_oracle(total, asm.projection)
+            assert check_projection_naturality(total, asm.projection) == want
+            if len(want) == 2:
+                pairs += 1
+                assert want[0].startswith(f"face {a} of {p}/{idx} ")
+                assert want[1].startswith(f"face {b} of {p}/{idx} ")
+        assert pairs >= 2
 
 
 class TestCocycleBridge:

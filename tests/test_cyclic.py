@@ -479,11 +479,12 @@ class TestNecklace:
         assert set(system.bead_maps[2][0][0]) == {1, 3}
         assert arcs(0) == {0: 3, 1: 1, 2: 1, 3: 3}
 
-    def test_to_circular(self):
+    def test_from_circular_round_trip(self):
         n = Necklace.from_circular(CircularPermutation((0, 2, 1)))
-        assert n.to_circular() == CircularPermutation((0, 2, 1))
+        assert CircularPermutation(n.colors) == CircularPermutation((0, 2, 1))
+        # a necklace with two beads of one color reads as no permutation
         with pytest.raises(ValueError):
-            Necklace.from_colors((0, 0, 1)).to_circular()
+            CircularPermutation(Necklace.from_colors((0, 0, 1)).colors)
 
     def test_classical_criterion(self):
         cases = [

@@ -397,8 +397,9 @@ class TestClearing:
             assert below[0] == total.simplex_count(q) - len(above[2])
 
     def test_no_unit_entry_is_left_for_dense_snf(self):
-        # row 0 holds no unit until the pivot at row 1 turns its 3 into a
-        # -1; its count stays 2, so only having been passed over re-queues it
+        # column 0 is the unit pivot at row 1; column 1 reduces there to
+        # {0: -1}, the unit pivot at row 0, and column 2 then reduces to
+        # zero, so no column is left for dense Smith normal form
         columns = [{0: -2, 1: 1}, {0: 3, 1: -2}, {1: -2}]
         with dense_blocks() as blocks:
             h = chain_homology((2, 3), lambda _, c: columns[c])

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from itertools import combinations
@@ -11,9 +12,12 @@ from scbundles import (
     InvalidComplex,
     MalformedFile,
     SemiSimplicialSet,
+    assemble,
     boundary_sphere,
+    build_surface_bundle,
     closure,
     delta_torus,
+    fundamental_class,
     grid_torus,
     homology_groups,
     named_base,
@@ -22,7 +26,14 @@ from scbundles import (
 )
 
 from generators import NAMED_EXAMPLES, Budget, klein_bottle
-from oracles import face_walk, reference_base, reference_grid_torus, vertex_at, vertices_of
+from oracles import (
+    face_walk,
+    reference_base,
+    reference_grid_torus,
+    validate_row_by_row,
+    vertex_at,
+    vertices_of,
+)
 from scbundles.simplicial import MAX_NAMED_K, MAX_TORUS_N
 
 
@@ -417,3 +428,58 @@ class TestFromSimplices:
         with Budget(5.0):
             x = named_base(f"{family}:{MAX_NAMED_K}")
         assert sum(x.counts) == 2 ** (MAX_NAMED_K + 1) - missing
+
+
+@functools.cache
+def chern3_total():
+    """The total space of the Chern-3 bundle over the 6 x 6 grid torus."""
+    base = grid_torus(6)
+    system = build_surface_bundle(base, fundamental_class(base), 3).as_local_system()
+    return assemble(system).total
+
+
+@st.composite
+def one_row_corrupted(draw):
+    """(vertex count, face tables) of the Chern-3 total over torus:6, of
+    sphere:4 or of a random closure, with one face row changed: its faces
+    permuted, one face id replaced by one up to one past either end of
+    the range, or one face dropped or added."""
+    kind = draw(st.sampled_from(["chern3", "sphere:4", "closure"]))
+    if kind == "chern3":
+        x = chern3_total()
+    elif kind == "sphere:4":
+        x = named_base("sphere:4")
+    else:
+        x = SemiSimplicialSet.from_simplices(closure(draw(vertex_covers())))
+    faces = [list(x.face_rows(q)) for q in range(1, x.top_dim + 1)]
+    if faces:
+        q = draw(st.integers(1, x.top_dim))
+        idx = draw(st.integers(0, len(faces[q - 1]) - 1))
+        row = list(faces[q - 1][idx])
+        below = x.simplex_count(q - 1)
+        change = draw(st.sampled_from(["permute", "replace", "drop", "add"]))
+        if change == "permute":
+            row = draw(st.permutations(row))
+        elif change == "replace":
+            row[draw(st.integers(0, q))] = draw(st.integers(-1, below))
+        elif change == "drop":
+            del row[draw(st.integers(0, q))]
+        else:
+            row.insert(draw(st.integers(0, q + 1)), draw(st.integers(0, below - 1)))
+        faces[q - 1][idx] = row
+    return x.simplex_count(0), faces
+
+
+class TestValidationOracle:
+    """One corrupted face row: ``validate``, which checks a level at a
+    time, reports what the row-by-row oracle does, message for message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_row_corrupted())
+    def test_one_row_corruptions_match_oracle(self, case):
+        x = SemiSimplicialSet(*case, check=False)
+        assert x.validate() == validate_row_by_row(x)
+
+    def test_clean_complexes_match_oracle(self):
+        for x in (chern3_total(), named_base("sphere:4"), klein_bottle(), delta_torus()):
+            assert x.validate() == validate_row_by_row(x) == []

@@ -304,7 +304,7 @@ class TestMinimize:
             for v, b in doomed:
                 current = contract(current, v, b, check=False)
             words = {
-                (q, idx): n.to_circular()
+                (q, idx): CircularPermutation(n.colors)
                 for q, level in enumerate(current.stalks)
                 for idx, n in enumerate(level)
             }
