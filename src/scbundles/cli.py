@@ -33,7 +33,15 @@ from .bundle import (
     minimal_from_cocycle,
     total_to_json_dict,
 )
-from .cyclic import enumerate_sc, kan_lifts, kan_survey, sc_normalized_homology
+from .cyclic import (
+    _is_degenerate,
+    _sc_words,
+    _word_text,
+    enumerate_sc,
+    kan_lifts,
+    kan_survey,
+    sc_normalized_homology,
+)
 from .errors import MalformedFile, ScbError
 from .homology import (
     IntCochain,
@@ -123,10 +131,11 @@ def cmd_hexagram(args) -> Report:
     sc_rows = []
     lines = ["circular permutations through dimension 3:"]
     for k in range(4):
-        for th in enumerate_sc(k):
-            deg = th.is_degenerate()
-            sc_rows.append({"dim": k, "word": str(th), "degenerate": deg})
-            lines.append(f"  dim {k}: {th}{'  (degenerate)' if deg else ''}")
+        for w in _sc_words(k):
+            deg = _is_degenerate(w)
+            text = _word_text(w)
+            sc_rows.append({"dim": k, "word": text, "degenerate": deg})
+            lines.append(f"  dim {k}: {text}{'  (degenerate)' if deg else ''}")
     counts, nh = sc_normalized_homology(3)
     lines.append(f"non-degenerate counts: {list(counts)}")
     lines.append(f"normalized homology: {nh}")
@@ -307,6 +316,16 @@ KAN_EXPECTED = {
     5: {"families": 191_102_976, "compatible": 120, "lift_counts": {1: 120}},
     6: {"families": 358_318_080_000_000, "compatible": 720, "lift_counts": {1: 720}},
     7: {"families": 72_220_413_630_873_600_000_000, "compatible": 5040, "lift_counts": {1: 5040}},
+    8: {
+        "families": 2_098_335_016_107_155_751_174_144_000_000_000,
+        "compatible": 40_320,
+        "lift_counts": {1: 40_320},
+    },
+    9: {
+        "families": 11_355_473_140_492_152_650_417_790_221_801_226_240_000_000_000,
+        "compatible": 362_880,
+        "lift_counts": {1: 362_880},
+    },
 }
 
 

@@ -13,6 +13,11 @@ Conventions, fixed here and relied on everywhere else:
   bead colored i: give the newcomer the value i + 1/2, then renumber.
   Both act the same way on linear permutations, so the quotient map from
   linear to circular words commutes with every operator.
+
+The complex SC of circular permutations is worked on as canonical words,
+plain tuples that start at color 0: the horn census, the lift table and
+SC's normalized homology enumerate, face and test words, and a
+``CircularPermutation`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, permutations
+from operator import sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -44,7 +50,7 @@ __all__ = [
 
 
 # 0..k has k! circular permutations; enumeration stops above this top
-MAX_SC_K = 7
+MAX_SC_K = 9
 # the horn census stops when one facet slot has more compatible partial families
 _MAX_PARTIAL_FAMILIES = 1_000_000
 
@@ -70,8 +76,30 @@ def _canon_cp(word: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _cp_face(word: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # delete the letter i, pull higher letters down
-    return _canon_cp(tuple(v if v < i else v - 1 for v in word if v != i))
+    """Face i of a canonical word, one that starts at color 0: delete the
+    letter i and pull the higher letters down.  The result is canonical
+    too.  Only deleting color 0 moves the start, to the old color 1."""
+    if i:
+        return tuple([v if v < i else v - 1 for v in word if v != i])
+    j = word.index(1)
+    return tuple([v - 1 for v in word[j:] + word[1:j]])
+
+
+def _is_degenerate(word: tuple[int, ...]) -> bool:
+    """Whether some degeneracy of a smaller circular permutation produces
+    the canonical word.
+
+    That happens exactly when some color i is followed immediately by
+    i + 1 around the circle: s_i inserts i + 1 right after i, and
+    conversely such a word w satisfies s_i(d_{i+1} w) = w.  A canonical
+    word starts at color 0, which follows no color, so only its adjacent
+    pairs need checking.
+    """
+    return 1 in map(sub, word[1:], word)
+
+
+def _word_text(word: tuple[int, ...]) -> str:
+    return "<" + ",".join(map(str, word)) + ">"
 
 
 @dataclass(frozen=True)
@@ -96,25 +124,12 @@ class CircularPermutation:
             raise LastColor("cannot delete the only color of <0>")
         return CircularPermutation(_cp_face(self.word, i))
 
-    def is_degenerate(self) -> bool:
-        """True when some degeneracy of a smaller circular permutation
-        produces this one.
-
-        That happens exactly when some color i is followed immediately by
-        i + 1 around the circle: s_i inserts i + 1 right after i, and
-        conversely such a word w satisfies s_i(d_{i+1} w) = w.  The stored
-        turning starts at color 0, which follows no color, so only adjacent
-        pairs of the stored word need checking.
-        """
-        w = self.word
-        return any(a + 1 == b for a, b in zip(w, w[1:]))
-
     def _check_color(self, i: int) -> None:
         if not 0 <= i <= self.top:
             raise ValueError(f"color {i} outside 0..{self.top}")
 
     def __str__(self) -> str:
-        return "<" + ",".join(str(v) for v in self.word) + ">"
+        return _word_text(self.word)
 
 
 def c01(theta: CircularPermutation) -> int:
@@ -153,20 +168,27 @@ def _exchange_holds(lower: tuple[int, ...], upper: tuple[int, ...], i: int, m: i
 
 @lru_cache(maxsize=None)
 def _lift_table(k: int) -> dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
-    # facet words (d_0 w, ..., d_k w) -> the words w of SC(k) above them
+    # facet words (d_0 w, ..., d_k w) -> the words w of SC(k) above them;
+    # the keys hold the words of SC(k - 1), not a fresh tuple per face
+    lower = {w: w for w in _sc_words(k - 1)}
     table: dict = {}
     for w in _sc_words(k):
-        table.setdefault(tuple(_cp_face(w, i) for i in range(k + 1)), []).append(w)
+        table.setdefault(tuple([lower[_cp_face(w, i)] for i in range(k + 1)]), []).append(w)
     return table
 
 
 def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation]:
     """All circular permutations whose faces are the given facet family.
 
-    The family lists a facet for every face index 0..k; the pairwise
-    exchange precheck runs first and failures name the offending index
-    pair.  Counts follow the horn-filling pattern: two lifts when k is 2,
-    one when k is at least 4, zero or one when k is 3.
+    The family lists a facet for every face index 0..k.  Its words are
+    looked up in the lift table of SC(k).  A family with no lift then
+    runs the pairwise exchange precheck, whose failures name the
+    offending index pair; a family with a lift passes it, since the faces
+    of one simplex satisfy d_{m-1} d_i = d_i d_m.  Above ``MAX_SC_K`` the
+    table is not built, so an incompatible family fails the precheck and
+    a compatible one raises ``EnumerationBound``.  Counts follow the
+    horn-filling pattern: two lifts when k is 2, one when k is at least
+    4, zero or one when k is 3.
     """
     facets = list(facets)
     k = len(facets) - 1
@@ -178,7 +200,9 @@ def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation
                 f"facet {j} should be a circular permutation of 0..{k - 1}"
             )
     words = tuple(th.word for th in facets)
-    if k >= 2:
+    lifts = _lift_table(k).get(words) if k <= MAX_SC_K else None
+    if lifts is None:
+        # the one family at k = 1 lifts, so each facet here has a face
         for i, m in combinations(range(k + 1), 2):
             if not _exchange_holds(words[i], words[m], i, m):
                 raise IncompatibleFamily(
@@ -186,7 +210,8 @@ def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation
                     f"face {m - 1} of the former is {facets[i].face(m - 1)}, "
                     f"face {i} of the latter is {facets[m].face(i)}"
                 )
-    return [CircularPermutation(w) for w in _lift_table(k).get(words, ())]
+        lifts = _lift_table(k).get(words, ())
+    return [CircularPermutation(w) for w in lifts]
 
 
 def kan_survey(k: int) -> dict:
@@ -217,11 +242,11 @@ def kan_survey(k: int) -> dict:
         # their faces m - 1, so file each word under its first m faces
         fitting: dict = {}
         for w in words:
-            fitting.setdefault(tuple(_cp_face(w, i) for i in range(m)), []).append(w)
+            fitting.setdefault(tuple([_cp_face(w, i) for i in range(m)]), []).append(w)
         extended = (
             fam + (w,)
             for fam in families
-            for w in fitting.get(tuple(_cp_face(f, m - 1) for f in fam), ())
+            for w in fitting.get(tuple([_cp_face(f, m - 1) for f in fam]), ())
         )
         families = list(islice(extended, _MAX_PARTIAL_FAMILIES + 1))
         if len(families) > _MAX_PARTIAL_FAMILIES:
@@ -382,15 +407,15 @@ def sc_normalized_homology(max_dim: int = 3):
     elements per dimension 0..max_dim.  Above ``MAX_SC_K`` the enumeration
     raises ``EnumerationBound``.
     """
-    nondeg: list[list[CircularPermutation]] = []
-    for k in range(max_dim + 1):
-        nondeg.append([th for th in enumerate_sc(k) if not th.is_degenerate()])
+    nondeg = [
+        [w for w in _sc_words(k) if not _is_degenerate(w)] for k in range(max_dim + 1)
+    ]
     counts = tuple(len(level) for level in nondeg)
-    index = [{th: r for r, th in enumerate(level)} for level in nondeg[:-1]]
+    index = [{w: r for r, w in enumerate(level)} for level in nondeg[:-1]]
 
     def column(q, c):
-        th = nondeg[q][c]
-        col = _face_column([index[q - 1].get(th.face(i)) for i in range(q + 1)])
+        w = nondeg[q][c]
+        col = _face_column([index[q - 1].get(_cp_face(w, i)) for i in range(q + 1)])
         col.pop(None, None)  # a degenerate face is zero in normalized chains
         return col
 

@@ -10,8 +10,8 @@ systems up to bead renaming, the local system of one necklace, the
 face-by-face validation of a local system against ``validate``'s checks
 once per distinct combination of objects, the total space's face rows
 and projection by bead id against ``assemble``'s positional tables,
-whether a total space is a classical complex, the degeneracy operators
-of circular permutations, and dense Smith normal form against
+whether a total space is a classical complex, the face and degeneracy
+operators of circular permutations, and dense Smith normal form against
 ``smith_normal_form``'s Euclid steps on nonzero entries.
 """
 
@@ -500,7 +500,18 @@ def is_classical_necklace(neck: Necklace) -> tuple[bool, str | None]:
     return True, None
 
 
-# -- degeneracies ------------------------------------------------------
+# -- faces and degeneracies --------------------------------------------
+
+
+def word_face(word: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Face i of a circular word: delete the color i from the linear word,
+    renumber the colors above it down by one, then turn the word to start
+    at color 0, found by a plain search."""
+    linear = [v if v < i else v - 1 for v in word if v != i]
+    start = 0
+    while linear[start] != 0:
+        start += 1
+    return tuple(linear[start:] + linear[:start])
 
 
 def word_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ budget; run with -v to get one pass/fail line per criterion.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from scbundles import (
     subdivide,
 )
 from scbundles._json import canonical_dumps
+from scbundles.cli import main
 from generators import Budget, random_binary_cocycle, random_necklace, random_system
 from oracles import (
     elementary_system,
@@ -150,8 +152,9 @@ def test_criterion_4_torus_bundles():
             cocycle_for_chern(base, fm, -2)
 
 
-def test_criterion_5_kan_census():
-    """Exhaustive horn-filling counts in dimensions 2, 3, 4."""
+def test_criterion_5_kan_census(capsys):
+    """Exhaustive horn-filling counts in dimensions 2, 3, 4, and unique
+    horn filling in dimension 8 by the whole `kan-check` command."""
     with Budget(30.0):
         assert kan_survey(2) == {
             "dimension": 2,
@@ -175,14 +178,28 @@ def test_criterion_5_kan_census():
         assert survey4["families"] == 6**5
         assert survey4["compatible"] == 24
         assert survey4["lift_counts"] == {1: 24}
+    # about 2 s on a quiet 2-core host
+    with Budget(10.0):
+        code = main(["kan-check", "8", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["compatible"] == 40_320
+    assert report["unique"] is True
+    assert report["matches_expected"] is True
 
 
 def test_criterion_6_circular_census():
-    """Nondegenerate circular permutations and normalized homology."""
+    """Nondegenerate circular permutations and normalized homology, that
+    of CP^infinity through degree 7."""
     with Budget(1.0):
         counts, h = sc_normalized_homology(3)
         assert counts == (1, 0, 1, 2)
         assert str(h) == "H0=Z, H1=0, H2=Z"
+    # about 1.1 s on a quiet 2-core host
+    with Budget(5.0):
+        counts, h = sc_normalized_homology(8)
+    assert counts == (1, 0, 1, 2, 9, 44, 265, 1854, 14833)
+    assert str(h) == "H0=Z, H1=0, H2=Z, H3=0, H4=Z, H5=0, H6=Z, H7=0"
 
 
 def test_criterion_7_property_suites():

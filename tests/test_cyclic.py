@@ -29,6 +29,8 @@ from scbundles.cyclic import (
     MAX_SC_K,
     _canon_cp,
     _cp_face,
+    _is_degenerate,
+    _sc_words,
 )
 
 from generators import Budget, vertex_order_cocycle
@@ -38,6 +40,7 @@ from oracles import (
     face_walk,
     is_classical_necklace,
     word_degeneracy,
+    word_face,
 )
 
 
@@ -133,6 +136,21 @@ def test_word_caches_are_bounded():
         assert cache.cache_info().maxsize == _WORD_CACHE_SIZE
 
 
+class TestWordFace:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_face_of_every_word(self, k):
+        for word in _sc_words(k):
+            for i in range(k + 1):
+                assert _cp_face(word, i) == word_face(word, i)
+
+    def test_seeded_words_at_top_nine(self):
+        rng = random.Random(36)
+        for _ in range(200):
+            word = (0, *rng.sample(range(1, 10), 9))
+            for i in range(10):
+                assert _cp_face(word, i) == word_face(word, i)
+
+
 class TestEnumeration:
     def test_counts(self):
         for k in range(6):
@@ -142,17 +160,16 @@ class TestEnumeration:
         with pytest.raises(EnumerationBound) as exc:
             enumerate_sc(MAX_SC_K + 1)
         assert exc.value.exit_code == 11
-        assert len(enumerate_sc(MAX_SC_K)) == 5040
+        assert len(_sc_words(MAX_SC_K)) == 362_880
 
     def test_degeneracy_detection_matches_images(self):
-        assert not CircularPermutation((0,)).is_degenerate()
+        assert not _is_degenerate((0,))
         for k in range(1, 7):
-            images = set()
-            for th in enumerate_sc(k - 1):
-                for i in range(k):
-                    images.add(degeneracy(th, i))
-            for th in enumerate_sc(k):
-                assert th.is_degenerate() == (th in images)
+            images = {
+                degeneracy(th, i).word for th in enumerate_sc(k - 1) for i in range(k)
+            }
+            for word in _sc_words(k):
+                assert _is_degenerate(word) == (word in images)
 
     def test_nondegenerate_counts(self):
         counts, groups = sc_normalized_homology(3)
@@ -314,6 +331,18 @@ class TestKan:
                 found = True
                 break
         assert found
+
+    def test_errors_above_the_cap(self):
+        # families of circular permutations of 0..MAX_SC_K, whose lift
+        # table is never built
+        top = tuple(range(MAX_SC_K + 1))
+        swapped = (0, 2, 1) + top[3:]
+        facets = [CircularPermutation(top)] * (MAX_SC_K + 2)
+        with pytest.raises(EnumerationBound):
+            kan_lifts(facets)
+        # facets 0 and 1 disagree on their face 0
+        with pytest.raises(IncompatibleFamily, match="between facets 0 and 1:"):
+            kan_lifts([facets[0], CircularPermutation(swapped), *facets[2:]])
 
     def test_survey(self):
         assert kan_survey(2) == {
