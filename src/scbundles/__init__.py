@@ -16,7 +16,6 @@ from .errors import (
     IncompatibleFamily,
     InvalidComplex,
     LastArc,
-    LastColor,
     MalformedFile,
     MismatchedCarriers,
     NonOrientable,

@@ -34,6 +34,7 @@ from .bundle import (
     total_to_json_dict,
 )
 from .cyclic import (
+    MAX_SC_K,
     _is_degenerate,
     _sc_words,
     _word_text,
@@ -525,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_assemble)
 
     p = sub.add_parser("kan-check", parents=[common], help="exhaustive horn-lifting census")
-    p.add_argument("k", type=int, help="dimension to survey, 2 to 7")
+    p.add_argument("k", type=int, help=f"dimension to survey, 2 to {MAX_SC_K}")
     p.set_defaults(handler=cmd_kan_check)
 
     p = sub.add_parser("verify", parents=[common], help="full invariant suite on a bundle")

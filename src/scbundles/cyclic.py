@@ -16,8 +16,9 @@ Conventions, fixed here and relied on everywhere else:
 
 The complex SC of circular permutations is worked on as canonical words,
 plain tuples that start at color 0: the horn census, the lift table and
-SC's normalized homology enumerate, face and test words, and a
-``CircularPermutation`` is built only where a public function returns one.
+SC's normalized homology enumerate, face and test words, and faces of
+words come from ``_cp_face``.  A ``CircularPermutation`` is a value with
+no operators, built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Iterable, Mapping
 from .errors import (
     EnumerationBound,
     IncompatibleFamily,
-    LastColor,
     MismatchedCarriers,
 )
 from .homology import HomologyGroups, _face_column, chain_homology
@@ -57,7 +57,7 @@ _MAX_PARTIAL_FAMILIES = 1_000_000
 
 # -- core word operations (plain tuples, cached) -----------------------
 
-# Each word cache keeps at most this many words, so that a large base
+# The face cache keeps at most this many words, so that a large base
 # does not pin every word it met for the life of the process.  The horn
 # census and the hexagram reuse a few hundred at most.
 _WORD_CACHE_SIZE = 4096
@@ -66,12 +66,6 @@ _WORD_CACHE_SIZE = 4096
 def _validate_perm_word(word: tuple[int, ...]) -> None:
     if sorted(word) != list(range(len(word))):
         raise ValueError(f"{word} is not a permutation word of 0..{len(word) - 1}")
-
-
-@lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _canon_cp(word: tuple[int, ...]) -> tuple[int, ...]:
-    j = word.index(0)
-    return word[j:] + word[:j]
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
@@ -111,22 +105,12 @@ class CircularPermutation:
     def __post_init__(self):
         word = tuple(int(v) for v in self.word)
         _validate_perm_word(word)
-        object.__setattr__(self, "word", _canon_cp(word))
+        j = word.index(0)
+        object.__setattr__(self, "word", word[j:] + word[:j])
 
     @property
     def top(self) -> int:
         return len(self.word) - 1
-
-    def face(self, i: int) -> "CircularPermutation":
-        """Delete color i and renumber the colors above it down by one."""
-        self._check_color(i)
-        if self.top == 0:
-            raise LastColor("cannot delete the only color of <0>")
-        return CircularPermutation(_cp_face(self.word, i))
-
-    def _check_color(self, i: int) -> None:
-        if not 0 <= i <= self.top:
-            raise ValueError(f"color {i} outside 0..{self.top}")
 
     def __str__(self) -> str:
         return _word_text(self.word)
@@ -207,8 +191,8 @@ def kan_lifts(facets: Iterable[CircularPermutation]) -> list[CircularPermutation
             if not _exchange_holds(words[i], words[m], i, m):
                 raise IncompatibleFamily(
                     f"faces disagree between facets {i} and {m}: "
-                    f"face {m - 1} of the former is {facets[i].face(m - 1)}, "
-                    f"face {i} of the latter is {facets[m].face(i)}"
+                    f"face {m - 1} of the former is {_word_text(_cp_face(words[i], m - 1))}, "
+                    f"face {i} of the latter is {_word_text(_cp_face(words[m], i))}"
                 )
         lifts = _lift_table(k).get(words, ())
     return [CircularPermutation(w) for w in lifts]
@@ -271,35 +255,24 @@ def _least_turning(
     """The rotation of the circle of beads (colors, ids) whose pair
     (color word, id word) is least.
 
-    Color 0 is the least letter, so the least color word opens with the
-    longest run of 0s on the circle, and only the starts of such runs are
-    compared.  When the 0s form one run that opens the word and does not
-    wrap past its end, that run is the only longest one, so the word is
-    returned as it is and no rotation is compared.  Spindle moves on a
-    minimal bundle keep each color of a stalk in one block, with the
-    block of 0s first, so their splices always end here.  Otherwise the
-    runs are found with bytes operations on a mask of the nonzero colors,
-    written twice so that a run wrapping past the end of the word shows
-    whole.  An all-zero circle turns at its least id.
+    Color 0 is the least letter, so the least color word opens a run of
+    0s, and only the rotations that start such a run are compared.  When
+    the 0s form one run that opens the word and does not wrap past its
+    end, the word is returned as it is and no rotation is compared.
+    Spindle moves on a minimal bundle keep each color of a stalk in one
+    block, with the block of 0s first, so their splices always end here.
+    An all-zero circle keeps its colors and turns its ids at the least id.
     """
     if colors[0] == 0 and colors[-1] and 0 not in colors[colors.count(0):]:
         return colors, ids
-    zeros = bytes(map(bool, colors))
-    if 1 not in zeros:
+    if not any(colors):
         r = ids.index(min(ids))
-        return colors[r:] + colors[:r], ids[r:] + ids[:r]
-    twice = zeros + zeros
-    # runs of 0s differ only in length, and bytes order puts the longest last
-    run = max(twice.split(b"\x01"))
-    # searches stop here, so each run is found once, by its start in the
-    # first copy
-    end = len(zeros) - 1 + len(run)
-    starts = []
-    at = twice.find(run, 0, end)
-    while at >= 0:
-        starts.append(at)
-        at = twice.find(run, at + len(run), end)
-    return min((colors[s:] + colors[:s], ids[s:] + ids[:s]) for s in starts)
+        return colors, ids[r:] + ids[:r]
+    return min(
+        (colors[s:] + colors[:s], ids[s:] + ids[:s])
+        for s in range(len(colors))
+        if colors[s] == 0 and colors[s - 1]
+    )
 
 
 @dataclass(frozen=True)
@@ -312,9 +285,9 @@ class Necklace:
 
     The stored turning is the canonical one: the rotation with the least
     color word, ties broken by the id word.  It is found by comparing only
-    the rotations that open with a longest run of color 0; when the word
-    as given opens with the one run of 0s on the circle, no rotation is
-    compared at all.
+    the rotations that start a run of color 0; when the word as given
+    opens with the one run of 0s on the circle, no rotation is compared
+    at all.
     """
 
     colors: tuple[int, ...]

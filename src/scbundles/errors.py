@@ -87,12 +87,6 @@ class BeadNotFound(ScbError):
     exit_code = 10
 
 
-class LastColor(ScbError):
-    """Deletion of the only color of a necklace."""
-
-    exit_code = 10
-
-
 class EnumerationBound(ScbError):
     """An enumeration request above the configured size ceiling."""
 

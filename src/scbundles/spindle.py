@@ -86,9 +86,7 @@ def _star_level(base: SemiSimplicialSet, q: int, below: Mapping[int, object]) ->
     return sorted({x for y in below for x in base.cofaces(q - 1, y)})
 
 
-def contract(
-    system: NecklaceLocalSystem, v: int, bead: int, check: bool = True
-) -> NecklaceLocalSystem:
+def contract(system: NecklaceLocalSystem, v: int, bead: int) -> NecklaceLocalSystem:
     """Remove bead from the circle over v and its trace from every stalk
     over v's star; every other stalk and maps tuple is shared with system.
 
@@ -134,8 +132,7 @@ def contract(
                 kept_maps.append(kept)
             bead_maps[q][idx] = tuple(kept_maps)
         images, removed = images_above, removed_above
-    moved = NecklaceLocalSystem(base, stalks, bead_maps, check=False)
-    return _checked(moved) if check else moved
+    return _checked(NecklaceLocalSystem(base, stalks, bead_maps, check=False))
 
 
 def subdivide(

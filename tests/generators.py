@@ -107,13 +107,16 @@ def random_moves(
     system: NecklaceLocalSystem, rng: random.Random, count: int
 ) -> NecklaceLocalSystem:
     """count seeded moves, each a subdivide or, where the vertex circle
-    has two beads or more, a contraction, by a coin; unchecked."""
+    has two beads or more, a contraction, by a coin; the subdivisions are
+    unchecked, and a contraction always checks its result."""
     vertices = system.base.simplices(0)
     for _ in range(count):
         v = rng.choice(vertices)
         ids = system.stalk(0, v).ids
-        move = contract if len(ids) > 1 and rng.randrange(2) else subdivide
-        system = move(system, v, rng.choice(ids), check=False)
+        if len(ids) > 1 and rng.randrange(2):
+            system = contract(system, v, rng.choice(ids))
+        else:
+            system = subdivide(system, v, rng.choice(ids), check=False)
     return system
 
 

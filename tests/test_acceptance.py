@@ -225,7 +225,7 @@ def test_criterion_7_property_suites():
             fresh = (
                 set(split.stalk(0, v).ids) - set(system.stalk(0, v).ids)
             ).pop()
-            back = contract(split, v, fresh, check=False)
+            back = contract(split, v, fresh)
             assert back.stalks == system.stalks
             assert back.bead_maps == system.bead_maps
             if i % 4 == 0:
@@ -250,7 +250,7 @@ def test_criterion_7_property_suites():
             ]
             rng.shuffle(doomed)
             for v, b in doomed:
-                current = contract(current, v, b, check=False)
+                current = contract(current, v, b)
             words = {
                 (q, idx): CircularPermutation(n.colors)
                 for q, level in enumerate(current.stalks)

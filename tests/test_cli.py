@@ -392,6 +392,12 @@ class TestKanCheck:
         assert doc["compatible"] == math.factorial(k)
         assert doc["families"] == math.factorial(k - 1) ** (k + 1)
 
+    def test_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kan-check", "--help"])
+        assert exc.value.code == 0
+        assert "2 to 9" in capsys.readouterr().out
+
     def test_expected_counts_for_every_census(self):
         assert sorted(KAN_EXPECTED) == list(range(2, MAX_SC_K + 1))
 

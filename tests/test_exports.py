@@ -27,7 +27,6 @@ UNSET_DEFAULTS = {
     "main(argv)": "the console script and the tests",
     "build_surface_bundle(seed)": "the benchmark's workloads",
     "subdivide(check)": "the benchmark's workloads",
-    "contract(check)": "the benchmark's workloads",
 }
 
 # functions, as "module.name", that call themselves, each with the reason

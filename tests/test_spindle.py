@@ -15,6 +15,7 @@ from scbundles import (
     NecklaceLocalSystem,
     assemble,
     boundary_sphere,
+    build_surface_bundle,
     chern_cocycle_general,
     chern_number,
     coboundary,
@@ -31,6 +32,7 @@ from scbundles import (
     subdivide,
     validate_selection,
 )
+from scbundles import cyclic as cyclic_module
 from generators import random_necklace, random_system
 from oracles import elementary_system, systems_equivalent, vertex_embedding
 
@@ -92,7 +94,7 @@ class TestContract:
         maps = [[], [({other: target}, along_1)]]
         broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
         with pytest.raises(IncoherentLocalSystem):
-            contract(broken, 0, doomed, check=False)
+            contract(broken, 0, doomed)
 
     def test_unknown_vertex(self):
         system = doubled_interval()
@@ -205,6 +207,34 @@ class TestSubdivide:
             two = subdivide(subdivide(system, v2, b2), v1, b1)
             assert systems_equivalent(one, two)
 
+    def test_moves_on_a_minimal_bundle_keep_each_color_in_one_block(self, monkeypatch):
+        # the traffic Necklace's turning is fast for: every circle a move
+        # turns opens with its one run of 0s, or is all 0s
+        seen = []
+        least_turning = cyclic_module._least_turning
+
+        def recording(colors, ids):
+            seen.append(colors)
+            return least_turning(colors, ids)
+
+        monkeypatch.setattr(cyclic_module, "_least_turning", recording)
+        base = named_base("torus:6")
+        minimal = build_surface_bundle(base, fundamental_class(base), 2).as_local_system()
+        rng = random.Random(37)
+        system, moves = minimal, []
+        for _ in range(200):
+            v = rng.randrange(base.simplex_count(0))
+            ids = system.stalk(0, v).ids
+            system = subdivide(system, v, rng.choice(ids), check=False)
+            moves.append((v, (set(system.stalk(0, v).ids) - set(ids)).pop()))
+        for v, fresh in reversed(moves):
+            system = contract(system, v, fresh)
+        assert system.stalks == minimal.stalks
+        assert seen
+        for colors in seen:
+            zeros = colors.count(0)
+            assert not any(colors[:zeros]) and 0 not in colors[zeros:], colors
+
     def test_total_space_euler_zero_after_moves(self):
         rng = random.Random(14)
         for _ in range(8):
@@ -302,7 +332,7 @@ class TestMinimize:
             ]
             rng.shuffle(doomed)
             for v, b in doomed:
-                current = contract(current, v, b, check=False)
+                current = contract(current, v, b)
             words = {
                 (q, idx): CircularPermutation(n.colors)
                 for q, level in enumerate(current.stalks)

@@ -75,7 +75,7 @@ def by_level(table):
     return levels
 
 
-def reference_contract(system, v, bead, check=True):
+def reference_contract(system, v, bead):
     circle = _check_vertex(system, v)
     if not circle.has_bead(bead):
         raise BeadNotFound(f"vertex {v} has no bead {bead}")
@@ -112,7 +112,7 @@ def reference_contract(system, v, bead, check=True):
                 )
             faces.append(kept)
         bead_maps[(q, idx)] = tuple(faces)
-    return NecklaceLocalSystem(base, by_level(stalks), by_level(bead_maps), check=check)
+    return NecklaceLocalSystem(base, by_level(stalks), by_level(bead_maps))
 
 
 def reference_subdivide(system, v, bead, check=True):
@@ -280,7 +280,7 @@ def test_errors_match_the_whole_walk():
     maps = [[], [({other: vertex_embedding(system, 1, 0, 0)[doomed]}, along_1)]]
     broken = NecklaceLocalSystem(system.base, system.stalks, maps, check=False)
     cases = [
-        (contract, (broken, 0, doomed, False), IncoherentLocalSystem),
+        (contract, (broken, 0, doomed), IncoherentLocalSystem),
         (contract, (system, 7, 0), DanglingReference),
         (contract, (system, 0, 99), BeadNotFound),
         (contract, (system, 1, system.stalk(0, 1).ids[0]), LastArc),
@@ -339,7 +339,7 @@ def assert_stars_match_the_scan(system, rng):
         assert list(spliced(system, moved, v).items()) == list(scanned.items()), (v, bead)
         if system.stalk(0, v).size > 1:
             gone = {key: set(images.values()) for key, images in scanned.items()}
-            assert removed(system, contract(system, v, bead, check=False)) == gone, (v, bead)
+            assert removed(system, contract(system, v, bead)) == gone, (v, bead)
 
 
 def test_star_matches_the_scan_on_named_bases():
@@ -402,5 +402,5 @@ def test_a_move_leaves_its_input_unchanged():
                 subdivide(system, v, rng.choice(ids), check=False)
                 assert snapshot(system) == before, (name, v)
                 if len(ids) > 1:
-                    contract(system, v, rng.choice(ids), check=False)
+                    contract(system, v, rng.choice(ids))
                     assert snapshot(system) == before, (name, v)
